@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -273,10 +274,37 @@ def _parse_solver(space: Space, raw) -> SolverConfig:
         raise ValidationError(f"solver: {exc}") from None
 
 
+def _reject_constant(token: str):
+    raise ParseError(f"{token} is not a finite number")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if math.isinf(value):
+        raise ParseError(f"number {literal} overflows a float")
+    return value
+
+
+def _finite_int(literal: str) -> int:
+    value = int(literal)
+    if abs(value) > sys.float_info.max:
+        raise ParseError(f"number {literal} overflows a float")
+    return value
+
+
 def parse_config(text: str) -> ProblemConfig:
-    """Parse and structurally validate a JSON configuration document."""
+    """Parse and structurally validate a JSON configuration document.
+
+    Every number must be finite: the NaN and Infinity tokens and literals
+    beyond the float range are parse errors.
+    """
     try:
-        doc = json.loads(text)
+        doc = json.loads(
+            text,
+            parse_constant=_reject_constant,
+            parse_float=_finite_float,
+            parse_int=_finite_int,
+        )
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -561,7 +589,7 @@ def render_report(report: RunReport) -> str:
         "counterexamples": report.counterexamples,
         "result": report.result,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def main(argv: Optional[list] = None) -> int:

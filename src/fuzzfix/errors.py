@@ -14,7 +14,7 @@ class NotBijective(FuzzfixError):
 
 
 class HorizonExceeded(FuzzfixError):
-    """Modulus iterates did not drop below the target within the cap."""
+    """Modulus iterates never reach the target, or not within an explicit cap."""
 
 
 class PhiInvalid(FuzzfixError):

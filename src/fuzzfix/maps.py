@@ -8,7 +8,7 @@ with nonzero slope fixing the endpoints, or a full permutation table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Union
 
 from .errors import InverseUndefined, NotBijective, UnknownPoint
@@ -132,6 +132,13 @@ class PermutationBijection:
     """A permutation of a finite space's labels."""
 
     mapping: Dict[str, str]
+    _inverse: Dict[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # The first key wins where a table that is not a permutation
+        # repeats a value.
+        inverse = {value: key for key, value in reversed(self.mapping.items())}
+        object.__setattr__(self, "_inverse", inverse)
 
     def apply(self, space: Space, p: Point) -> Point:
         try:
@@ -140,10 +147,10 @@ class PermutationBijection:
             raise UnknownPoint(f"permutation has no image for {p!r}") from None
 
     def invert_apply(self, space: Space, p: Point) -> Point:
-        for key, value in self.mapping.items():
-            if value == p:
-                return key
-        raise InverseUndefined(f"no preimage for {p!r} under the permutation")
+        try:
+            return self._inverse[p]
+        except KeyError:
+            raise InverseUndefined(f"no preimage for {p!r} under the permutation") from None
 
     def validate_bijection(self, space: Space) -> None:
         if not isinstance(space, FiniteSpace):

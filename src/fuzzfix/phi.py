@@ -12,16 +12,16 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .errors import HorizonExceeded, InvalidK, PhiInvalid
 from .report import LawCheck, Report
 
-DECAY_THRESHOLD = 1e-6
-DEFAULT_ITER_CAP = 10 ** 6
-DEFAULT_HORIZON_CAP = 10 ** 6
-
 _WITNESS_CAP = 8
+
+# Unit roundoff of a float: one rounding moves a value by at most this
+# share of it.
+_U = 2.0 ** -53
 
 
 def crossing_time(d: float) -> float:
@@ -39,6 +39,20 @@ def _check_nonneg(t: float) -> None:
         raise ValueError("modulus argument must be nonnegative")
 
 
+def _tie(x: float, slack: float) -> bool:
+    """Whether the float orbit may cross the target on another step than the exact one.
+
+    ``x`` is the real number of steps after which the exact orbit lies
+    at or below the target, and ``slack`` bounds how far rounding, in the
+    float orbit and in computing ``x``, can move that crossing. With no
+    integer within ``slack`` of ``x``, ceil(x) is the float orbit's count
+    too. Once ``slack`` reaches half a step (the rational modulus past
+    about 3e7 steps) no bound can pick the float orbit's step, and the
+    exact count stands.
+    """
+    return slack < 0.5 and abs(x - round(x)) <= slack
+
+
 @dataclass(frozen=True)
 class LinearPhi:
     """t -> k * t with ratio k in (0, 1)."""
@@ -53,6 +67,16 @@ class LinearPhi:
         _check_nonneg(t)
         return self.k * t
 
+    def steps_to(self, t: float, target: float) -> Optional[int]:
+        """Least n with iterate(self, t, n) <= target < t, or None on a tie.
+
+        The n-th iterate is t * k**n; each float step rounds once.
+        """
+        log_t, log_target, log_k = math.log(t), math.log(target), math.log(self.k)
+        x = (log_target - log_t) / log_k
+        slack = 4 * _U * (x + 2.0 + abs(log_t) + abs(log_target)) * (1.0 - 1.0 / log_k)
+        return None if _tie(x, slack) else math.ceil(x)
+
 
 @dataclass(frozen=True)
 class RationalPhi:
@@ -61,6 +85,22 @@ class RationalPhi:
     def eval(self, t: float) -> float:
         _check_nonneg(t)
         return t / (1.0 + t)
+
+    def steps_to(self, t: float, target: float) -> Optional[int]:
+        """Least n with iterate(self, t, n) <= target < t, or None on a tie.
+
+        The n-th iterate is 1 / (1/t + n). A float step rounds 1/iterate
+        by up to 2 * _U * (1/iterate + 1), which adds up over n steps.
+        """
+        x = 1.0 / target - 1.0 / t
+        slack = 4 * _U * (x + 2.0) * (1.0 / target + 2.0)
+        if _tie(x, slack):
+            return None
+        # ceil(1/target - 1/t) in integers, since 1/target overflows a
+        # float below about 5.6e-309.
+        p, q = target.as_integer_ratio()
+        a, b = t.as_integer_ratio()
+        return -((b * p - q * a) // (p * a))
 
 
 @dataclass(frozen=True)
@@ -97,6 +137,27 @@ class InducedPhi:
             return crossing_time(self.k * t * t / (1.0 - t))
         return self.anchor + self.k * (t - self.tau_cap)
 
+    def steps_to(self, t: float, target: float) -> Optional[int]:
+        """Least n with iterate(self, t, n) <= target < t, or None on a tie
+        or on the linear tail above ``tau_cap``.
+
+        Below ``tau_cap``, t = crossing_time(d) for d = t**2 / (1 - t), and
+        the n-th iterate is crossing_time(k**n * d), which reaches target
+        once k**n * d <= target**2 / (1 - target). A float step moves d by
+        a relative error that grows with ``cap``, where crossing_time
+        cancels and 1 - t shrinks.
+        """
+        if t > self.tau_cap:
+            return None
+        log_d = 2.0 * math.log(t) - math.log1p(-t)
+        log_target = 2.0 * math.log(target) - math.log1p(-target)
+        log_k = math.log(self.k)
+        x = (log_target - log_d) / log_k
+        slack = 8 * _U * (x + 2.0 + abs(log_d) + abs(log_target)) * (
+            1.0 - (5.0 + self.cap) ** 2 / log_k
+        )
+        return None if _tie(x, slack) else math.ceil(x)
+
 
 @dataclass(frozen=True)
 class TablePhi:
@@ -132,6 +193,10 @@ class TablePhi:
         i = bisect.bisect_right(self._ts, t) - 1
         return self._values[i] if i >= 0 else 0.0
 
+    def steps_to(self, t: float, target: float) -> Optional[int]:
+        """None: a step function has no closed form, so horizon steps its orbit."""
+        return None
+
 
 PhiFunction = Union[LinearPhi, RationalPhi, InducedPhi, TablePhi]
 
@@ -152,12 +217,20 @@ def horizon(
     t0: float,
     epsilon: float,
     lam: float,
-    cap: int = DEFAULT_HORIZON_CAP,
+    cap: Optional[int] = None,
 ) -> int:
-    """Least N with iterate(phi, t0, N) <= min(epsilon, lam).
+    """Least N with iterate(phi, t0, N) <= min(epsilon, lam), decided exactly.
 
-    Raises HorizonExceeded when the iterates have not dropped below the
-    target after ``cap`` steps, which signals an inadmissible modulus.
+    Linear, rational and induced moduli count the steps in closed form
+    (``steps_to``); the induced modulus first steps down its linear tail
+    above ``tau_cap``. On a tie, where rounding could put the float
+    orbit's crossing on another step, the orbit is stepped until the
+    closed form decides. A table's orbit takes its values among the
+    breakpoint values, so it reaches the target within len(points) + 1
+    steps or cycles above it for ever.
+
+    Raises HorizonExceeded when the iterates never reach the target (an
+    inadmissible table), or when N exceeds an explicitly passed ``cap``.
     """
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
@@ -168,61 +241,64 @@ def horizon(
     target = min(epsilon, lam)
     value = t0
     n = 0
-    while value > target:
+    while value > target and (cap is None or n <= cap):
+        steps = phi.steps_to(value, target)
+        if steps is not None:
+            n += steps
+            break
+        if isinstance(phi, TablePhi) and n > len(phi.points):
+            raise HorizonExceeded(f"iterates cycle above {target!r}")
         value = phi.eval(value)
         n += 1
-        if n > cap:
-            raise HorizonExceeded(
-                f"iterates still above {target!r} after {cap} steps"
-            )
+    if cap is not None and n > cap:
+        raise HorizonExceeded(f"iterates still above {target!r} after {cap} steps")
     return n
 
 
-def verify_phi_class(
-    phi: PhiFunction,
-    grid: int = 16,
-    t_max: float = 2.0,
-    iter_cap: int = DEFAULT_ITER_CAP,
-) -> Report:
-    """Check admissibility on a grid over (0, t_max].
+def verify_phi_class(phi: PhiFunction, grid: int = 16, t_max: float = 2.0) -> Report:
+    """Decide admissibility on (0, t_max] exactly.
 
-    Laws: ``nondecreasing`` (exact, on adjacent grid points),
-    ``below_identity`` (phi(t) < t strictly), and ``iterates_vanish``
-    (iterates fall below DECAY_THRESHOLD within ``iter_cap`` steps).
-    When monotonicity holds, decay from the largest grid point bounds
-    decay from all smaller ones, so only that start is iterated.
+    Laws: ``nondecreasing``, ``below_identity`` (phi(t) < t, and
+    phi(0) = 0) and ``iterates_vanish``. Linear, rational and induced
+    moduli satisfy all three by construction once their parameters
+    validate. A table is judged from its breakpoints up to t_max: values
+    must not decrease, each must lie below its time or be 0 at time 0,
+    and the orbit of each value must reach 0 and stay there. An orbit
+    takes its values among the breakpoint values, so it reaches 0 within
+    len(points) + 1 steps or never. Witnesses are breakpoints: (t,
+    t_next, value, value_next) for a drop, (t, value) for a value not
+    below its time, (t, value, steps) for an orbit that does not settle
+    at 0.
+
+    ``checks`` counts a report grid of ``grid`` points on (0, t_max]
+    (grid - 1 adjacent pairs, grid points, one orbit), so the shape of a
+    report does not depend on how its laws were decided.
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    ts = [t_max * i / grid for i in range(1, grid + 1)]
-    values = [phi.eval(t) for t in ts]
-
-    mono = []
-    for i in range(len(ts) - 1):
-        if values[i] > values[i + 1]:
-            mono.append((ts[i], ts[i + 1], values[i], values[i + 1]))
-    monotone_ok = not mono
-
-    below = [(t, v) for t, v in zip(ts, values) if not v < t]
-
-    decay = []
-    starts = [ts[-1]] if monotone_ok else ts
-    for t in starts:
-        value = t
-        steps = 0
-        while value > DECAY_THRESHOLD:
-            value = phi.eval(value)
-            steps += 1
-            if steps > iter_cap:
-                decay.append((t, value, steps))
-                break
+    drops, above, stalled = [], [], []
+    if isinstance(phi, TablePhi):
+        pts = [(t, v) for t, v in phi.points if t <= t_max]
+        drops = [(t, t2, v, v2) for (t, v), (t2, v2) in zip(pts, pts[1:]) if v2 < v]
+        above = [(t, v) for t, v in pts if not (v < t or t == v == 0.0)]
+        for t, v in pts:
+            value, steps = v, 1
+            while value > 0.0 and steps <= len(phi.points):
+                value = phi.eval(value)
+                steps += 1
+            if value > 0.0:
+                stalled.append((t, value, steps))
+        at_zero = phi.eval(0.0)
+        if at_zero > 0.0:
+            # 0 is not fixed, so an orbit that reaches it moves on.
+            stalled.append((0.0, at_zero, 1))
 
     laws = (
-        LawCheck("nondecreasing", monotone_ok, len(ts) - 1, tuple(mono[:_WITNESS_CAP])),
-        LawCheck("below_identity", not below, len(ts), tuple(below[:_WITNESS_CAP])),
-        LawCheck("iterates_vanish", not decay, len(starts), tuple(decay[:_WITNESS_CAP])),
+        LawCheck("nondecreasing", not drops, grid - 1, tuple(drops[:_WITNESS_CAP])),
+        LawCheck("below_identity", not above, grid, tuple(above[:_WITNESS_CAP])),
+        LawCheck("iterates_vanish", not stalled, 1, tuple(stalled[:_WITNESS_CAP])),
     )
     return Report(laws=laws)
 

@@ -66,3 +66,77 @@ def inclusion_points(space, T, g):
         if gx in T.images and x in T.image(gx):
             out.append(x)
     return out
+
+
+# Moduli from their definitions, written as the library's float
+# expressions so that a float orbit here is the library's float orbit.
+
+
+def linear_step(k):
+    return lambda t: k * t
+
+
+def rational_step(t):
+    return t / (1.0 + t)
+
+
+def induced_step(k, cap):
+    tau_cap = tau(cap)
+    anchor = tau(k * cap)
+
+    def step(t):
+        if t == 0.0:
+            return 0.0
+        if t <= tau_cap:
+            return tau(k * t * t / (1.0 - t))
+        return anchor + k * (t - tau_cap)
+
+    return step
+
+
+def table_step(points):
+    def step(t):
+        value = 0.0
+        for bt, bv in points:
+            if bt <= t:
+                value = bv
+        return value
+
+    return step
+
+
+def orbit_count(step, t0, target, limit):
+    """Least n with the n-th float iterate of ``step`` at or below target,
+    by plain iteration; None past ``limit`` steps."""
+    n, value = 0, t0
+    while value > target:
+        if n == limit:
+            return None
+        value = step(value)
+        n += 1
+    return n
+
+
+def table_laws_dense(points, t_max, lattice=256):
+    """Admissibility of a step modulus on (0, t_max], by brute force.
+
+    The times are a lattice of spacing t_max / lattice plus every
+    breakpoint, so no step is skipped. Returns the verdicts of
+    (nondecreasing, below_identity, iterates_vanish); orbits start at
+    every time and must reach 0 within 2 * len(points) + 2 steps.
+    """
+    step = table_step(points)
+    times = sorted(
+        {t_max * i / lattice for i in range(1, lattice + 1)}
+        | {t for t, _ in points if 0.0 < t <= t_max}
+    )
+    values = [step(t) for t in times]
+    nondecreasing = all(a <= b for a, b in zip(values, values[1:]))
+    below = all(v < t for t, v in zip(times, values))
+    vanish = True
+    for t in times:
+        value = t
+        for _ in range(2 * len(points) + 2):
+            value = step(value)
+        vanish = vanish and value == 0.0
+    return nondecreasing, below, vanish

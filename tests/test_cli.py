@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -170,6 +171,35 @@ def test_check_phi_command(tmp_path, capsys):
     assert main(["check-phi", "--config", str(path2)]) == 1
 
 
+def test_check_phi_flags_a_drop_between_grid_points(tmp_path, capsys):
+    # The drop from 0.1 to 0.01 at t = 0.21 lies between the grid points.
+    points = [[0.0, 0.0], [0.2, 0.1], [0.21, 0.01], [0.24, 0.1]]
+    path = write_config(tmp_path, dict(FLAGSHIP, phi={"kind": "table", "points": points}))
+    assert main(["check-phi", "--config", str(path)]) == 1
+    law = json.loads(capsys.readouterr().out)["verdicts"]["phi_class"]["laws"][0]
+    assert law["name"] == "nondecreasing"
+    assert law["witnesses"] == [[0.2, 0.21, 0.1, 0.01]]
+
+
+def test_rational_solve_past_a_million_steps_reports(tmp_path, capsys):
+    solver = {**FLAGSHIP["solver"], "epsilon": 1e-7, "lambda": 1e-7}
+    path = write_config(tmp_path, dict(FLAGSHIP, phi={"kind": "rational"}, solver=solver))
+    code = main(["solve", "--config", str(path)])
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert code == 1
+    assert result["converged"] is False
+    assert result["horizon_used"] == math.ceil(1 / 1e-7 - 1 / 2.0)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, token):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(FLAGSHIP).replace('"epsilon": 0.001', f'"epsilon": {token}'))
+    assert token in path.read_text()
+    assert main(["solve", "--config", str(path)]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_threshold_command(tmp_path, capsys):
     path = write_config(tmp_path, FLAGSHIP)
     code = main(["threshold", "--config", str(path)])
@@ -254,3 +284,18 @@ def test_module_entrypoint_smoke(tmp_path):
     assert proc.returncode == 0
     assert "tau" in proc.stdout
     assert "elapsed_s=" in proc.stderr
+
+
+def test_package_entrypoint_prints_no_warning(tmp_path):
+    path = write_config(tmp_path, FLAGSHIP)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "threshold", "--config", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        for module in ("fuzzfix", "fuzzfix.cli")
+    ]
+    assert runs[0].returncode == 0
+    assert runs[0].stdout == runs[1].stdout
+    assert "Warning" not in runs[0].stderr

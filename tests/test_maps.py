@@ -107,6 +107,20 @@ def test_compose_inner_affine():
         assert composed.apply(space, x) == outer.apply(space, inner.apply(space, x))
 
 
+def test_permutation_inverse_round_trips():
+    labels = [f"p{i}" for i in range(128)]
+    images = labels[37:] + labels[:37]
+    space = fx.FiniteSpace(
+        tuple(labels), tuple(tuple(float(abs(i - j)) for j in range(128)) for i in range(128))
+    )
+    perm = fx.PermutationBijection(dict(zip(labels, images)))
+    for x, y in zip(labels, images):
+        assert perm.invert_apply(space, y) == x
+        assert perm.apply(space, perm.invert_apply(space, x)) == x
+    with pytest.raises(fx.InverseUndefined):
+        perm.invert_apply(space, "q")
+
+
 def test_compose_inner_permutation(finite3):
     outer = fx.PermutationBijection({"a": "b", "b": "c", "c": "a"})
     inner = fx.PermutationBijection({"a": "c", "b": "b", "c": "a"})

@@ -148,7 +148,7 @@ def test_verify_phi_class_flags_nonmonotone_table():
 def test_verify_phi_class_flags_stalled_iterates():
     # constant positive step never decays
     phi = fx.TablePhi(((0.0, 0.05),))
-    report = fx.verify_phi_class(phi, grid=8, t_max=1.0, iter_cap=50)
+    report = fx.verify_phi_class(phi, grid=8, t_max=1.0)
     assert not report.law("iterates_vanish").passed
 
 
