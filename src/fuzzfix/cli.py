@@ -446,6 +446,8 @@ def run(
     result = None
     code = 0
     fm = FuzzyMetric(cfg.space, cfg.norm)
+    # Admissibility is checked on the range the solvers require.
+    t_max = 2.0 if cfg.solver is None else cfg.solver.t_max
 
     try:
         if command == "check-axioms":
@@ -457,7 +459,7 @@ def run(
 
         elif command == "check-phi":
             phi = _need(cfg, "phi", "check-phi requires a phi section")
-            report = verify_phi_class(phi, grid=max(cfg.grid, 2))
+            report = verify_phi_class(phi, grid=max(cfg.grid, 2), t_max=t_max)
             verdicts["phi_class"] = _report_dict(report)
             code = 0 if report.passed else 1
 
@@ -539,7 +541,7 @@ def run(
             phi = _need(cfg, "phi", "induce-phi requires a phi section")
             if not isinstance(phi, InducedPhi):
                 raise ValidationError('induce-phi requires phi of kind "induced"')
-            report = verify_phi_class(phi, grid=max(cfg.grid, 2))
+            report = verify_phi_class(phi, grid=max(cfg.grid, 2), t_max=t_max)
             verdicts["phi_class"] = _report_dict(report)
             curve = []
             for i in range(1, _INDUCE_CURVE_STEPS + 1):
@@ -630,7 +632,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(render_report(report))
-    print(f"elapsed_s={time.perf_counter() - started:.3f}", file=sys.stderr)
+    print(f"elapsed_s={time.perf_counter() - started:.6f}", file=sys.stderr)
     return code
 
 

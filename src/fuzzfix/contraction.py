@@ -12,15 +12,23 @@ nondecreasing and right-continuous the implication therefore holds iff
 phi(tau_g + eta) > tau_f for eta descending to 0. Only the pair sampling
 is approximate; the t-quantifier is not. A small raw t-grid is spot
 checked as well, so reported counterexamples carry concrete times.
+
+Every term of the check depends on a pair only through its two
+distances d(gx, gy) and d(fx, fy), so each is computed once per pair
+and every grade is membership's own expression t / (t + d) on it. The
+crossing comes from ``distance_threshold``, the spot times' modulus
+values are taken once per check, and counterexamples are kept as sort
+keys until the first MAX_COUNTEREXAMPLES are selected.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .fmspace import FiniteSpace, FuzzyMetric, Point, Space, threshold
+from .fmspace import FiniteSpace, FuzzyMetric, Point, Space, distance_threshold, threshold
 from .maps import BijectionSpec, MapSpec, validate_map
 from .phi import InducedPhi, PhiFunction, ensure_phi_class
 from .report import LawCheck, Report
@@ -89,15 +97,19 @@ def sample_pairs(
     return pairs
 
 
-def _sorted_counterexamples(space: Space, found: list) -> Tuple[CounterExample, ...]:
-    found.sort(
-        key=lambda ce: (
-            space.point_key(ce.x),
-            space.point_key(ce.y),
-            ce.t,
-        )
+def select_counterexamples(found: list) -> Tuple[CounterExample, ...]:
+    """The first MAX_COUNTEREXAMPLES failures in report order.
+
+    Each entry of ``found`` is a flat tuple: the sort key's components,
+    the failure's position in the scan (ties keep scan order, as a
+    stable sort would) and last the CounterExample fields as a tuple.
+    heapq.nsmallest equals sorted(found)[:n], and only the kept entries
+    become objects.
+    """
+    return tuple(
+        CounterExample(*entry[-1])
+        for entry in heapq.nsmallest(MAX_COUNTEREXAMPLES, found)
     )
-    return tuple(found[:MAX_COUNTEREXAMPLES])
 
 
 def check_g_phi(
@@ -119,36 +131,40 @@ def check_g_phi(
     validate_map(fm.space, f)
     space = fm.space
     pairs = sample_pairs(space, samples, seed)
+    spots = tuple((t, phi.eval(t)) for t in SPOT_TIMES)
     found = []
     for x, y in pairs:
         gx, gy = g.apply(space, x), g.apply(space, y)
         fx, fy = f.apply(space, x), f.apply(space, y)
-        tau_g = threshold(fm, gx, gy)
-        # The bisected crossing is never below the true one, so the
-        # antecedent holds at every tau_g + eta; the consequent is
-        # evaluated raw, which keeps recorded violations replayable.
+        d_g, d_f = fm.distance(gx, gy), fm.distance(fx, fy)
+        tau_g = distance_threshold(d_g)
+        # Grades are membership's t / (t + d), 0 at t == 0. The grid-exact
+        # crossing is never below the true one, so the antecedent holds at
+        # every tau_g + eta; the consequent is evaluated raw, which keeps
+        # recorded violations replayable.
+        failed = []
         for eta in ETA_LADDER:
             t = tau_g + eta
             scaled = phi.eval(t)
-            consequent = fm.membership(fx, fy, scaled)
+            consequent = scaled / (scaled + d_f) if scaled != 0.0 else 0.0
             if not consequent > 1.0 - scaled:
-                found.append(
-                    CounterExample(x, y, t, fm.membership(gx, gy, t), consequent)
-                )
+                failed.append((t, t / (t + d_g), consequent))
                 break
-        for t in SPOT_TIMES + (tau_g + 1e-9,):
-            if t <= 0.0:
-                continue
-            antecedent = fm.membership(gx, gy, t)
+        last = tau_g + 1e-9
+        for t, scaled in spots + ((last, phi.eval(last)),):
+            antecedent = t / (t + d_g)
             if antecedent > 1.0 - t:
-                scaled = phi.eval(t)
-                consequent = fm.membership(fx, fy, scaled)
+                consequent = scaled / (scaled + d_f) if scaled != 0.0 else 0.0
                 if not consequent > 1.0 - scaled:
-                    found.append(CounterExample(x, y, t, antecedent, consequent))
+                    failed.append((t, antecedent, consequent))
+        if failed:
+            kx, ky = space.point_key(x), space.point_key(y)
+            for t, antecedent, consequent in failed:
+                found.append((kx, ky, t, len(found), (x, y, t, antecedent, consequent)))
     return ContractionReport(
         passed=not found,
         checked_pairs=len(pairs),
-        counterexamples=_sorted_counterexamples(space, found),
+        counterexamples=select_counterexamples(found),
         method="threshold-reduction",
     )
 
@@ -176,11 +192,12 @@ def check_metric_phi(
         d_f = space.distance(f.apply(space, x), f.apply(space, y))
         bound = psi.eval(d_g)
         if not d_f <= bound + _METRIC_SLACK * (1.0 + d_g):
-            found.append(CounterExample(x, y, d_g, bound, d_f))
+            kx, ky = space.point_key(x), space.point_key(y)
+            found.append((kx, ky, d_g, len(found), (x, y, d_g, bound, d_f)))
     return ContractionReport(
         passed=not found,
         checked_pairs=len(pairs),
-        counterexamples=_sorted_counterexamples(space, found),
+        counterexamples=select_counterexamples(found),
         method="metric-direct",
     )
 

@@ -11,22 +11,17 @@ successor at each shrinking scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .contraction import (
-    ETA_LADDER,
-    MAX_COUNTEREXAMPLES,
-    ContractionReport,
-    CounterExample,
-)
+from .contraction import ETA_LADDER, ContractionReport, select_counterexamples
 from .errors import NoAdmissibleSuccessor, NotDemicompact, UnknownPoint
 from .fmspace import (
     FiniteSpace,
     FuzzyMetric,
     Point,
     Space,
+    distance_threshold,
     is_cauchy_window,
-    threshold,
 )
 from .maps import BijectionSpec
 from .phi import PhiFunction, ensure_phi_class, horizon
@@ -159,34 +154,27 @@ def check_setvalued_contraction(
             raise ValueError("an explicit pair plan is required on continuum spaces")
         eligible = [x for x in space.labels if g.apply(space, x) in T.images]
         pairs = [(x, y) for x in eligible for y in eligible]
-    found: List[CounterExample] = []
+    found = []
     for x, y in pairs:
         gx, gy = g.apply(space, x), g.apply(space, y)
-        tau_g = threshold(fm, gx, gy)
-        for u in T.image(gx):
+        d_g = fm.distance(gx, gy)
+        tau_g = distance_threshold(d_g)
+        images_u, images_v = T.image(gx), T.image(gy)
+        for u in images_u:
+            # membership(u, v, s) for every v, as t / (t + d), 0 at t == 0
+            d_uv = [fm.distance(u, v) for v in images_v]
             for eta in ETA_LADDER:
                 t = tau_g + eta
                 scaled = phi.eval(t)
-                best = max(fm.membership(u, v, scaled) for v in T.image(gy))
+                best = max(scaled / (scaled + d) if scaled != 0.0 else 0.0 for d in d_uv)
                 if not best > 1.0 - scaled:
-                    found.append(
-                        CounterExample(
-                            x, y, t, fm.membership(gx, gy, t), best, u=u
-                        )
-                    )
+                    keys = space.point_key(x), space.point_key(y), space.point_key(u)
+                    found.append((*keys, t, len(found), (x, y, t, t / (t + d_g), best, u)))
                     break
-    found.sort(
-        key=lambda ce: (
-            space.point_key(ce.x),
-            space.point_key(ce.y),
-            space.point_key(ce.u),
-            ce.t,
-        )
-    )
     return ContractionReport(
         passed=not found,
         checked_pairs=len(pairs),
-        counterexamples=tuple(found[:MAX_COUNTEREXAMPLES]),
+        counterexamples=select_counterexamples(found),
         method="threshold-reduction",
     )
 
@@ -233,7 +221,7 @@ def solve_inclusion(
     bijection; both are reported.
     """
     space = fm.space
-    ensure_phi_class(phi, t_max=max(cfg.t0, 2.0))
+    ensure_phi_class(phi, t_max=cfg.t_max)
     g.validate_bijection(space)
     validate_setvalued(space, T)
     if not check_demicompact_finite(space) and not assume_demicompact:

@@ -56,6 +56,12 @@ class SolverConfig:
                 raise ValueError("residual times must be positive")
             object.__setattr__(self, "residual_times", times)
 
+    @property
+    def t_max(self) -> float:
+        """End of the range (0, t_max] on which the modulus must be
+        admissible: the orbit's scales start at t0, the checks' at 2."""
+        return max(self.t0, 2.0)
+
     def times(self) -> Tuple[float, ...]:
         if self.residual_times is not None:
             return self.residual_times
@@ -96,7 +102,7 @@ def solve_coincidence(
     1 - lambda for every time >= epsilon.
     """
     space = fm.space
-    ensure_phi_class(phi, t_max=max(cfg.t0, 2.0))
+    ensure_phi_class(phi, t_max=cfg.t_max)
     g.validate_bijection(space)
     validate_map(space, f)
     if not space.contains(cfg.start):

@@ -140,3 +140,93 @@ def table_laws_dense(points, t_max, lattice=256):
             value = step(value)
         vanish = vanish and value == 0.0
     return nondecreasing, below, vanish
+
+
+# The contraction checks as they stood before the one-distance kernel:
+# a 40-step bisection for the crossing and the eta ladder and spot grid
+# evaluated with membership's raw expression.
+
+ETA_LADDER = (1e-3, 1e-6, 1e-9)
+SPOT_TIMES = (0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0)
+COUNTEREXAMPLE_CAP = 64
+
+
+def bisect_threshold(d, tol=1e-12):
+    """The crossing of t / (t + d) with 1 - t by bisection on [0, 1]."""
+    if d == 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid / (mid + d) - (1.0 - mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def raw_grade(t, d):
+    """membership(x, y, t) for a pair at distance d."""
+    return 0.0 if t == 0.0 else t / (t + d)
+
+
+def metric_distance(fm):
+    """The distance fm grades with, its transform applied to both points."""
+
+    def dist(a, b):
+        if fm.transform is not None:
+            a, b = fm.transform.apply(fm.space, a), fm.transform.apply(fm.space, b)
+        return fm.space.distance(a, b)
+
+    return dist
+
+
+def reference_check_g_phi(fm, f, g, phi, pairs):
+    """(passed, the first 64 counterexamples as (x, y, t, antecedent,
+    consequent), sorted by point keys and t)."""
+    space, dist = fm.space, metric_distance(fm)
+    found = []
+    for x, y in pairs:
+        gx, gy = g.apply(space, x), g.apply(space, y)
+        d_g = dist(gx, gy)
+        d_f = dist(f.apply(space, x), f.apply(space, y))
+        tau_g = bisect_threshold(d_g)
+        for eta in ETA_LADDER:
+            t = tau_g + eta
+            s = phi.eval(t)
+            consequent = raw_grade(s, d_f)
+            if not consequent > 1.0 - s:
+                found.append((x, y, t, raw_grade(t, d_g), consequent))
+                break
+        for t in SPOT_TIMES + (tau_g + 1e-9,):
+            antecedent = raw_grade(t, d_g)
+            if antecedent > 1.0 - t:
+                s = phi.eval(t)
+                consequent = raw_grade(s, d_f)
+                if not consequent > 1.0 - s:
+                    found.append((x, y, t, antecedent, consequent))
+    found.sort(key=lambda ce: (space.point_key(ce[0]), space.point_key(ce[1]), ce[2]))
+    return not found, found[:COUNTEREXAMPLE_CAP]
+
+
+def reference_check_setvalued(fm, T, g, phi, pairs):
+    """(passed, the first 64 counterexamples as (x, y, t, antecedent,
+    best, u), sorted by point keys of x, y, u and t)."""
+    space, dist = fm.space, metric_distance(fm)
+    found = []
+    for x, y in pairs:
+        gx, gy = g.apply(space, x), g.apply(space, y)
+        d_g = dist(gx, gy)
+        tau_g = bisect_threshold(d_g)
+        for u in T.image(gx):
+            for eta in ETA_LADDER:
+                t = tau_g + eta
+                s = phi.eval(t)
+                best = max(raw_grade(s, dist(u, v)) for v in T.image(gy))
+                if not best > 1.0 - s:
+                    found.append((x, y, t, raw_grade(t, d_g), best, u))
+                    break
+    found.sort(
+        key=lambda ce: (space.point_key(ce[0]), space.point_key(ce[1]), space.point_key(ce[5]), ce[2])
+    )
+    return not found, found[:COUNTEREXAMPLE_CAP]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -181,6 +182,23 @@ def test_check_phi_flags_a_drop_between_grid_points(tmp_path, capsys):
     assert law["witnesses"] == [[0.2, 0.21, 0.1, 0.01]]
 
 
+def test_check_phi_uses_the_solvers_range(tmp_path, capsys):
+    # phi(3) = 3.5 lies above the identity: outside (0, 2], inside (0, t0].
+    phi = {"kind": "table", "points": [[0, 0], [0.5, 0.25], [3, 3.5]]}
+    doc = dict(FLAGSHIP, phi=phi)
+    path = write_config(tmp_path, doc)
+    assert main(["check-phi", "--config", str(path)]) == 0
+    capsys.readouterr()
+    path = write_config(tmp_path, dict(doc, solver=dict(FLAGSHIP["solver"], t0=5)), "t0.json")
+    assert main(["check-phi", "--config", str(path)]) == 1
+    law = json.loads(capsys.readouterr().out)["verdicts"]["phi_class"]["laws"][1]
+    assert law["name"] == "below_identity"
+    assert law["witnesses"] == [[3.0, 3.5]]
+    assert main(["solve", "--config", str(path)]) == 1
+    failure = json.loads(capsys.readouterr().out)["verdicts"]["hypothesis_failure"]
+    assert failure["error"] == "PhiInvalid"
+
+
 def test_rational_solve_past_a_million_steps_reports(tmp_path, capsys):
     solver = {**FLAGSHIP["solver"], "epsilon": 1e-7, "lambda": 1e-7}
     path = write_config(tmp_path, dict(FLAGSHIP, phi={"kind": "rational"}, solver=solver))
@@ -272,6 +290,12 @@ def test_traces_are_byte_identical(tmp_path, capsys):
         capsys.readouterr()
         blobs.append(trace.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_elapsed_time_has_microsecond_resolution(tmp_path, capsys):
+    path = write_config(tmp_path, FLAGSHIP)
+    assert main(["threshold", "--config", str(path)]) == 0
+    assert re.fullmatch(r"elapsed_s=\d+\.\d{6}\n", capsys.readouterr().err)
 
 
 def test_module_entrypoint_smoke(tmp_path):

@@ -1,20 +1,27 @@
-"""Property tests of the exact modulus layer against independent oracles.
+"""Property tests of the exact layers against independent oracles.
 
 The horizon is compared with plain float iteration of each modulus's
-definition, and table admissibility with a dense time check. Every test
-runs on a fixed seed, so the suite stays deterministic.
+definition, table admissibility with a dense time check, the threshold
+with plain bisection, and the contraction checks with the loops they
+replaced. Every test runs on a fixed seed, so the suite stays
+deterministic.
 """
 
+import math
+
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import fuzzfix as fx
 from oracles import (
+    bisect_threshold,
     induced_step,
     linear_step,
     orbit_count,
     rational_step,
+    reference_check_g_phi,
+    reference_check_setvalued,
     table_laws_dense,
 )
 
@@ -124,3 +131,206 @@ def test_roadmap_tables_are_inadmissible():
     # Each fault lies between the points of the default 16-point grid.
     for points in ROADMAP_TABLES:
         assert not fx.verify_phi_class(fx.TablePhi(points)).passed
+
+
+# ------------------------------------------------ threshold and contraction
+
+DMAX = 1.7976931348623157e308
+GRID_STEP = 2.0 ** -40  # the bisection step of the default tolerance 1e-12
+
+# Distances log-uniform over the positive floats, subnormals included.
+distances = st.floats(math.log(5e-324), math.log(DMAX)).map(math.exp).filter(lambda d: d > 0.0)
+
+
+def crosses(t, d):
+    return t / (t + d) - (1.0 - t) >= 0.0
+
+
+@seed(SEED)
+@settings(max_examples=1000, deadline=None, database=None)
+@given(d=distances, normalize=st.booleans())
+@example(d=5e-324, normalize=False)
+@example(d=DMAX, normalize=False)
+@example(d=DMAX, normalize=True)
+@example(d=1.0, normalize=False)
+def test_threshold_equals_bisection(d, normalize):
+    # The normalised space grades 1 - exp(-d) instead of d.
+    space = fx.IntervalSpace(0.0, DMAX, normalize=normalize)
+    fm = fx.FuzzyMetric(space, fx.TNorm("product"))
+    dist = space.distance(0.0, d)
+    tau = fx.threshold(fm, 0.0, d)
+    assert tau == bisect_threshold(dist)
+    assert crosses(tau, dist)
+    assert not crosses(tau - GRID_STEP, dist)
+
+
+@seed(SEED)
+@settings(max_examples=500, deadline=None, database=None)
+@given(d=distances, log_tol=st.floats(-44 * math.log(2.0), 0.5))
+def test_distance_threshold_equals_bisection_at_any_tolerance(d, log_tol):
+    tol = math.exp(log_tol)
+    assert fx.distance_threshold(d, tol) == bisect_threshold(d, tol)
+
+
+def test_threshold_below_the_float_spacing_terminates():
+    # tol 1e-300 is finer than any gap between floats near the crossing,
+    # so the bisection ends on two adjacent floats.
+    fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, 1.0), fx.TNorm("product"))
+    tau = fx.threshold(fm, 0.0, 1.0, tol=1e-300)
+    assert crosses(tau, 1.0)
+    assert not crosses(math.nextafter(tau, 0.0), 1.0)
+
+
+def _dyadic(lo, hi):
+    return st.integers(lo, hi).map(lambda i: i / 8.0)
+
+
+@st.composite
+def moduli(draw, diameter):
+    kind = draw(st.sampled_from(["linear", "rational", "induced", "table"]))
+    if kind == "linear":
+        return fx.LinearPhi(draw(st.floats(0.05, 0.95)))
+    if kind == "rational":
+        return fx.RationalPhi()
+    if kind == "induced":
+        return fx.InducedPhi(draw(st.floats(0.05, 0.95)), diameter * draw(st.floats(0.5, 2.0)))
+    # (0, 0), (t1, v1), (t2, v2) with v1 < t1 and v1 <= v2 < t2 is admissible.
+    t1, t2 = sorted(draw(st.lists(st.integers(1, 64), min_size=2, max_size=2, unique=True)))
+    v1 = draw(st.integers(0, t1 - 1))
+    v2 = draw(st.integers(v1, t2 - 1))
+    return fx.TablePhi(((0.0, 0.0), (t1 / 32.0, v1 / 32.0), (t2 / 32.0, v2 / 32.0)))
+
+
+def _metric(space, transform):
+    fm = fx.FuzzyMetric(space, fx.TNorm("product"))
+    return fm if transform is None else fm.g_transform(transform)
+
+
+@st.composite
+def interval_cases(draw):
+    lo = draw(_dyadic(-16, 16))
+    hi = lo + draw(_dyadic(1, 32))
+    space = fx.IntervalSpace(lo, hi)
+    reflection = fx.AffineBijection(-1.0, lo + hi)
+    g, h = (draw(st.sampled_from([fx.AffineBijection(1.0, 0.0), reflection])) for _ in range(2))
+    a = draw(st.floats(-0.95, 0.95))
+    room = (hi - lo) * (1.0 - abs(a))
+    b = lo - min(a * lo, a * hi) + draw(st.floats(0.0, 1.0)) * room
+    f = fx.AffineMap(a, b)
+    assume(maps_into(space, f))  # b may round the image past an end
+    transform = h if draw(st.booleans()) else None
+    return _metric(space, transform), f, g, draw(moduli(hi - lo))
+
+
+def maps_into(space, f):
+    try:
+        fx.validate_map(space, f)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def box_cases(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    bound = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    space = fx.EuclideanSpace(dim, bound)
+    g, h = (draw(st.sampled_from([fx.AffineBijection(1.0, 0.0), fx.AffineBijection(-1.0, 0.0)])) for _ in range(2))
+    a = draw(st.floats(-0.9, 0.9))
+    b = draw(st.floats(-1.0, 1.0)) * (1.0 - abs(a)) * bound * 0.999
+    transform = h if draw(st.booleans()) else None
+    return _metric(space, transform), fx.AffineMap(a, b), g, draw(moduli(2.0 * bound * math.sqrt(dim)))
+
+
+@st.composite
+def finite_spaces(draw, max_points=6):
+    # Integer points of the plane under the L1 metric: the triangle
+    # inequality holds exactly in floats.
+    coords = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=max_points, unique=True))
+    labels = tuple(f"p{i}" for i in range(len(coords)))
+    dist = tuple(tuple(float(abs(a - c) + abs(b - e)) for c, e in coords) for a, b in coords)
+    return fx.FiniteSpace(labels, dist, normalize=draw(st.booleans()))
+
+
+def _permutation(draw, labels):
+    return fx.PermutationBijection(dict(zip(labels, draw(st.permutations(labels)))))
+
+
+@st.composite
+def finite_cases(draw):
+    space = draw(finite_spaces())
+    labels = space.labels
+    f = fx.TableMap({l: draw(st.sampled_from(labels)) for l in labels})
+    g, h = _permutation(draw, labels), _permutation(draw, labels)
+    transform = h if draw(st.booleans()) else None
+    return _metric(space, transform), f, g, draw(moduli(space.diameter() or 1.0))
+
+
+def assert_matches_reference(case, samples, sample_seed):
+    fm, f, g, phi = case
+    report = fx.check_g_phi(fm, f, g, phi, samples=samples, seed=sample_seed)
+    pairs = fx.sample_pairs(fm.space, samples, sample_seed)
+    passed, expected = reference_check_g_phi(fm, f, g, phi, pairs)
+    got = [(ce.x, ce.y, ce.t, ce.antecedent, ce.consequent) for ce in report.counterexamples]
+    assert (report.passed, report.checked_pairs, got) == (passed, len(pairs), expected)
+    return passed
+
+
+contraction_settings = settings(max_examples=120, deadline=None, database=None)
+FLAGSHIP_CASE = (
+    fx.FuzzyMetric(fx.IntervalSpace(0.0, 1.0), fx.TNorm("product")),
+    fx.AffineMap(0.5, 0.0),
+    fx.AffineBijection(-1.0, 1.0),
+    fx.InducedPhi(0.5, 1.0),
+)
+NAIVE_CASE = FLAGSHIP_CASE[:3] + (fx.LinearPhi(0.5),)
+
+
+@seed(SEED)
+@contraction_settings
+@given(case=interval_cases(), samples=st.integers(1, 150), sample_seed=st.integers(0, 99))
+@example(case=FLAGSHIP_CASE, samples=150, sample_seed=0)  # passes
+@example(case=NAIVE_CASE, samples=150, sample_seed=0)  # fails on every pair of distinct points
+def test_check_g_phi_matches_reference_on_intervals(case, samples, sample_seed):
+    assert_matches_reference(case, samples, sample_seed)
+
+
+@seed(SEED)
+@contraction_settings
+@given(case=box_cases(), samples=st.integers(1, 100), sample_seed=st.integers(0, 99))
+def test_check_g_phi_matches_reference_on_boxes(case, samples, sample_seed):
+    assert_matches_reference(case, samples, sample_seed)
+
+
+@seed(SEED)
+@contraction_settings
+@given(case=finite_cases(), samples=st.integers(1, 40), sample_seed=st.integers(0, 99))
+def test_check_g_phi_matches_reference_on_finite_spaces(case, samples, sample_seed):
+    assert_matches_reference(case, samples, sample_seed)
+
+
+def test_reference_cases_cover_both_verdicts():
+    assert assert_matches_reference(FLAGSHIP_CASE, 150, 0)
+    assert not assert_matches_reference(NAIVE_CASE, 150, 0)
+
+
+@st.composite
+def setvalued_cases(draw):
+    space = draw(finite_spaces())
+    labels = space.labels
+    images = {l: tuple(draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3))) for l in labels}
+    g, h = _permutation(draw, labels), _permutation(draw, labels)
+    transform = h if draw(st.booleans()) else None
+    return _metric(space, transform), fx.SetValuedMap(images), g, draw(moduli(space.diameter() or 1.0))
+
+
+@seed(SEED)
+@contraction_settings
+@given(case=setvalued_cases())
+def test_setvalued_check_matches_reference(case):
+    fm, T, g, phi = case
+    report = fx.check_setvalued_contraction(fm, T, g, phi)
+    pairs = [(x, y) for x in fm.space.labels for y in fm.space.labels]
+    passed, expected = reference_check_setvalued(fm, T, g, phi, pairs)
+    got = [(ce.x, ce.y, ce.t, ce.antecedent, ce.consequent, ce.u) for ce in report.counterexamples]
+    assert (report.passed, got) == (passed, expected)
