@@ -7,6 +7,8 @@ time quantifier, and runs horizon-certified iteration to coincidence
 points (single-valued) and inclusion points (set-valued).
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     FuzzfixError,
@@ -92,78 +94,9 @@ from .multivalued import (
 )
 from .cli import ProblemConfig, RunReport, parse_config, render_report, run
 
-__all__ = [
-    "AffineBijection",
-    "AffineMap",
-    "ConfigError",
-    "ConstantMap",
-    "ContractionReport",
-    "CounterExample",
-    "EuclideanSpace",
-    "FiniteSpace",
-    "FuzzfixError",
-    "FuzzyMetric",
-    "HorizonExceeded",
-    "InducedPhi",
-    "IntervalSpace",
-    "InvalidK",
-    "InverseComposite",
-    "InverseUndefined",
-    "IterationRecord",
-    "LawCheck",
-    "LinearPhi",
-    "MemberEvidence",
-    "NoAdmissibleSuccessor",
-    "NotBijective",
-    "NotDemicompact",
-    "OrbitResult",
-    "PairGrade",
-    "ParseError",
-    "PermutationBijection",
-    "PhiInvalid",
-    "ProblemConfig",
-    "RationalPhi",
-    "Report",
-    "RunReport",
-    "SetValuedMap",
-    "SolveResult",
-    "SolverConfig",
-    "TNorm",
-    "TableMap",
-    "TablePhi",
-    "UniquenessReport",
-    "UnknownPoint",
-    "ValidationError",
-    "check_demicompact_finite",
-    "check_fuzzy_continuity",
-    "check_g_phi",
-    "check_metric_phi",
-    "check_setvalued_contraction",
-    "crossing_time",
-    "delta_for_lambda",
-    "distance_threshold",
-    "ensure_phi_class",
-    "fold",
-    "horizon",
-    "identity_for",
-    "in_fuzzy_closure",
-    "in_uniformity",
-    "induce_phi",
-    "is_cauchy_window",
-    "iterate",
-    "parse_config",
-    "render_report",
-    "run",
-    "sample_pairs",
-    "select_successor",
-    "solve_coincidence",
-    "solve_inclusion",
-    "sqrt_level",
-    "threshold",
-    "uniqueness_probe",
-    "validate_map",
-    "validate_setvalued",
-    "verify_fm_axioms",
-    "verify_phi_class",
-    "verify_tnorm_axioms",
-]
+# Every public name imported above; the submodules are not part of it.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -20,6 +20,7 @@ from typing import Optional, Tuple
 from .contraction import ContractionReport, check_g_phi
 from .errors import (
     ConfigError,
+    InvalidK,
     InverseUndefined,
     NoAdmissibleSuccessor,
     NotBijective,
@@ -49,21 +50,24 @@ from .maps import (
     TableMap,
     identity_for,
 )
-from .multivalued import SetValuedMap, solve_inclusion, validate_setvalued
+from .multivalued import SetValuedMap, solve_inclusion
 from .phi import InducedPhi, LinearPhi, PhiFunction, RationalPhi, TablePhi, verify_phi_class
 from .report import Report
-from .solver import SolveResult, SolverConfig, solve_coincidence
+from .solver import IterationRecord, SolveResult, SolverConfig, solve_coincidence
 from .tnorm import TNorm, verify_tnorm_axioms
 
-COMMANDS = (
-    "check-axioms",
-    "check-phi",
-    "check-contraction",
-    "solve",
-    "solve-set",
-    "threshold",
-    "induce-phi",
-)
+# The config sections each command needs before it runs.
+REQUIRES = {
+    "check-axioms": (),
+    "check-phi": ("phi",),
+    "check-contraction": ("phi", "f"),
+    "solve": ("phi", "f", "solver"),
+    "solve-set": ("phi", "T", "solver"),
+    "threshold": ("query",),
+    "induce-phi": ("phi",),
+}
+
+COMMANDS = tuple(REQUIRES)
 
 _INDUCE_CURVE_STEPS = 8
 
@@ -113,55 +117,34 @@ def _jsonable_point(p: Point):
     return p
 
 
-def _require(doc: dict, key: str):
-    if key not in doc:
-        raise ValidationError(f"{key}: section is required")
-    return doc[key]
+def _section(where: str, raw, build, *args):
+    """Build one config section with ``build(raw, *args)``.
 
-
-def _parse_space(raw) -> Space:
+    Owns the errors every section shares, each under the section's
+    prefix: not an object, a missing field, a bad value, and (through
+    ``_of_kind``) an unknown kind.
+    """
     if not isinstance(raw, dict):
-        raise ValidationError("space: must be an object")
-    kind = raw.get("kind")
-    normalize = bool(raw.get("normalize", False))
+        raise ValidationError(f"{where}: must be an object")
     try:
-        if kind == "finite":
-            return FiniteSpace(
-                labels=tuple(raw["points"]),
-                dist=tuple(tuple(row) for row in raw["dist"]),
-                normalize=normalize,
-            )
-        if kind == "interval":
-            return IntervalSpace(
-                lo=float(raw["lo"]), hi=float(raw["hi"]), normalize=normalize
-            )
-        if kind == "euclidean":
-            bound = raw.get("bound")
-            return EuclideanSpace(
-                dim=int(raw["dim"]),
-                bound=None if bound is None else float(bound),
-                normalize=normalize,
-            )
+        return build(raw, *args)
     except KeyError as exc:
-        raise ValidationError(f"space: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"space: {exc}") from None
-    raise ValidationError(f"space: unknown kind {kind!r}")
+        raise ValidationError(f"{where}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, InvalidK) as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+def _of_kind(raw: dict, kinds: dict, *args):
+    """Dispatch on the section's ``kind`` through a kind -> constructor table."""
+    kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown kind {kind!r}")
+    return kinds[kind](raw, *args)
 
 
 def _parse_point(space: Space, raw, where: str) -> Point:
     try:
-        if isinstance(space, FiniteSpace):
-            if not isinstance(raw, str):
-                raise ValueError("finite-space points are label strings")
-            point: Point = raw
-        elif isinstance(space, IntervalSpace):
-            point = float(raw)
-        else:
-            if isinstance(raw, (int, float)):
-                point = space.coords(float(raw))
-            else:
-                point = tuple(float(v) for v in raw)
+        point = space.parse_point(raw)
         if not space.contains(point):
             raise ValueError(f"{point!r} lies outside the space")
         return point
@@ -169,69 +152,47 @@ def _parse_point(space: Space, raw, where: str) -> Point:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _parse_phi(raw) -> PhiFunction:
-    if not isinstance(raw, dict):
-        raise ValidationError("phi: must be an object")
-    kind = raw.get("kind")
-    try:
-        if kind == "linear":
-            return LinearPhi(k=float(raw["k"]))
-        if kind == "rational":
-            return RationalPhi()
-        if kind == "induced":
-            return InducedPhi(k=float(raw["k"]), cap=float(raw["cap"]))
-        if kind == "table":
-            return TablePhi(points=tuple(tuple(p) for p in raw["points"]))
-    except KeyError as exc:
-        raise ValidationError(f"phi: missing field {exc.args[0]!r}") from None
-    except Exception as exc:
-        raise ValidationError(f"phi: {exc}") from None
-    raise ValidationError(f"phi: unknown kind {kind!r}")
+_SPACES = {
+    "finite": lambda raw: FiniteSpace(
+        labels=tuple(raw["points"]),
+        dist=tuple(tuple(row) for row in raw["dist"]),
+        normalize=bool(raw.get("normalize", False)),
+    ),
+    "interval": lambda raw: IntervalSpace(
+        lo=float(raw["lo"]), hi=float(raw["hi"]), normalize=bool(raw.get("normalize", False))
+    ),
+    "euclidean": lambda raw: EuclideanSpace(
+        dim=int(raw["dim"]),
+        bound=None if raw.get("bound") is None else float(raw["bound"]),
+        normalize=bool(raw.get("normalize", False)),
+    ),
+}
+
+_PHIS = {
+    "linear": lambda raw: LinearPhi(k=float(raw["k"])),
+    "rational": lambda raw: RationalPhi(),
+    "induced": lambda raw: InducedPhi(k=float(raw["k"]), cap=float(raw["cap"])),
+    "table": lambda raw: TablePhi(points=tuple(tuple(p) for p in raw["points"])),
+}
+
+_MAPS = {
+    "affine": lambda raw, space: AffineMap(a=float(raw["a"]), b=float(raw["b"])),
+    "constant": lambda raw, space: ConstantMap(c=_parse_point(space, raw["c"], "f.c")),
+    "table": lambda raw, space: TableMap(
+        {
+            _parse_point(space, key, "f.map"): _parse_point(space, value, "f.map")
+            for key, value in dict(raw["map"]).items()
+        }
+    ),
+}
+
+_BIJECTIONS = {
+    "affine": lambda raw: AffineBijection(a=float(raw["a"]), b=float(raw["b"])),
+    "permutation": lambda raw: PermutationBijection(dict(raw["map"])),
+}
 
 
-def _parse_map(space: Space, raw, where: str) -> MapSpec:
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where}: must be an object")
-    kind = raw.get("kind")
-    try:
-        if kind == "affine":
-            return AffineMap(a=float(raw["a"]), b=float(raw["b"]))
-        if kind == "constant":
-            return ConstantMap(c=_parse_point(space, raw["c"], f"{where}.c"))
-        if kind == "table":
-            mapping = {
-                _parse_point(space, key, f"{where}.map"): _parse_point(
-                    space, value, f"{where}.map"
-                )
-                for key, value in raw["map"].items()
-            }
-            return TableMap(mapping)
-    except KeyError as exc:
-        raise ValidationError(f"{where}: missing field {exc.args[0]!r}") from None
-    except ValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: {exc}") from None
-    raise ValidationError(f"{where}: unknown kind {kind!r}")
-
-
-def _parse_bijection(space: Space, raw) -> BijectionSpec:
-    if not isinstance(raw, dict):
-        raise ValidationError("g: must be an object")
-    kind = raw.get("kind")
-    try:
-        if kind == "affine":
-            return AffineBijection(a=float(raw["a"]), b=float(raw["b"]))
-        if kind == "permutation":
-            return PermutationBijection(dict(raw["map"]))
-    except KeyError as exc:
-        raise ValidationError(f"g: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"g: {exc}") from None
-    raise ValidationError(f"g: unknown kind {kind!r}")
-
-
-def _parse_setvalued(space: Space, raw) -> SetValuedMap:
+def _setvalued(raw, space: Space) -> SetValuedMap:
     if not isinstance(raw, dict) or raw.get("kind") != "setvalued":
         raise ValidationError('T: must be an object with kind "setvalued"')
     table = raw.get("map")
@@ -243,35 +204,38 @@ def _parse_setvalued(space: Space, raw) -> SetValuedMap:
         if not isinstance(values, list) or not values:
             raise ValidationError(f"T.map[{key!r}]: image must be a nonempty list")
         images[point] = tuple(_parse_point(space, v, "T.map") for v in values)
-    mapping = SetValuedMap(images)
-    try:
-        validate_setvalued(space, mapping)
-    except ValueError as exc:
-        raise ValidationError(f"T: {exc}") from None
-    return mapping
+    return SetValuedMap(images)
 
 
-def _parse_solver(space: Space, raw) -> SolverConfig:
-    if not isinstance(raw, dict):
-        raise ValidationError("solver: must be an object")
-    try:
-        return SolverConfig(
-            start=_parse_point(space, _require(raw, "start"), "solver.start"),
-            epsilon=float(_require(raw, "epsilon")),
-            lam=float(_require(raw, "lambda")),
-            t0=float(raw.get("t0", 2.0)),
-            max_iter=int(raw.get("max_iter", 10000)),
-            residual_times=(
-                tuple(float(t) for t in raw["residual_times"])
-                if "residual_times" in raw
-                else None
-            ),
-            window=int(raw.get("window", 2)),
-        )
-    except ValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"solver: {exc}") from None
+def _solver(raw: dict, space: Space) -> SolverConfig:
+    return SolverConfig(
+        start=_parse_point(space, raw["start"], "solver.start"),
+        epsilon=float(raw["epsilon"]),
+        lam=float(raw["lambda"]),
+        t0=float(raw.get("t0", 2.0)),
+        max_iter=int(raw.get("max_iter", 10000)),
+        residual_times=(
+            tuple(float(t) for t in raw["residual_times"])
+            if "residual_times" in raw
+            else None
+        ),
+        window=int(raw.get("window", 2)),
+    )
+
+
+def _query(raw: dict, space: Space) -> Tuple[Point, Point]:
+    return (
+        _parse_point(space, raw["x"], "query.x"),
+        _parse_point(space, raw["y"], "query.y"),
+    )
+
+
+def _verification(raw: dict) -> Tuple[int, int, int]:
+    return (
+        int(raw.get("samples", 10000)),
+        int(raw.get("seed", 0)),
+        int(raw.get("grid", 11)),
+    )
 
 
 def _reject_constant(token: str):
@@ -311,39 +275,28 @@ def parse_config(text: str) -> ProblemConfig:
         ) from None
     if not isinstance(doc, dict):
         raise ValidationError("top level: must be an object")
+    if "space" not in doc:
+        raise ValidationError("space: section is required")
 
-    space = _parse_space(_require(doc, "space"))
+    space = _section("space", doc["space"], _of_kind, _SPACES)
     try:
         norm = TNorm(doc.get("tnorm", "product"))
     except ValueError as exc:
         raise ValidationError(f"tnorm: {exc}") from None
-
-    phi = _parse_phi(doc["phi"]) if "phi" in doc else None
-    f = _parse_map(space, doc["f"], "f") if "f" in doc else None
+    phi = _section("phi", doc["phi"], _of_kind, _PHIS) if "phi" in doc else None
+    f = _section("f", doc["f"], _of_kind, _MAPS, space) if "f" in doc else None
     if "g" in doc:
-        g = _parse_bijection(space, doc["g"])
+        g = _section("g", doc["g"], _of_kind, _BIJECTIONS)
     else:
         g = identity_for(space)
     try:
         g.validate_bijection(space)
     except NotBijective as exc:
         raise ValidationError(f"g: {exc}") from None
-    setvalued = _parse_setvalued(space, doc["T"]) if "T" in doc else None
-    solver = _parse_solver(space, doc["solver"]) if "solver" in doc else None
-
-    query = None
-    if "query" in doc:
-        raw = doc["query"]
-        if not isinstance(raw, dict):
-            raise ValidationError("query: must be an object")
-        query = (
-            _parse_point(space, _require(raw, "x"), "query.x"),
-            _parse_point(space, _require(raw, "y"), "query.y"),
-        )
-
-    verification = doc.get("verification", {})
-    if not isinstance(verification, dict):
-        raise ValidationError("verification: must be an object")
+    setvalued = _setvalued(doc["T"], space) if "T" in doc else None
+    solver = _section("solver", doc["solver"], _solver, space) if "solver" in doc else None
+    query = _section("query", doc["query"], _query, space) if "query" in doc else None
+    samples, seed, grid = _section("verification", doc.get("verification", {}), _verification)
 
     return ProblemConfig(
         space=space,
@@ -354,9 +307,9 @@ def parse_config(text: str) -> ProblemConfig:
         setvalued=setvalued,
         solver=solver,
         query=query,
-        samples=int(verification.get("samples", 10000)),
-        seed=int(verification.get("seed", 0)),
-        grid=int(verification.get("grid", 11)),
+        samples=samples,
+        seed=seed,
+        grid=grid,
         digest=hashlib.sha256(text.encode("utf-8")).hexdigest(),
     )
 
@@ -369,15 +322,11 @@ def _report_dict(report: Report) -> dict:
                 "name": law.name,
                 "passed": law.passed,
                 "checks": law.checks,
-                "witnesses": [_jsonable_witness(w) for w in law.witnesses],
+                "witnesses": [[_jsonable_point(v) for v in w] for w in law.witnesses],
             }
             for law in report.laws
         ],
     }
-
-
-def _jsonable_witness(witness):
-    return [_jsonable_point(v) if isinstance(v, (str, tuple)) else v for v in witness]
 
 
 def _counterexample_dicts(report: ContractionReport) -> list:
@@ -406,17 +355,10 @@ def _solve_result_dict(res: SolveResult) -> dict:
     }
 
 
-def _write_trace(path: str, records) -> None:
+def _write_trace(path: str, records: Tuple[IterationRecord, ...]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for index, point, grade in records:
-            handle.write(f"{index} {_point_token(point)} {format17(grade)}\n")
-
-
-def _need(cfg: ProblemConfig, attr: str, message: str):
-    value = getattr(cfg, attr)
-    if value is None:
-        raise ValidationError(message)
-    return value
+        for r in records:
+            handle.write(f"{r.index} {_point_token(r.point)} {format17(r.successive_grade)}\n")
 
 
 def run(
@@ -431,23 +373,28 @@ def run(
 
     Returns the report and the process exit code. Flag overrides win
     over config values; hypothesis failures surface as exit code 1 with
-    the report intact.
+    the report intact. A config without a section the command
+    ``REQUIRES`` raises ValidationError.
     """
     if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
+    for section in REQUIRES[command]:
+        if getattr(cfg, "setvalued" if section == "T" else section) is None:
+            raise ValidationError(f"{section}: section is required by {command}")
     seed = cfg.seed if seed is None else seed
     samples = cfg.samples if samples is None else samples
-    solver_cfg = cfg.solver
-    if solver_cfg is not None and max_iter is not None:
-        solver_cfg = replace(solver_cfg, max_iter=max_iter)
+    solver = cfg.solver
+    if solver is not None and max_iter is not None:
+        solver = replace(solver, max_iter=max_iter)
 
     verdicts: dict = {}
     counterexamples: list = []
     result = None
+    trace = None
     code = 0
     fm = FuzzyMetric(cfg.space, cfg.norm)
     # Admissibility is checked on the range the solvers require.
-    t_max = 2.0 if cfg.solver is None else cfg.solver.t_max
+    t_max = 2.0 if solver is None else solver.t_max
 
     try:
         if command == "check-axioms":
@@ -458,15 +405,12 @@ def run(
             code = 0 if tnorm_report.passed and fm_report.passed else 1
 
         elif command == "check-phi":
-            phi = _need(cfg, "phi", "check-phi requires a phi section")
-            report = verify_phi_class(phi, grid=max(cfg.grid, 2), t_max=t_max)
+            report = verify_phi_class(cfg.phi, grid=max(cfg.grid, 2), t_max=t_max)
             verdicts["phi_class"] = _report_dict(report)
             code = 0 if report.passed else 1
 
         elif command == "check-contraction":
-            phi = _need(cfg, "phi", "check-contraction requires a phi section")
-            f = _need(cfg, "f", "check-contraction requires an f section")
-            report = check_g_phi(fm, f, cfg.g, phi, samples=samples, seed=seed)
+            report = check_g_phi(fm, cfg.f, cfg.g, cfg.phi, samples=samples, seed=seed)
             verdicts["contraction"] = {
                 "passed": report.passed,
                 "checked_pairs": report.checked_pairs,
@@ -476,27 +420,17 @@ def run(
             code = 0 if report.passed else 1
 
         elif command == "solve":
-            phi = _need(cfg, "phi", "solve requires a phi section")
-            f = _need(cfg, "f", "solve requires an f section")
             if cfg.setvalued is not None:
                 raise ValidationError("solve takes f, not T; use solve-set")
-            scfg = _need_solver(solver_cfg)
-            res = solve_coincidence(fm, f, cfg.g, phi, scfg)
+            res = solve_coincidence(fm, cfg.f, cfg.g, cfg.phi, solver)
             result = _solve_result_dict(res)
-            if trace_path:
-                _write_trace(
-                    trace_path,
-                    [(r.index, r.point, r.successive_grade) for r in res.trace],
-                )
+            trace = res.trace
             code = 0 if res.converged else 1
 
         elif command == "solve-set":
-            phi = _need(cfg, "phi", "solve-set requires a phi section")
-            T = _need(cfg, "setvalued", "solve-set requires a T section")
             if cfg.f is not None:
                 raise ValidationError("solve-set takes T, not f; use solve")
-            scfg = _need_solver(solver_cfg)
-            res = solve_inclusion(fm, T, cfg.g, phi, scfg)
+            res = solve_inclusion(fm, cfg.setvalued, cfg.g, cfg.phi, solver)
             result = {
                 "point": _jsonable_point(res.point),
                 "orbit_length": len(res.orbit),
@@ -514,19 +448,10 @@ def run(
                 ],
                 "converged": res.converged,
             }
-            if trace_path:
-                records = []
-                for n in range(1, len(res.orbit)):
-                    grade = fm.membership(
-                        res.orbit[n], res.orbit[n - 1], scfg.epsilon
-                    )
-                    records.append((n, res.orbit[n], grade))
-                _write_trace(trace_path, records)
+            trace = res.trace
             code = 0 if res.converged else 1
 
         elif command == "threshold":
-            if cfg.query is None:
-                raise ValidationError("threshold requires a query section with x and y")
             x, y = cfg.query
             tau = threshold(fm, x, y)
             result = {
@@ -538,7 +463,7 @@ def run(
             code = 0
 
         elif command == "induce-phi":
-            phi = _need(cfg, "phi", "induce-phi requires a phi section")
+            phi = cfg.phi
             if not isinstance(phi, InducedPhi):
                 raise ValidationError('induce-phi requires phi of kind "induced"')
             report = verify_phi_class(phi, grid=max(cfg.grid, 2), t_max=t_max)
@@ -555,6 +480,9 @@ def run(
                 "curve": curve,
             }
             code = 0 if report.passed else 1
+
+        if trace_path and trace is not None:
+            _write_trace(trace_path, trace)
 
     except (PhiInvalid, NoAdmissibleSuccessor, InverseUndefined, NotDemicompact) as exc:
         verdicts["hypothesis_failure"] = {
@@ -573,12 +501,6 @@ def run(
         result=result,
     )
     return report, code
-
-
-def _need_solver(solver_cfg: Optional[SolverConfig]) -> SolverConfig:
-    if solver_cfg is None:
-        raise ValidationError("this command requires a solver section")
-    return solver_cfg
 
 
 def render_report(report: RunReport) -> str:

@@ -262,10 +262,5 @@ def check_fuzzy_continuity(
             s_needed = min(bad)
             if not any(s <= s_needed for s in s_grid):
                 witnesses.append((x0, t, s_needed))
-    law = LawCheck(
-        "fuzzy_continuity",
-        passed=not witnesses,
-        checks=checks,
-        witnesses=tuple(witnesses[:MAX_COUNTEREXAMPLES]),
-    )
+    law = LawCheck.of("fuzzy_continuity", checks, witnesses, MAX_COUNTEREXAMPLES)
     return Report(laws=(law,))

@@ -109,6 +109,12 @@ class FiniteSpace:
         except (KeyError, TypeError):
             raise UnknownPoint(f"{p!r} is not a point of this finite space") from None
 
+    def parse_point(self, raw) -> Point:
+        """A point as written in a config: its label string."""
+        if not isinstance(raw, str):
+            raise ValueError("finite-space points are label strings")
+        return raw
+
     def contains(self, p: Point) -> bool:
         return isinstance(p, str) and p in self._index
 
@@ -141,6 +147,10 @@ class IntervalSpace:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("interval requires lo < hi")
+
+    def parse_point(self, raw) -> Point:
+        """A point as written in a config: a number."""
+        return float(raw)
 
     def contains(self, p: Point) -> bool:
         return isinstance(p, (int, float)) and self.lo <= p <= self.hi
@@ -189,6 +199,13 @@ class EuclideanSpace:
         if len(c) != self.dim:
             raise UnknownPoint(f"point has {len(c)} coordinates, expected {self.dim}")
         return c
+
+    def parse_point(self, raw) -> Point:
+        """A point as written in a config: a list of coordinates, or a
+        number when dim == 1. The coordinate count is left to ``contains``."""
+        if isinstance(raw, (int, float)):
+            return self.coords(raw)
+        return tuple(float(v) for v in raw)
 
     def contains(self, p: Point) -> bool:
         try:
@@ -418,7 +435,7 @@ def verify_fm_axioms(fm: FuzzyMetric, samples: int = 10000, seed: int = 0) -> Re
             prev = cur
 
     laws = tuple(
-        LawCheck(name, not found, samples, tuple(found[:_WITNESS_CAP]))
+        LawCheck.of(name, samples, found, _WITNESS_CAP)
         for name, found in fails.items()
     )
     return Report(laws=laws)

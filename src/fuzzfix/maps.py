@@ -31,6 +31,19 @@ class AffineMap:
     def apply(self, space: Space, p: Point) -> Point:
         return _affine_point(self.a, self.b, p)
 
+    def validate(self, space: Space) -> None:
+        if isinstance(space, FiniteSpace):
+            raise ValueError("affine maps are undefined on finite spaces")
+        if isinstance(space, IntervalSpace):
+            for end in (space.lo, space.hi):
+                img = self.a * end + self.b
+                if not space.lo <= img <= space.hi:
+                    raise ValueError(
+                        f"affine map sends endpoint {end!r} to {img!r}, outside the interval"
+                    )
+        elif space.bound is not None and abs(self.a) * space.bound + abs(self.b) > space.bound:
+            raise ValueError("affine map leaves the bounded Euclidean box")
+
 
 @dataclass(frozen=True)
 class ConstantMap:
@@ -38,6 +51,10 @@ class ConstantMap:
 
     def apply(self, space: Space, p: Point) -> Point:
         return self.c
+
+    def validate(self, space: Space) -> None:
+        if not space.contains(self.c):
+            raise ValueError(f"constant image {self.c!r} lies outside the space")
 
 
 @dataclass(frozen=True)
@@ -52,42 +69,20 @@ class TableMap:
         except KeyError:
             raise UnknownPoint(f"table map has no image for {p!r}") from None
 
+    def validate(self, space: Space) -> None:
+        if not isinstance(space, FiniteSpace):
+            raise ValueError("table maps are only supported on finite spaces")
+        missing = set(space.labels) - set(self.mapping)
+        if missing:
+            raise ValueError(f"table map is missing images for {sorted(missing)}")
+        for value in self.mapping.values():
+            if not space.contains(value):
+                raise ValueError(f"table image {value!r} lies outside the space")
+
 
 def validate_map(space: Space, m) -> None:
     """Raise ValueError unless ``m`` maps ``space`` into itself."""
-    if isinstance(m, ConstantMap):
-        if not space.contains(m.c):
-            raise ValueError(f"constant image {m.c!r} lies outside the space")
-        return
-    if isinstance(m, AffineMap):
-        if isinstance(space, FiniteSpace):
-            raise ValueError("affine maps are undefined on finite spaces")
-        if isinstance(space, IntervalSpace):
-            for end in (space.lo, space.hi):
-                img = m.a * end + m.b
-                if not space.lo <= img <= space.hi:
-                    raise ValueError(
-                        f"affine map sends endpoint {end!r} to {img!r}, outside the interval"
-                    )
-            return
-        if space.bound is not None and abs(m.a) * space.bound + abs(m.b) > space.bound:
-            raise ValueError("affine map leaves the bounded Euclidean box")
-        return
-    if isinstance(m, TableMap):
-        if not isinstance(space, FiniteSpace):
-            raise ValueError("table maps are only supported on finite spaces")
-        missing = set(space.labels) - set(m.mapping)
-        if missing:
-            raise ValueError(f"table map is missing images for {sorted(missing)}")
-        for value in m.mapping.values():
-            if not space.contains(value):
-                raise ValueError(f"table image {value!r} lies outside the space")
-        return
-    if isinstance(m, InverseComposite):
-        m.g.validate_bijection(space)
-        validate_map(space, m.f)
-        return
-    raise ValueError(f"unsupported map {m!r}")
+    m.validate(space)
 
 
 @dataclass(frozen=True)
@@ -189,3 +184,7 @@ class InverseComposite:
 
     def apply(self, space: Space, p: Point) -> Point:
         return self.g.invert_apply(space, self.f.apply(space, p))
+
+    def validate(self, space: Space) -> None:
+        self.g.validate_bijection(space)
+        self.f.validate(space)

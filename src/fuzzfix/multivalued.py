@@ -25,7 +25,7 @@ from .fmspace import (
 )
 from .maps import BijectionSpec
 from .phi import PhiFunction, ensure_phi_class, horizon
-from .solver import SolverConfig
+from .solver import IterationRecord, SolverConfig
 from .tnorm import Grade
 
 
@@ -94,6 +94,17 @@ def in_fuzzy_closure(
     return True
 
 
+def _closest(fm: FuzzyMetric, points: Sequence[Point], u: Point, t: float) -> Tuple[Point, Grade]:
+    """The point v of ``points`` with the highest membership(u, v, t), and
+    that grade; ties break toward the earlier point in canonical order."""
+    best, best_grade = None, -1.0
+    for v in sorted(points, key=fm.space.point_key):
+        grade = fm.membership(u, v, t)
+        if grade > best_grade:
+            best, best_grade = v, grade
+    return best, best_grade
+
+
 def select_successor(
     fm: FuzzyMetric,
     T: SetValuedMap,
@@ -112,16 +123,8 @@ def select_successor(
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    space = fm.space
     scaled = phi.eval(t)
-    candidates = T.image(g.apply(space, y))
-    best = None
-    best_grade = -1.0
-    for v in sorted(candidates, key=space.point_key):
-        grade = fm.membership(u, v, scaled)
-        if grade > best_grade:
-            best = v
-            best_grade = grade
+    best, best_grade = _closest(fm, T.image(g.apply(fm.space, y)), u, scaled)
     if not best_grade > 1.0 - scaled:
         raise NoAdmissibleSuccessor(
             f"no image point of {y!r} is admissible at scale {scaled!r} "
@@ -192,6 +195,7 @@ class MemberEvidence:
 class OrbitResult:
     point: Point
     orbit: Tuple[Point, ...]
+    trace: Tuple[IterationRecord, ...]
     member_check: Tuple[MemberEvidence, ...]
     in_image_of_carried: bool
     in_image: Optional[bool]
@@ -212,7 +216,9 @@ def solve_inclusion(
     t_n = iterate(phi, t0, n), which maintains the chain bound
     membership(x_{n+1}, x_n, t_{n+1}) > 1 - t_{n+1}. Stopping mirrors
     the single-valued solver: trailing window Cauchy at or past the
-    horizon, else max_iter with converged=False.
+    horizon, else max_iter with converged=False. Each step is recorded
+    as in that solver's trace, with successive grade
+    membership(x_{n+1}, x_n, epsilon).
 
     The limit point x is then tested for closure membership in the image
     of its g-carried point at shrinking levels (``member_check``, summary
@@ -232,14 +238,14 @@ def solve_inclusion(
         raise UnknownPoint(f"start point {cfg.start!r} lies outside the space")
 
     n_horizon = horizon(phi, cfg.t0, cfg.epsilon, cfg.lam)
-    orbit = [cfg.start]
+    trace = []
     window_points = [cfg.start]
     x = cfg.start
     t = cfg.t0
     stopped = False
     for n in range(1, cfg.max_iter + 1):
         x_next = select_successor(fm, T, g, phi, u=x, y=x, t=t)
-        orbit.append(x_next)
+        trace.append(IterationRecord(n, x_next, fm.membership(x_next, x, cfg.epsilon)))
         window_points.append(x_next)
         if len(window_points) > cfg.window:
             window_points.pop(0)
@@ -259,23 +265,18 @@ def solve_inclusion(
     carried_image = T.image(g.apply(space, x))
     evidence = []
     for epsilon, lam in levels:
-        best = None
-        best_grade = -1.0
-        for v in sorted(carried_image, key=space.point_key):
-            grade = fm.membership(v, x, epsilon)
-            if grade > best_grade:
-                best = v
-                best_grade = grade
-        evidence.append(
-            MemberEvidence(epsilon, lam, best, best_grade, best_grade > 1.0 - lam)
-        )
+        # Grading v against x equals grading x against v bit for bit,
+        # since every space's distance is exactly symmetric.
+        best, grade = _closest(fm, carried_image, x, epsilon)
+        evidence.append(MemberEvidence(epsilon, lam, best, grade, grade > 1.0 - lam))
     in_carried = all(e.passed for e in evidence)
     in_image = None
     if x in T.images:
         in_image = in_fuzzy_closure(fm, T.image(x), x, levels)
     return OrbitResult(
         point=x,
-        orbit=tuple(orbit),
+        orbit=(cfg.start,) + tuple(r.point for r in trace),
+        trace=tuple(trace),
         member_check=tuple(evidence),
         in_image_of_carried=in_carried,
         in_image=in_image,

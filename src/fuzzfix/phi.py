@@ -126,7 +126,11 @@ class InducedPhi:
             raise InvalidK(f"ratio must lie in (0, 1), got {self.k!r}")
         if self.cap <= 0.0:
             raise ValueError("cap must be positive")
-        object.__setattr__(self, "tau_cap", crossing_time(self.cap))
+        tau_cap = crossing_time(self.cap)
+        if not tau_cap < 1.0:
+            # eval divides by 1 - t on [0, tau_cap].
+            raise ValueError(f"cap {self.cap!r} is too large: its crossing time rounds to 1")
+        object.__setattr__(self, "tau_cap", tau_cap)
         object.__setattr__(self, "anchor", crossing_time(self.k * self.cap))
 
     def eval(self, t: float) -> float:
@@ -296,9 +300,9 @@ def verify_phi_class(phi: PhiFunction, grid: int = 16, t_max: float = 2.0) -> Re
             stalled.append((0.0, at_zero, 1))
 
     laws = (
-        LawCheck("nondecreasing", not drops, grid - 1, tuple(drops[:_WITNESS_CAP])),
-        LawCheck("below_identity", not above, grid, tuple(above[:_WITNESS_CAP])),
-        LawCheck("iterates_vanish", not stalled, 1, tuple(stalled[:_WITNESS_CAP])),
+        LawCheck.of("nondecreasing", grid - 1, drops, _WITNESS_CAP),
+        LawCheck.of("below_identity", grid, above, _WITNESS_CAP),
+        LawCheck.of("iterates_vanish", 1, stalled, _WITNESS_CAP),
     )
     return Report(laws=laws)
 

@@ -19,6 +19,12 @@ class LawCheck:
     checks: int
     witnesses: Tuple[tuple, ...] = field(default=())
 
+    @classmethod
+    def of(cls, name: str, checks: int, failures: list, cap: int) -> "LawCheck":
+        """The law's outcome from its failures, in order; the first ``cap``
+        become the witnesses."""
+        return cls(name, not failures, checks, tuple(failures[:cap]))
+
 
 @dataclass(frozen=True)
 class Report:

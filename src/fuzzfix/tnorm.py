@@ -126,7 +126,7 @@ def verify_tnorm_axioms(norm: TNorm, grid: int = 11) -> Report:
         for b in levels:
             if norm.combine(a, b) != norm.combine(b, a):
                 comm.append((a, b))
-    laws.append(_law("commutativity", grid * grid, comm))
+    laws.append(LawCheck.of("commutativity", grid * grid, comm, _WITNESS_CAP))
 
     assoc = []
     for a in levels:
@@ -136,10 +136,10 @@ def verify_tnorm_axioms(norm: TNorm, grid: int = 11) -> Report:
                 rhs = norm.combine(a, norm.combine(b, c))
                 if abs(lhs - rhs) > _ASSOC_TOL:
                     assoc.append((a, b, c))
-    laws.append(_law("associativity", grid ** 3, assoc))
+    laws.append(LawCheck.of("associativity", grid ** 3, assoc, _WITNESS_CAP))
 
     unit = [(a,) for a in levels if norm.combine(a, 1.0) != a]
-    laws.append(_law("unit", grid, unit))
+    laws.append(LawCheck.of("unit", grid, unit, _WITNESS_CAP))
 
     mono = []
     ascending = [(levels[i], levels[k]) for i in range(grid) for k in range(i, grid)]
@@ -147,7 +147,7 @@ def verify_tnorm_axioms(norm: TNorm, grid: int = 11) -> Report:
         for b, d in ascending:
             if norm.combine(a, b) > norm.combine(c, d):
                 mono.append((a, b, c, d))
-    laws.append(_law("monotonicity", len(ascending) ** 2, mono))
+    laws.append(LawCheck.of("monotonicity", len(ascending) ** 2, mono, _WITNESS_CAP))
 
     # sup_{a<1} combine(a, a) == 1: evaluate along a ladder 1 - 2**-k.
     best = 0.0
@@ -155,15 +155,7 @@ def verify_tnorm_axioms(norm: TNorm, grid: int = 11) -> Report:
         a = 1.0 - 2.0 ** -k
         best = max(best, norm.combine(a, a))
     sup_fail = [] if best >= 1.0 - 1e-6 else [(best,)]
-    laws.append(_law("sup_diagonal", 40, sup_fail))
+    laws.append(LawCheck.of("sup_diagonal", 40, sup_fail, _WITNESS_CAP))
 
     return Report(laws=tuple(laws))
 
-
-def _law(name: str, checks: int, failures: list) -> LawCheck:
-    return LawCheck(
-        name=name,
-        passed=not failures,
-        checks=checks,
-        witnesses=tuple(failures[:_WITNESS_CAP]),
-    )

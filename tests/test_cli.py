@@ -247,6 +247,109 @@ def test_solve_set_command(tmp_path, capsys):
     assert trace.read_text().splitlines()[0].split()[1] == "0.1"
 
 
+# The command and base config each section's malformed cases run with.
+SECTION_RUNS = {
+    "space": ("check-axioms", FLAGSHIP),
+    "phi": ("check-phi", FLAGSHIP),
+    "f": ("check-contraction", FLAGSHIP),
+    "g": ("check-contraction", FLAGSHIP),
+    "T": ("solve-set", MULTI),
+    "solver": ("solve", FLAGSHIP),
+    "query": ("threshold", FLAGSHIP),
+    "verification": ("check-axioms", FLAGSHIP),
+}
+ABSENT = object()
+# (section, case, value or ABSENT to drop the section, stderr message);
+# the message of an absent section is only checked to name it.
+MALFORMED = (
+    ("space", "not_object", 3, "space: must be an object"),
+    ("space", "unknown_kind", {"kind": "torus"}, "space: unknown kind 'torus'"),
+    ("space", "missing_field", {"kind": "interval", "lo": 0.0}, "space: missing field 'hi'"),
+    ("space", "bad_value", {"kind": "interval", "lo": 1.0, "hi": 0.0}, "space: interval requires lo < hi"),
+    ("space", "absent", ABSENT, None),
+    ("phi", "not_object", [1], "phi: must be an object"),
+    ("phi", "unknown_kind", {"kind": "cubic"}, "phi: unknown kind 'cubic'"),
+    ("phi", "missing_field", {"kind": "linear"}, "phi: missing field 'k'"),
+    ("phi", "bad_value", {"kind": "linear", "k": 1.5}, "phi: linear ratio must lie in (0, 1), got 1.5"),
+    ("phi", "absent", ABSENT, None),
+    ("f", "not_object", "x", "f: must be an object"),
+    ("f", "unknown_kind", {"kind": "quadratic"}, "f: unknown kind 'quadratic'"),
+    ("f", "missing_field", {"kind": "affine", "a": 0.5}, "f: missing field 'b'"),
+    ("f", "bad_value", {"kind": "constant", "c": 5}, "f.c: 5.0 lies outside the space"),
+    (
+        "f",
+        "table_not_object",
+        {"kind": "table", "map": [1]},
+        "f: cannot convert dictionary update sequence element #0 to a sequence",
+    ),
+    ("f", "absent", ABSENT, None),
+    ("g", "not_object", 1, "g: must be an object"),
+    ("g", "unknown_kind", {"kind": "rotation"}, "g: unknown kind 'rotation'"),
+    ("g", "missing_field", {"kind": "affine", "a": 1.0}, "g: missing field 'b'"),
+    ("g", "bad_value", {"kind": "affine", "a": 0.0, "b": 0.0}, "g: affine bijection requires a != 0"),
+    ("T", "not_object", [], 'T: must be an object with kind "setvalued"'),
+    ("T", "unknown_kind", {"kind": "multi"}, 'T: must be an object with kind "setvalued"'),
+    ("T", "missing_field", {"kind": "setvalued"}, "T.map: must be a nonempty object"),
+    ("T", "bad_value", {"kind": "setvalued", "map": {"0": []}}, "T.map['0']: image must be a nonempty list"),
+    ("T", "absent", ABSENT, None),
+    ("solver", "not_object", 2, "solver: must be an object"),
+    ("solver", "missing_field", {"start": 0.0, "epsilon": 1e-3}, "solver: missing field 'lambda'"),
+    (
+        "solver",
+        "bad_value",
+        {"start": 0.0, "epsilon": 1e-3, "lambda": 1.5},
+        "solver: lambda must lie strictly between 0 and 1",
+    ),
+    ("solver", "absent", ABSENT, None),
+    ("query", "not_object", "q", "query: must be an object"),
+    ("query", "missing_field", {"x": 0.0}, "query: missing field 'y'"),
+    ("query", "bad_value", {"x": 0.0, "y": 2.0}, "query.y: 2.0 lies outside the space"),
+    ("query", "absent", ABSENT, None),
+    ("verification", "not_object", [3], "verification: must be an object"),
+    (
+        "verification",
+        "bad_value",
+        {"samples": "many"},
+        "verification: invalid literal for int() with base 10: 'many'",
+    ),
+    (
+        "verification",
+        "list_value",
+        {"samples": [1]},
+        "verification: int() argument must be a string, a bytes-like object or a real number, not 'list'",
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "section,value,message",
+    [(section, value, message) for section, _, value, message in MALFORMED],
+    ids=[f"{section}-{case}" for section, case, _, _ in MALFORMED],
+)
+def test_malformed_section_is_usage_error(tmp_path, capsys, section, value, message):
+    command, base = SECTION_RUNS[section]
+    doc = {key: raw for key, raw in base.items() if key != section}
+    if value is not ABSENT:
+        doc[section] = value
+    assert main([command, "--config", str(write_config(tmp_path, doc))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    if message is None:
+        assert section in err
+    else:
+        assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["check-contraction", "induce-phi"])
+def test_induced_cap_whose_crossing_rounds_to_one_is_usage_error(tmp_path, capsys, command):
+    # crossing_time(1e12) rounds to 1.0, where eval would divide by 1 - t = 0.
+    path = write_config(tmp_path, dict(FLAGSHIP, phi={"kind": "induced", "k": 0.5, "cap": 1e12}))
+    assert main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: phi: cap")
+
+
 def test_solve_requires_f_not_T(tmp_path, capsys):
     doc = dict(MULTI)
     path = write_config(tmp_path, doc)

@@ -179,6 +179,17 @@ def test_orbit_chain_inequality(flagship_setting):
         assert grade > 1.0 - scale
 
 
+def test_orbit_trace_records_each_step(flagship_setting):
+    fm, T, g, phi = flagship_setting
+    cfg = fx.SolverConfig(start="1", epsilon=1e-3, lam=1e-3, t0=2.0)
+    res = fx.solve_inclusion(fm, T, g, phi, cfg)
+    assert [r.index for r in res.trace] == list(range(1, len(res.orbit)))
+    assert (cfg.start,) + tuple(r.point for r in res.trace) == res.orbit
+    for r in res.trace:
+        prev = res.orbit[r.index - 1]
+        assert r.successive_grade == fm.membership(r.point, prev, cfg.epsilon)
+
+
 def test_identity_inclusion_returns_immediately(multivalued_space):
     fm = fx.FuzzyMetric(multivalued_space, fx.TNorm("product"))
     T = fx.SetValuedMap({l: (l,) for l in multivalued_space.labels})
