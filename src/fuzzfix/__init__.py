@@ -50,6 +50,7 @@ from .fmspace import (
     distance_threshold,
     in_uniformity,
     is_cauchy_window,
+    onset,
     threshold,
     verify_fm_axioms,
 )

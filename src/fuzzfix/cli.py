@@ -37,6 +37,7 @@ from .fmspace import (
     IntervalSpace,
     Point,
     Space,
+    as_number,
     threshold,
     verify_fm_axioms,
 )
@@ -111,12 +112,6 @@ def _point_token(p: Point) -> str:
     return format17(p)
 
 
-def _jsonable_point(p: Point):
-    if isinstance(p, tuple):
-        return list(p)
-    return p
-
-
 def _section(where: str, raw, build, *args):
     """Build one config section with ``build(raw, *args)``.
 
@@ -142,6 +137,21 @@ def _of_kind(raw: dict, kinds: dict, *args):
     return kinds[kind](raw, *args)
 
 
+# Field kinds: the JSON values each admits (true and false are no
+# numbers) and their conversion.
+_KINDS = {"a number": ((int, float), float), "an integer": ((int,), int), "a boolean": ((bool,), bool)}
+
+
+def _field(raw: dict, name: str, kind: str, *default):
+    """raw[name] if it is of the declared kind; a missing field takes the default, if given."""
+    if name not in raw and default:
+        return default[0]
+    types, convert = _KINDS[kind]
+    if type(raw[name]) not in types:
+        raise ValueError(f"field {name!r} must be {kind}")
+    return convert(raw[name])
+
+
 def _parse_point(space: Space, raw, where: str) -> Point:
     try:
         point = space.parse_point(raw)
@@ -155,28 +165,31 @@ def _parse_point(space: Space, raw, where: str) -> Point:
 _SPACES = {
     "finite": lambda raw: FiniteSpace(
         labels=tuple(raw["points"]),
-        dist=tuple(tuple(row) for row in raw["dist"]),
-        normalize=bool(raw.get("normalize", False)),
+        dist=tuple(tuple(map(as_number, row)) for row in raw["dist"]),
+        normalize=_field(raw, "normalize", "a boolean", False),
     ),
     "interval": lambda raw: IntervalSpace(
-        lo=float(raw["lo"]), hi=float(raw["hi"]), normalize=bool(raw.get("normalize", False))
+        lo=_field(raw, "lo", "a number"),
+        hi=_field(raw, "hi", "a number"),
+        normalize=_field(raw, "normalize", "a boolean", False),
     ),
     "euclidean": lambda raw: EuclideanSpace(
-        dim=int(raw["dim"]),
-        bound=None if raw.get("bound") is None else float(raw["bound"]),
-        normalize=bool(raw.get("normalize", False)),
+        dim=_field(raw, "dim", "an integer"),
+        bound=_field(raw, "bound", "a number", None),
+        normalize=_field(raw, "normalize", "a boolean", False),
     ),
 }
 
 _PHIS = {
-    "linear": lambda raw: LinearPhi(k=float(raw["k"])),
+    "linear": lambda raw: LinearPhi(k=_field(raw, "k", "a number")),
     "rational": lambda raw: RationalPhi(),
-    "induced": lambda raw: InducedPhi(k=float(raw["k"]), cap=float(raw["cap"])),
-    "table": lambda raw: TablePhi(points=tuple(tuple(p) for p in raw["points"])),
+    "induced": lambda raw: InducedPhi(k=_field(raw, "k", "a number"), cap=_field(raw, "cap", "a number")),
+    "table": lambda raw: TablePhi(points=tuple((as_number(t), as_number(v)) for t, v in raw["points"])),
 }
 
+
 _MAPS = {
-    "affine": lambda raw, space: AffineMap(a=float(raw["a"]), b=float(raw["b"])),
+    "affine": lambda raw, space: AffineMap(_field(raw, "a", "a number"), _field(raw, "b", "a number")),
     "constant": lambda raw, space: ConstantMap(c=_parse_point(space, raw["c"], "f.c")),
     "table": lambda raw, space: TableMap(
         {
@@ -187,7 +200,7 @@ _MAPS = {
 }
 
 _BIJECTIONS = {
-    "affine": lambda raw: AffineBijection(a=float(raw["a"]), b=float(raw["b"])),
+    "affine": lambda raw: AffineBijection(_field(raw, "a", "a number"), _field(raw, "b", "a number")),
     "permutation": lambda raw: PermutationBijection(dict(raw["map"])),
 }
 
@@ -210,16 +223,14 @@ def _setvalued(raw, space: Space) -> SetValuedMap:
 def _solver(raw: dict, space: Space) -> SolverConfig:
     return SolverConfig(
         start=_parse_point(space, raw["start"], "solver.start"),
-        epsilon=float(raw["epsilon"]),
-        lam=float(raw["lambda"]),
-        t0=float(raw.get("t0", 2.0)),
-        max_iter=int(raw.get("max_iter", 10000)),
+        epsilon=_field(raw, "epsilon", "a number"),
+        lam=_field(raw, "lambda", "a number"),
+        t0=_field(raw, "t0", "a number", 2.0),
+        max_iter=_field(raw, "max_iter", "an integer", 10000),
         residual_times=(
-            tuple(float(t) for t in raw["residual_times"])
-            if "residual_times" in raw
-            else None
+            tuple(map(as_number, raw["residual_times"])) if "residual_times" in raw else None
         ),
-        window=int(raw.get("window", 2)),
+        window=_field(raw, "window", "an integer", 2),
     )
 
 
@@ -231,10 +242,9 @@ def _query(raw: dict, space: Space) -> Tuple[Point, Point]:
 
 
 def _verification(raw: dict) -> Tuple[int, int, int]:
-    return (
-        int(raw.get("samples", 10000)),
-        int(raw.get("seed", 0)),
-        int(raw.get("grid", 11)),
+    return tuple(
+        _field(raw, name, "an integer", default)
+        for name, default in (("samples", 10000), ("seed", 0), ("grid", 11))
     )
 
 
@@ -298,61 +308,26 @@ def parse_config(text: str) -> ProblemConfig:
     query = _section("query", doc["query"], _query, space) if "query" in doc else None
     samples, seed, grid = _section("verification", doc.get("verification", {}), _verification)
 
-    return ProblemConfig(
-        space=space,
-        norm=norm,
-        phi=phi,
-        f=f,
-        g=g,
-        setvalued=setvalued,
-        solver=solver,
-        query=query,
-        samples=samples,
-        seed=seed,
-        grid=grid,
-        digest=hashlib.sha256(text.encode("utf-8")).hexdigest(),
-    )
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return ProblemConfig(space, norm, phi, f, g, setvalued, solver, query, samples, seed, grid, digest)
+
+
+# Reports are rendered from the result objects' fields, in field order;
+# JSON writes tuples, Euclidean points among them, as arrays.
 
 
 def _report_dict(report: Report) -> dict:
-    return {
-        "passed": report.passed,
-        "laws": [
-            {
-                "name": law.name,
-                "passed": law.passed,
-                "checks": law.checks,
-                "witnesses": [[_jsonable_point(v) for v in w] for w in law.witnesses],
-            }
-            for law in report.laws
-        ],
-    }
+    return {"passed": report.passed, "laws": [vars(law) for law in report.laws]}
 
 
 def _counterexample_dicts(report: ContractionReport) -> list:
-    out = []
-    for ce in report.counterexamples:
-        entry = {
-            "x": _jsonable_point(ce.x),
-            "y": _jsonable_point(ce.y),
-            "t": ce.t,
-            "antecedent": ce.antecedent,
-            "consequent": ce.consequent,
-        }
-        if ce.u is not None:
-            entry["u"] = _jsonable_point(ce.u)
-        out.append(entry)
-    return out
+    # ``u`` only appears on set-valued counterexamples.
+    return [{k: v for k, v in vars(ce).items() if v is not None} for ce in report.counterexamples]
 
 
 def _solve_result_dict(res: SolveResult) -> dict:
-    return {
-        "point": _jsonable_point(res.point),
-        "iterations": res.iterations,
-        "horizon_used": res.horizon_used,
-        "residuals": [[t, grade] for t, grade in res.residuals],
-        "converged": res.converged,
-    }
+    fields = ("point", "iterations", "horizon_used", "residuals", "converged")
+    return {name: getattr(res, name) for name in fields}
 
 
 def _write_trace(path: str, records: Tuple[IterationRecord, ...]) -> None:
@@ -432,7 +407,7 @@ def run(
                 raise ValidationError("solve-set takes T, not f; use solve")
             res = solve_inclusion(fm, cfg.setvalued, cfg.g, cfg.phi, solver)
             result = {
-                "point": _jsonable_point(res.point),
+                "point": res.point,
                 "orbit_length": len(res.orbit),
                 "in_image_of_carried": res.in_image_of_carried,
                 "in_image": res.in_image,
@@ -440,7 +415,7 @@ def run(
                     {
                         "epsilon": e.epsilon,
                         "lambda": e.lam,
-                        "witness": _jsonable_point(e.witness),
+                        "witness": e.witness,
                         "grade": e.grade,
                         "passed": e.passed,
                     }
@@ -455,8 +430,8 @@ def run(
             x, y = cfg.query
             tau = threshold(fm, x, y)
             result = {
-                "x": _jsonable_point(x),
-                "y": _jsonable_point(y),
+                "x": x,
+                "y": y,
                 "tau": tau,
                 "membership_at_tau": fm.membership(x, y, tau),
             }
@@ -491,29 +466,11 @@ def run(
         }
         code = 1
 
-    report = RunReport(
-        command=command,
-        config_digest=cfg.digest,
-        seed=seed,
-        samples=samples,
-        verdicts=verdicts,
-        counterexamples=counterexamples,
-        result=result,
-    )
-    return report, code
+    return RunReport(command, cfg.digest, seed, samples, verdicts, counterexamples, result), code
 
 
 def render_report(report: RunReport) -> str:
-    payload = {
-        "command": report.command,
-        "config_digest": report.config_digest,
-        "seed": report.seed,
-        "samples": report.samples,
-        "verdicts": report.verdicts,
-        "counterexamples": report.counterexamples,
-        "result": report.result,
-    }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    return json.dumps(vars(report), indent=2, allow_nan=False) + "\n"
 
 
 def main(argv: Optional[list] = None) -> int:

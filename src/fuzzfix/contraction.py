@@ -5,42 +5,36 @@ The single-valued condition under test is an implication over all t > 0:
     membership(gx, gy, t) > 1 - t   implies
     membership(fx, fy, phi(t)) > 1 - phi(t).
 
-For the standard fuzzy metric each side is a strict threshold crossing,
-so the whole t-quantifier reduces exactly: the antecedent holds iff
-t > tau(gx, gy) and the consequent iff phi(t) > tau(fx, fy). With phi
-nondecreasing and right-continuous the implication therefore holds iff
-phi(tau_g + eta) > tau_f for eta descending to 0. Only the pair sampling
-is approximate; the t-quantifier is not. A small raw t-grid is spot
-checked as well, so reported counterexamples carry concrete times.
-
-Every term of the check depends on a pair only through its two
-distances d(gx, gy) and d(fx, fy), so each is computed once per pair
-and every grade is membership's own expression t / (t + d) on it. The
-crossing comes from ``distance_threshold``, the spot times' modulus
-values are taken once per check, and counterexamples are kept as sort
-keys until the first MAX_COUNTEREXAMPLES are selected.
+For the standard fuzzy metric the antecedent holds iff t > tau(d_g) and
+the consequent iff phi(t) > tau(d_f), with d_g = d(gx, gy) and d_f =
+d(fx, fy). As phi does not decrease, the consequent is hardest where the
+antecedent first holds: at t* = ``onset(d_g)``, in floats. So one
+comparison per pair decides the whole t-quantifier; only the pair
+sampling is approximate. A pair passes iff phi(t*) > 0 and phi(t*) >=
+tau(d_f) - slack. The slack is derived: ``phi.slack`` covers the
+rounding in eval and the rise of phi over t*'s error (t* lies at most
+4 * 2**-53 below the exact crossing), 5 * 2**-53 * tau(d_f) covers the
+closed form for tau(d_f), and 4 * 2**-53 more the raw consequent, which
+is tried first. A failing pair records one counterexample at t*, which
+replays through membership in floats.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .fmspace import FiniteSpace, FuzzyMetric, Point, Space, distance_threshold, threshold
-from .maps import BijectionSpec, MapSpec, validate_map
+from .fmspace import FiniteSpace, FuzzyMetric, Point, Space, onset, threshold
+from .maps import BijectionSpec, MapSpec, bind, validate_map
 from .phi import InducedPhi, PhiFunction, ensure_phi_class
 from .report import LawCheck, Report
 
-# Strictness ladder: pass requires phi(tau_g + eta) > tau_f for each of
-# these offsets. Equality in the limit at tau_g itself is accepted; the
-# implication only quantifies over t strictly above the crossing.
-ETA_LADDER = (1e-3, 1e-6, 1e-9)
-
-SPOT_TIMES = (0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0)
-
 MAX_COUNTEREXAMPLES = 64
+
+_ONSET_ERROR = 4 * 2.0 ** -53
 
 # Affine maps with offsets round before the distances are taken, so an
 # exact metric comparison would flag mathematically tight cases by an
@@ -73,6 +67,20 @@ class ContractionReport:
     counterexamples: Tuple[CounterExample, ...]
     method: str
 
+    @classmethod
+    def of(cls, found: list, checked: int, method: str) -> "ContractionReport":
+        """The report of ``checked`` pairs from their failures, of which the
+        first MAX_COUNTEREXAMPLES in report order are kept.
+
+        Each entry of ``found`` is a flat tuple: the sort key's components
+        (point keys), the failure's position in the scan (ties keep scan
+        order, as a stable sort would) and last the CounterExample fields as
+        a tuple. heapq.nsmallest equals sorted(found)[:n], and only the kept
+        entries become objects.
+        """
+        kept = heapq.nsmallest(MAX_COUNTEREXAMPLES, found)
+        return cls(not found, checked, tuple(CounterExample(*entry[-1]) for entry in kept), method)
+
 
 def sample_pairs(
     space: Space, samples: int, seed: int
@@ -97,19 +105,14 @@ def sample_pairs(
     return pairs
 
 
-def select_counterexamples(found: list) -> Tuple[CounterExample, ...]:
-    """The first MAX_COUNTEREXAMPLES failures in report order.
-
-    Each entry of ``found`` is a flat tuple: the sort key's components,
-    the failure's position in the scan (ties keep scan order, as a
-    stable sort would) and last the CounterExample fields as a tuple.
-    heapq.nsmallest equals sorted(found)[:n], and only the kept entries
-    become objects.
-    """
-    return tuple(
-        CounterExample(*entry[-1])
-        for entry in heapq.nsmallest(MAX_COUNTEREXAMPLES, found)
-    )
+def consequent_fails(phi: PhiFunction, t: float, scaled: float, d: float) -> bool:
+    """Whether scaled = phi.eval(t) at t = t* fails the consequent for image
+    distance d beyond the slack. At scaled == 0 it fails: membership is 0."""
+    if scaled != 0.0 and scaled / (scaled + d) > 1.0 - scaled:
+        return False
+    tau = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / d)) if d > 0.0 else 0.0
+    slack = phi.slack(t, scaled, _ONSET_ERROR) + _ONSET_ERROR * (1.0 + 1.25 * tau)
+    return not (scaled > 0.0 and scaled >= tau - slack)
 
 
 def check_g_phi(
@@ -120,7 +123,7 @@ def check_g_phi(
     samples: int = 10000,
     seed: int = 0,
 ) -> ContractionReport:
-    """Verify the contraction implication via threshold reduction.
+    """Verify the contraction implication by one comparison per pair.
 
     The classic special cases are recovered by the arguments alone:
     a linear modulus gives the ratio form of the implication, and the
@@ -131,42 +134,22 @@ def check_g_phi(
     validate_map(fm.space, f)
     space = fm.space
     pairs = sample_pairs(space, samples, seed)
-    spots = tuple((t, phi.eval(t)) for t in SPOT_TIMES)
+    dist = space.distance if fm.transform is None else fm.distance
+    f_at, g_at, modulus = bind(f, space), bind(g, space), phi.eval
     found = []
     for x, y in pairs:
-        gx, gy = g.apply(space, x), g.apply(space, y)
-        fx, fy = f.apply(space, x), f.apply(space, y)
-        d_g, d_f = fm.distance(gx, gy), fm.distance(fx, fy)
-        tau_g = distance_threshold(d_g)
-        # Grades are membership's t / (t + d), 0 at t == 0. The grid-exact
-        # crossing is never below the true one, so the antecedent holds at
-        # every tau_g + eta; the consequent is evaluated raw, which keeps
-        # recorded violations replayable.
-        failed = []
-        for eta in ETA_LADDER:
-            t = tau_g + eta
-            scaled = phi.eval(t)
+        d_g = dist(g_at(x), g_at(y))
+        d_f = dist(f_at(x), f_at(y))
+        t = onset(d_g)
+        scaled = modulus(t)
+        # The raw consequent passes almost every passing pair, without tau_f.
+        if scaled != 0.0 and scaled / (scaled + d_f) > 1.0 - scaled:
+            continue
+        if consequent_fails(phi, t, scaled, d_f):
             consequent = scaled / (scaled + d_f) if scaled != 0.0 else 0.0
-            if not consequent > 1.0 - scaled:
-                failed.append((t, t / (t + d_g), consequent))
-                break
-        last = tau_g + 1e-9
-        for t, scaled in spots + ((last, phi.eval(last)),):
-            antecedent = t / (t + d_g)
-            if antecedent > 1.0 - t:
-                consequent = scaled / (scaled + d_f) if scaled != 0.0 else 0.0
-                if not consequent > 1.0 - scaled:
-                    failed.append((t, antecedent, consequent))
-        if failed:
             kx, ky = space.point_key(x), space.point_key(y)
-            for t, antecedent, consequent in failed:
-                found.append((kx, ky, t, len(found), (x, y, t, antecedent, consequent)))
-    return ContractionReport(
-        passed=not found,
-        checked_pairs=len(pairs),
-        counterexamples=select_counterexamples(found),
-        method="threshold-reduction",
-    )
+            found.append((kx, ky, len(found), (x, y, t, t / (t + d_g), consequent)))
+    return ContractionReport.of(found, len(pairs), "threshold-reduction")
 
 
 def check_metric_phi(
@@ -194,12 +177,7 @@ def check_metric_phi(
         if not d_f <= bound + _METRIC_SLACK * (1.0 + d_g):
             kx, ky = space.point_key(x), space.point_key(y)
             found.append((kx, ky, d_g, len(found), (x, y, d_g, bound, d_f)))
-    return ContractionReport(
-        passed=not found,
-        checked_pairs=len(pairs),
-        counterexamples=select_counterexamples(found),
-        method="metric-direct",
-    )
+    return ContractionReport.of(found, len(pairs), "metric-direct")
 
 
 def induce_phi(k: float, cap: float) -> InducedPhi:

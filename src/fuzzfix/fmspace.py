@@ -13,6 +13,7 @@ The crossing time ``threshold`` of membership with 1 - t is defined by
 bisection to a tolerance; ``distance_threshold`` returns that bisection's
 grid point from the closed form, checked at the point and one grid step
 below, and bisects only where the check fails or the grid is too fine.
+``onset`` is the float at which membership's own expression exceeds 1 - t.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ def _d1(d: float) -> float:
     return -math.expm1(-d)
 
 
+def as_number(raw) -> float:
+    """A config number as a float: JSON true, false and strings are refused."""
+    if type(raw) not in (int, float):
+        raise ValueError(f"{raw!r} is not a number")
+    return float(raw)
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
     """Finitely many labeled points with an explicit distance table.
@@ -72,13 +80,13 @@ class FiniteSpace:
     normalize: bool = False
 
     def __post_init__(self):
-        labels = tuple(str(l) for l in self.labels)
+        labels = tuple(self.labels)
         if not labels:
             raise ValueError("finite space needs at least one point")
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be unique")
-        if any((not l) or any(c.isspace() for c in l) for l in labels):
-            raise ValueError("labels must be nonempty and contain no whitespace")
+        if any(not isinstance(l, str) or not l or any(c.isspace() for c in l) for l in labels):
+            raise ValueError("labels must be nonempty strings without whitespace")
         table = tuple(tuple(float(v) for v in row) for row in self.dist)
         n = len(labels)
         if len(table) != n or any(len(row) != n for row in table):
@@ -150,7 +158,7 @@ class IntervalSpace:
 
     def parse_point(self, raw) -> Point:
         """A point as written in a config: a number."""
-        return float(raw)
+        return as_number(raw)
 
     def contains(self, p: Point) -> bool:
         return isinstance(p, (int, float)) and self.lo <= p <= self.hi
@@ -177,7 +185,8 @@ class IntervalSpace:
 class EuclideanSpace:
     """R^dim with the Euclidean metric, optionally boxed to [-bound, bound]^dim.
 
-    Points are coordinate tuples; a bare number is accepted when dim == 1.
+    Points are tuples of ``dim`` floats, as parsed and sampled; anything
+    else, such as a bare number when dim == 1, goes through ``coords``.
     """
 
     dim: int
@@ -201,11 +210,11 @@ class EuclideanSpace:
         return c
 
     def parse_point(self, raw) -> Point:
-        """A point as written in a config: a list of coordinates, or a
-        number when dim == 1. The coordinate count is left to ``contains``."""
-        if isinstance(raw, (int, float)):
-            return self.coords(raw)
-        return tuple(float(v) for v in raw)
+        """A point as written in a config: a list of numbers, or a number
+        when dim == 1. The coordinate count is left to ``contains``."""
+        if isinstance(raw, list):
+            return tuple(map(as_number, raw))
+        return self.coords(as_number(raw))
 
     def contains(self, p: Point) -> bool:
         try:
@@ -216,10 +225,14 @@ class EuclideanSpace:
             return True
         return all(-self.bound <= v <= self.bound for v in c)
 
+    def _canonical(self, p: Point) -> bool:
+        return type(p) is tuple and len(p) == self.dim
+
     def distance(self, x: Point, y: Point) -> float:
-        a, b = self.coords(x), self.coords(y)
+        if not (self._canonical(x) and self._canonical(y)):
+            x, y = self.coords(x), self.coords(y)
         # math.dist loses an ulp through sqrt((a-b)**2) in one dimension
-        d = abs(a[0] - b[0]) if self.dim == 1 else math.dist(a, b)
+        d = abs(x[0] - y[0]) if self.dim == 1 else math.dist(x, y)
         return _d1(d) if self.normalize else d
 
     def sample(self, rng: random.Random) -> Point:
@@ -228,7 +241,7 @@ class EuclideanSpace:
         return tuple(rng.uniform(-self.bound, self.bound) for _ in range(self.dim))
 
     def point_key(self, p: Point):
-        return self.coords(p)
+        return p if self._canonical(p) else self.coords(p)
 
     def extreme_points(self) -> Tuple[Point, ...]:
         if self.bound is None:
@@ -353,6 +366,37 @@ def distance_threshold(d: float, tol: float = DEFAULT_THRESHOLD_TOL) -> float:
         else:
             lo = mid
     return hi
+
+
+def onset(d: float) -> float:
+    """t*: the float at which t / (t + d) > 1 - t holds while it fails one
+    float below. The sides round by at most 2 and 1 units of 2**-53 and
+    their difference rises with slope >= 1, so t* lies at most 3.0001 *
+    2**-53 below the exact crossing and one float more above it. From the
+    closed form the search doubles its step until the predicate changes,
+    then bisects down to adjacent floats.
+    """
+    c = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / d)) if d > 0.0 else 0.0
+    t = max(c, 2.0 ** -54)  # up to 2**-54, 1 - t rounds to 1: the predicate fails
+    step = math.ulp(t)
+    if t / (t + d) > 1.0 - t:
+        lo, hi = t - step, t
+        while lo / (lo + d) > 1.0 - lo:
+            hi, step = lo, step * 2.0
+            lo = hi - step if hi > step else 0.0
+    else:
+        lo, hi = t, t + step
+        while not hi / (hi + d) > 1.0 - hi and hi < 2.0:  # it holds past 1
+            lo, step = hi, step * 2.0
+            hi = lo + step
+    while True:
+        mid = lo + (hi - lo) * 0.5
+        if not lo < mid < hi:
+            return hi
+        if mid / (mid + d) > 1.0 - mid:
+            hi = mid
+        else:
+            lo = mid
 
 
 def is_cauchy_window(

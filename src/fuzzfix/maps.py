@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Union
 
 from .errors import InverseUndefined, NotBijective, UnknownPoint
-from .fmspace import FiniteSpace, IntervalSpace, Point, Space
-
-
-def _affine_point(a: float, b: float, p: Point) -> Point:
-    if isinstance(p, tuple):
-        return tuple(a * c + b for c in p)
-    return a * p + b
+from .fmspace import EuclideanSpace, FiniteSpace, IntervalSpace, Point, Space
 
 
 @dataclass(frozen=True)
@@ -29,7 +23,9 @@ class AffineMap:
     b: float
 
     def apply(self, space: Space, p: Point) -> Point:
-        return _affine_point(self.a, self.b, p)
+        if type(p) is tuple:
+            return tuple([self.a * c + self.b for c in p])
+        return self.a * p + self.b
 
     def validate(self, space: Space) -> None:
         if isinstance(space, FiniteSpace):
@@ -85,6 +81,17 @@ def validate_map(space: Space, m) -> None:
     m.validate(space)
 
 
+def bind(m, space: Space):
+    """``m.apply`` on ``space`` as a function of the point alone: affine
+    maps are specialised to the space's canonical points, once."""
+    if not isinstance(m, (AffineMap, AffineBijection)):
+        return lambda p: m.apply(space, p)
+    a, b = m.a, m.b
+    if isinstance(space, EuclideanSpace):
+        return lambda p: tuple([a * c + b for c in p])
+    return lambda p: a * p + b
+
+
 @dataclass(frozen=True)
 class AffineBijection:
     """x -> a*x + b with a != 0; must map the space onto itself."""
@@ -92,8 +99,7 @@ class AffineBijection:
     a: float
     b: float
 
-    def apply(self, space: Space, p: Point) -> Point:
-        return _affine_point(self.a, self.b, p)
+    apply = AffineMap.apply
 
     def invert_apply(self, space: Space, p: Point) -> Point:
         if isinstance(p, tuple):

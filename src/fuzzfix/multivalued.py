@@ -13,16 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .contraction import ETA_LADDER, ContractionReport, select_counterexamples
+from .contraction import ContractionReport, consequent_fails
 from .errors import NoAdmissibleSuccessor, NotDemicompact, UnknownPoint
-from .fmspace import (
-    FiniteSpace,
-    FuzzyMetric,
-    Point,
-    Space,
-    distance_threshold,
-    is_cauchy_window,
-)
+from .fmspace import FiniteSpace, FuzzyMetric, Point, Space, is_cauchy_window, onset
 from .maps import BijectionSpec
 from .phi import PhiFunction, ensure_phi_class, horizon
 from .solver import IterationRecord, SolverConfig
@@ -140,13 +133,14 @@ def check_setvalued_contraction(
     phi: PhiFunction,
     pairs: Optional[Sequence[Tuple[Point, Point]]] = None,
 ) -> ContractionReport:
-    """Threshold-reduced check of the set-valued contraction condition.
+    """Check the set-valued contraction condition, one comparison per image point.
 
     With ``pairs`` omitted, every ordered pair of points whose g-image
     lies in the map's domain is checked (finite spaces); continuum
-    spaces need an explicit pair plan. A counterexample records the u
-    with no admissible v, with the consequent being the best achievable
-    grade at that scale.
+    spaces need an explicit pair plan. Each image point u of gx is judged
+    as in ``check_g_phi``, at t* and with its nearest image point v of
+    gy, which grades best at every scale. A counterexample records the u
+    with no admissible v, with the consequent being that best grade.
     """
     ensure_phi_class(phi)
     space = fm.space
@@ -161,25 +155,16 @@ def check_setvalued_contraction(
     for x, y in pairs:
         gx, gy = g.apply(space, x), g.apply(space, y)
         d_g = fm.distance(gx, gy)
-        tau_g = distance_threshold(d_g)
-        images_u, images_v = T.image(gx), T.image(gy)
-        for u in images_u:
-            # membership(u, v, s) for every v, as t / (t + d), 0 at t == 0
-            d_uv = [fm.distance(u, v) for v in images_v]
-            for eta in ETA_LADDER:
-                t = tau_g + eta
-                scaled = phi.eval(t)
-                best = max(scaled / (scaled + d) if scaled != 0.0 else 0.0 for d in d_uv)
-                if not best > 1.0 - scaled:
-                    keys = space.point_key(x), space.point_key(y), space.point_key(u)
-                    found.append((*keys, t, len(found), (x, y, t, t / (t + d_g), best, u)))
-                    break
-    return ContractionReport(
-        passed=not found,
-        checked_pairs=len(pairs),
-        counterexamples=select_counterexamples(found),
-        method="threshold-reduction",
-    )
+        t = onset(d_g)
+        scaled = phi.eval(t)
+        images_v = T.image(gy)
+        for u in T.image(gx):
+            d = min(fm.distance(u, v) for v in images_v)
+            if consequent_fails(phi, t, scaled, d):
+                best = scaled / (scaled + d) if scaled != 0.0 else 0.0
+                keys = space.point_key(x), space.point_key(y), space.point_key(u)
+                found.append((*keys, len(found), (x, y, t, t / (t + d_g), best, u)))
+    return ContractionReport.of(found, len(pairs), "threshold-reduction")
 
 
 @dataclass(frozen=True)

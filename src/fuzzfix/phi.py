@@ -77,6 +77,10 @@ class LinearPhi:
         slack = 4 * _U * (x + 2.0 + abs(log_t) + abs(log_target)) * (1.0 - 1.0 / log_k)
         return None if _tie(x, slack) else math.ceil(x)
 
+    def slack(self, t: float, value: float, dt: float) -> float:
+        """Bound on phi(s) - value over real s <= t + dt, value = eval(t)."""
+        return 2 * _U * value + self.k * dt
+
 
 @dataclass(frozen=True)
 class RationalPhi:
@@ -101,6 +105,10 @@ class RationalPhi:
         p, q = target.as_integer_ratio()
         a, b = t.as_integer_ratio()
         return -((b * p - q * a) // (p * a))
+
+    def slack(self, t: float, value: float, dt: float) -> float:
+        """As ``LinearPhi.slack``: two roundings, slope at most 1."""
+        return 3 * _U * value + dt
 
 
 @dataclass(frozen=True)
@@ -162,6 +170,15 @@ class InducedPhi:
         )
         return None if _tie(x, slack) else math.ceil(x)
 
+    def slack(self, t: float, value: float, dt: float) -> float:
+        """As ``LinearPhi.slack``: crossing_time of a gap D cancels to about
+        u * (D + 3) absolute, with D = k * t * t / (1 - t) below tau_cap, where
+        the slope is at most 1 / (1 - t)**2, and D <= cap on the tail."""
+        if t > self.tau_cap:
+            return _U * (2.0 * self.cap + 6.0 + 4.0 * value) + self.k * dt
+        gap = self.k * t * t / (1.0 - t)
+        return _U * (2.0 * gap + 6.0 + 4.0 * value) + dt / (1.0 - t - dt) ** 2
+
 
 @dataclass(frozen=True)
 class TablePhi:
@@ -200,6 +217,10 @@ class TablePhi:
     def steps_to(self, t: float, target: float) -> Optional[int]:
         """None: a step function has no closed form, so horizon steps its orbit."""
         return None
+
+    def slack(self, t: float, value: float, dt: float) -> float:
+        """As ``LinearPhi.slack``: values are exact, so only steps count."""
+        return self.eval(t + dt) - value
 
 
 PhiFunction = Union[LinearPhi, RationalPhi, InducedPhi, TablePhi]

@@ -2,10 +2,14 @@
 
 These deliberately avoid the library's threshold reduction: the raw
 implication is evaluated on a dense time grid straight from the
-membership formula, so agreement with the checkers is meaningful.
+membership formula, or decided in exact rationals, so agreement with
+the checkers is meaningful.
 """
 
 import math
+from fractions import Fraction
+
+import fuzzfix as fx
 
 
 def tau(d):
@@ -142,12 +146,17 @@ def table_laws_dense(points, t_max, lattice=256):
     return nondecreasing, below, vanish
 
 
-# The contraction checks as they stood before the one-distance kernel:
-# a 40-step bisection for the crossing and the eta ladder and spot grid
-# evaluated with membership's raw expression.
+# The contraction checks decided exactly. Each pair is judged at the
+# float t* where the antecedent switches on (fuzzfix.onset): the oracle
+# confirms in floats that the antecedent holds at t* and fails one ulp
+# below, and in rationals that the exact crossing lies within 4 units of
+# 2**-53 of t*. The consequent is then decided in rationals on the float
+# inputs: phi(t*) + slack must reach the exact crossing of the image
+# distance, where slack is the modulus's declared ``slack`` plus the
+# 4 * 2**-53 * (1 + 1.25 * tau) the checker adds for its own roundings.
 
-ETA_LADDER = (1e-3, 1e-6, 1e-9)
-SPOT_TIMES = (0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0)
+U = 2.0 ** -53
+ONSET_ERROR = 4 * U
 COUNTEREXAMPLE_CAP = 64
 
 
@@ -170,6 +179,39 @@ def raw_grade(t, d):
     return 0.0 if t == 0.0 else t / (t + d)
 
 
+def exact_crosses(t, d):
+    """Whether t / (t + d) > 1 - t in rationals on the floats t and d,
+    that is t * t + t * d - d > 0 (t > 0)."""
+    t, d = Fraction(t), Fraction(d)
+    return t > 0 and t * t + t * d - d > 0
+
+
+def reaches_crossing(r, d):
+    """Whether the rational r >= 0 is at least the exact crossing of d."""
+    r, d = Fraction(r), Fraction(d)
+    return r >= 0 and r * r + r * d - d >= 0
+
+
+def checked_onset(d):
+    """fuzzfix.onset(d), confirmed at t* and one ulp below."""
+    t = fx.onset(d)
+    assert raw_grade(t, d) > 1.0 - t
+    below = math.nextafter(t, 0.0)
+    assert not raw_grade(below, d) > 1.0 - below
+    assert not exact_crosses(Fraction(t) - Fraction(ONSET_ERROR), d)
+    assert exact_crosses(Fraction(t) + Fraction(ONSET_ERROR), d)
+    return t
+
+
+def consequent_holds(phi, t, s, d):
+    """The implication's consequent at t*, up to the declared slack."""
+    if s <= 0.0:
+        return False
+    tau_f = 0.0 if d == 0.0 else tau(d)
+    slack = Fraction(phi.slack(t, s, ONSET_ERROR)) + Fraction(ONSET_ERROR) * (1 + Fraction(1.25) * Fraction(tau_f))
+    return reaches_crossing(Fraction(s) + slack, d)
+
+
 def metric_distance(fm):
     """The distance fm grades with, its transform applied to both points."""
 
@@ -183,50 +225,34 @@ def metric_distance(fm):
 
 def reference_check_g_phi(fm, f, g, phi, pairs):
     """(passed, the first 64 counterexamples as (x, y, t, antecedent,
-    consequent), sorted by point keys and t)."""
+    consequent), sorted by point keys)."""
     space, dist = fm.space, metric_distance(fm)
     found = []
     for x, y in pairs:
-        gx, gy = g.apply(space, x), g.apply(space, y)
-        d_g = dist(gx, gy)
+        d_g = dist(g.apply(space, x), g.apply(space, y))
         d_f = dist(f.apply(space, x), f.apply(space, y))
-        tau_g = bisect_threshold(d_g)
-        for eta in ETA_LADDER:
-            t = tau_g + eta
-            s = phi.eval(t)
-            consequent = raw_grade(s, d_f)
-            if not consequent > 1.0 - s:
-                found.append((x, y, t, raw_grade(t, d_g), consequent))
-                break
-        for t in SPOT_TIMES + (tau_g + 1e-9,):
-            antecedent = raw_grade(t, d_g)
-            if antecedent > 1.0 - t:
-                s = phi.eval(t)
-                consequent = raw_grade(s, d_f)
-                if not consequent > 1.0 - s:
-                    found.append((x, y, t, antecedent, consequent))
-    found.sort(key=lambda ce: (space.point_key(ce[0]), space.point_key(ce[1]), ce[2]))
+        t = checked_onset(d_g)
+        s = phi.eval(t)
+        if not consequent_holds(phi, t, s, d_f):
+            found.append((x, y, t, raw_grade(t, d_g), raw_grade(s, d_f)))
+    found.sort(key=lambda ce: (space.point_key(ce[0]), space.point_key(ce[1])))
     return not found, found[:COUNTEREXAMPLE_CAP]
 
 
 def reference_check_setvalued(fm, T, g, phi, pairs):
     """(passed, the first 64 counterexamples as (x, y, t, antecedent,
-    best, u), sorted by point keys of x, y, u and t)."""
+    best, u), sorted by point keys of x, y and u). Each image point u
+    takes its best grade, at its nearest image point v."""
     space, dist = fm.space, metric_distance(fm)
     found = []
     for x, y in pairs:
         gx, gy = g.apply(space, x), g.apply(space, y)
         d_g = dist(gx, gy)
-        tau_g = bisect_threshold(d_g)
+        t = checked_onset(d_g)
+        s = phi.eval(t)
         for u in T.image(gx):
-            for eta in ETA_LADDER:
-                t = tau_g + eta
-                s = phi.eval(t)
-                best = max(raw_grade(s, dist(u, v)) for v in T.image(gy))
-                if not best > 1.0 - s:
-                    found.append((x, y, t, raw_grade(t, d_g), best, u))
-                    break
-    found.sort(
-        key=lambda ce: (space.point_key(ce[0]), space.point_key(ce[1]), space.point_key(ce[5]), ce[2])
-    )
+            d = min(dist(u, v) for v in T.image(gy))
+            if not consequent_holds(phi, t, s, d):
+                found.append((x, y, t, raw_grade(t, d_g), raw_grade(s, d), u))
+    found.sort(key=lambda ce: (space.point_key(ce[0]), space.point_key(ce[1]), space.point_key(ce[5])))
     return not found, found[:COUNTEREXAMPLE_CAP]

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import fuzzfix as fx
 from fuzzfix.cli import main, parse_config
@@ -306,18 +308,37 @@ MALFORMED = (
     ("query", "bad_value", {"x": 0.0, "y": 2.0}, "query.y: 2.0 lies outside the space"),
     ("query", "absent", ABSENT, None),
     ("verification", "not_object", [3], "verification: must be an object"),
+    ("verification", "bad_value", {"samples": "many"}, "verification: field 'samples' must be an integer"),
+    ("verification", "list_value", {"samples": [1]}, "verification: field 'samples' must be an integer"),
+    # Typed fields: no value is truncated or coerced into another kind.
+    ("verification", "fractional_samples", {"samples": 300.9}, "verification: field 'samples' must be an integer"),
+    ("verification", "fractional_grid", {"grid": 2.5}, "verification: field 'grid' must be an integer"),
+    ("verification", "boolean_seed", {"seed": True}, "verification: field 'seed' must be an integer"),
     (
-        "verification",
-        "bad_value",
-        {"samples": "many"},
-        "verification: invalid literal for int() with base 10: 'many'",
+        "space",
+        "string_normalize",
+        {"kind": "interval", "lo": 0.0, "hi": 4.0, "normalize": "false"},
+        "space: field 'normalize' must be a boolean",
+    ),
+    ("space", "fractional_dim", {"kind": "euclidean", "dim": 2.5}, "space: field 'dim' must be an integer"),
+    ("space", "string_bound", {"kind": "interval", "lo": "0", "hi": 1.0}, "space: field 'lo' must be a number"),
+    ("space", "numeric_label", {"kind": "finite", "points": [1], "dist": [[0]]}, "space: labels must be nonempty strings without whitespace"),
+    ("phi", "boolean_ratio", {"kind": "linear", "k": True}, "phi: field 'k' must be a number"),
+    ("phi", "string_breakpoint", {"kind": "table", "points": [[0, "0"]]}, "phi: '0' is not a number"),
+    (
+        "solver",
+        "fractional_max_iter",
+        {"start": 0.0, "epsilon": 1e-3, "lambda": 1e-3, "max_iter": 10.5},
+        "solver: field 'max_iter' must be an integer",
     ),
     (
-        "verification",
-        "list_value",
-        {"samples": [1]},
-        "verification: int() argument must be a string, a bytes-like object or a real number, not 'list'",
+        "solver",
+        "fractional_window",
+        {"start": 0.0, "epsilon": 1e-3, "lambda": 1e-3, "window": 2.5},
+        "solver: field 'window' must be an integer",
     ),
+    ("solver", "string_start", {"start": "0.5", "epsilon": 1e-3, "lambda": 1e-3}, "solver.start: '0.5' is not a number"),
+    ("query", "string_point", {"x": "0.5", "y": 1.0}, "query.x: '0.5' is not a number"),
 )
 
 
@@ -338,6 +359,38 @@ def test_malformed_section_is_usage_error(tmp_path, capsys, section, value, mess
         assert section in err
     else:
         assert err == f"config error: {message}\n"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@seed(20070)
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    doc=st.sampled_from([FLAGSHIP, MULTI]),
+    section=st.sampled_from(["space", "phi", "f", "g", "T", "solver", "verification", "query", "tnorm"]),
+    field=st.sampled_from([None, "kind", "lo", "hi", "dim", "points", "dist", "normalize", "k", "cap", "a", "b",
+                           "c", "map", "start", "epsilon", "lambda", "t0", "max_iter", "window", "residual_times",
+                           "samples", "seed", "grid", "x", "y"]),
+    value=json_values,
+)
+def test_fuzzed_config_raises_only_config_or_value_errors(doc, section, field, value):
+    # One section, or one field of it, replaced by an arbitrary JSON value:
+    # parsing either succeeds or fails with an error the CLI turns into exit 2.
+    doc = json.loads(json.dumps(doc))
+    if field is None or not isinstance(doc.get(section), dict):
+        doc[section] = value
+    else:
+        doc[section][field] = value
+    try:
+        parse_config(json.dumps(doc))
+    except (fx.ConfigError, ValueError):
+        pass
 
 
 @pytest.mark.parametrize("command", ["check-contraction", "induce-phi"])

@@ -92,6 +92,36 @@ def test_report_is_deterministic(flagship_fm, flagship_f):
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "a,passed",
+    [
+        (0.5, True),
+        # Every pair violates the implication just above its crossing,
+        # within about 1e-10 of it.
+        (0.500000001, False),
+        (0.5 * (1.0 + 2e-13), False),
+    ],
+)
+def test_ratio_just_above_the_induced_modulus_fails(flagship_fm, a, passed):
+    # induced(0.5, 1) is exactly tight for f(x) = 0.5 x on [0, 1]: any
+    # larger ratio breaks the implication at the onset of the antecedent.
+    report = fx.check_g_phi(
+        flagship_fm, fx.AffineMap(a, 0.0), fx.identity_for(flagship_fm.space),
+        fx.induce_phi(0.5, 1.0), samples=10000, seed=0,
+    )
+    assert report.passed is passed
+    for ce in report.counterexamples:
+        assert ce.t == fx.onset(abs(ce.x - ce.y))
+
+
+def test_one_counterexample_per_failing_pair(flagship_fm, flagship_f):
+    g = fx.identity_for(flagship_fm.space)
+    report = fx.check_g_phi(flagship_fm, flagship_f, g, fx.LinearPhi(0.5), samples=40, seed=0)
+    pairs = [(ce.x, ce.y) for ce in report.counterexamples]
+    # Every sampled pair has distinct points, and each fails exactly once.
+    assert len(pairs) == len(set(pairs)) == 40
+
+
 # ------------------------------------------------- finite-space oracle
 
 

@@ -2,12 +2,13 @@
 
 The horizon is compared with plain float iteration of each modulus's
 definition, table admissibility with a dense time check, the threshold
-with plain bisection, and the contraction checks with the loops they
-replaced. Every test runs on a fixed seed, so the suite stays
-deterministic.
+with plain bisection, and the contraction checks with an oracle that
+decides each pair in exact rationals at the onset of its antecedent.
+Every test runs on a fixed seed, so the suite stays deterministic.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, seed, settings
@@ -15,11 +16,14 @@ from hypothesis import strategies as st
 
 import fuzzfix as fx
 from oracles import (
+    ONSET_ERROR,
     bisect_threshold,
+    checked_onset,
     induced_step,
     linear_step,
     orbit_count,
     rational_step,
+    reaches_crossing,
     reference_check_g_phi,
     reference_check_setvalued,
     table_laws_dense,
@@ -179,6 +183,38 @@ def test_threshold_below_the_float_spacing_terminates():
     tau = fx.threshold(fm, 0.0, 1.0, tol=1e-300)
     assert crosses(tau, 1.0)
     assert not crosses(math.nextafter(tau, 0.0), 1.0)
+
+
+@seed(SEED)
+@settings(max_examples=1000, deadline=None, database=None)
+@given(d=distances)
+@example(d=5e-324)
+@example(d=DMAX)
+@example(d=1e-40)
+def test_onset_switches_on_within_four_units_of_the_crossing(d):
+    checked_onset(d)
+
+
+def test_onset_of_coincident_points():
+    # 1 - t rounds to 1 up to 2**-54, so the antecedent first holds just above it.
+    assert checked_onset(0.0) == math.nextafter(2.0 ** -54, 1.0)
+
+
+@seed(SEED)
+@settings(max_examples=500, deadline=None, database=None)
+@given(k=st.floats(0.05, 0.95), log_cap=st.floats(math.log(0.05), math.log(1e8)), share=st.floats(1e-12, 1.0))
+def test_induced_conjugacy_holds_within_its_slack(k, log_cap, share):
+    # eval(tau(d)) == tau(k * d) for d <= cap: at the float onset of d
+    # the exact tau(k * d) lies within slack of eval.
+    phi = fx.InducedPhi(k, math.exp(log_cap))
+    d = phi.cap * share
+    t = fx.onset(d)
+    value = phi.eval(t)
+    slack = Fraction(phi.slack(t, value, ONSET_ERROR))
+    kd = Fraction(k) * Fraction(d)
+    above, below = Fraction(value) + slack, Fraction(value) - slack
+    assert reaches_crossing(above, kd)
+    assert below <= 0 or below * below + below * kd - kd <= 0
 
 
 def _dyadic(lo, hi):
