@@ -143,8 +143,9 @@ _KINDS = {"a number": ((int, float), float), "an integer": ((int,), int), "a boo
 
 
 def _field(raw: dict, name: str, kind: str, *default):
-    """raw[name] if it is of the declared kind; a missing field takes the default, if given."""
-    if name not in raw and default:
+    """raw[name] if it is of the declared kind. An optional field (one
+    with a default) that is missing or null takes the default."""
+    if raw.get(name) is None and default:
         return default[0]
     types, convert = _KINDS[kind]
     if type(raw[name]) not in types:
@@ -187,9 +188,8 @@ _PHIS = {
     "table": lambda raw: TablePhi(points=tuple((as_number(t), as_number(v)) for t, v in raw["points"])),
 }
 
-
 _MAPS = {
-    "affine": lambda raw, space: AffineMap(_field(raw, "a", "a number"), _field(raw, "b", "a number")),
+    "affine": lambda raw, space: AffineMap(a=_field(raw, "a", "a number"), b=_field(raw, "b", "a number")),
     "constant": lambda raw, space: ConstantMap(c=_parse_point(space, raw["c"], "f.c")),
     "table": lambda raw, space: TableMap(
         {
@@ -200,7 +200,7 @@ _MAPS = {
 }
 
 _BIJECTIONS = {
-    "affine": lambda raw: AffineBijection(_field(raw, "a", "a number"), _field(raw, "b", "a number")),
+    "affine": lambda raw: AffineBijection(a=_field(raw, "a", "a number"), b=_field(raw, "b", "a number")),
     "permutation": lambda raw: PermutationBijection(dict(raw["map"])),
 }
 
@@ -242,9 +242,10 @@ def _query(raw: dict, space: Space) -> Tuple[Point, Point]:
 
 
 def _verification(raw: dict) -> Tuple[int, int, int]:
-    return tuple(
-        _field(raw, name, "an integer", default)
-        for name, default in (("samples", 10000), ("seed", 0), ("grid", 11))
+    return (
+        _field(raw, "samples", "an integer", 10000),
+        _field(raw, "seed", "an integer", 0),
+        _field(raw, "grid", "an integer", 11),
     )
 
 
@@ -308,26 +309,61 @@ def parse_config(text: str) -> ProblemConfig:
     query = _section("query", doc["query"], _query, space) if "query" in doc else None
     samples, seed, grid = _section("verification", doc.get("verification", {}), _verification)
 
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return ProblemConfig(space, norm, phi, f, g, setvalued, solver, query, samples, seed, grid, digest)
-
-
-# Reports are rendered from the result objects' fields, in field order;
-# JSON writes tuples, Euclidean points among them, as arrays.
+    return ProblemConfig(
+        space=space,
+        norm=norm,
+        phi=phi,
+        f=f,
+        g=g,
+        setvalued=setvalued,
+        solver=solver,
+        query=query,
+        samples=samples,
+        seed=seed,
+        grid=grid,
+        digest=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+    )
 
 
 def _report_dict(report: Report) -> dict:
-    return {"passed": report.passed, "laws": [vars(law) for law in report.laws]}
+    return {
+        "passed": report.passed,
+        "laws": [
+            {
+                "name": law.name,
+                "passed": law.passed,
+                "checks": law.checks,
+                "witnesses": law.witnesses,
+            }
+            for law in report.laws
+        ],
+    }
 
 
 def _counterexample_dicts(report: ContractionReport) -> list:
-    # ``u`` only appears on set-valued counterexamples.
-    return [{k: v for k, v in vars(ce).items() if v is not None} for ce in report.counterexamples]
+    out = []
+    for ce in report.counterexamples:
+        entry = {
+            "x": ce.x,
+            "y": ce.y,
+            "t": ce.t,
+            "antecedent": ce.antecedent,
+            "consequent": ce.consequent,
+        }
+        if ce.u is not None:
+            entry["u"] = ce.u
+        out.append(entry)
+    return out
 
 
 def _solve_result_dict(res: SolveResult) -> dict:
-    fields = ("point", "iterations", "horizon_used", "residuals", "converged")
-    return {name: getattr(res, name) for name in fields}
+    return {
+        "point": res.point,
+        "iterations": res.iterations,
+        "horizon_used": res.horizon_used,
+        "residuals": [[t, grade] for t, grade in res.residuals],
+        "converged": res.converged,
+    }
 
 
 def _write_trace(path: str, records: Tuple[IterationRecord, ...]) -> None:
@@ -466,11 +502,29 @@ def run(
         }
         code = 1
 
-    return RunReport(command, cfg.digest, seed, samples, verdicts, counterexamples, result), code
+    report = RunReport(
+        command=command,
+        config_digest=cfg.digest,
+        seed=seed,
+        samples=samples,
+        verdicts=verdicts,
+        counterexamples=counterexamples,
+        result=result,
+    )
+    return report, code
 
 
 def render_report(report: RunReport) -> str:
-    return json.dumps(vars(report), indent=2, allow_nan=False) + "\n"
+    payload = {
+        "command": report.command,
+        "config_digest": report.config_digest,
+        "seed": report.seed,
+        "samples": report.samples,
+        "verdicts": report.verdicts,
+        "counterexamples": report.counterexamples,
+        "result": report.result,
+    }
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -11,12 +11,16 @@ d(fx, fy). As phi does not decrease, the consequent is hardest where the
 antecedent first holds: at t* = ``onset(d_g)``, in floats. So one
 comparison per pair decides the whole t-quantifier; only the pair
 sampling is approximate. A pair passes iff phi(t*) > 0 and phi(t*) >=
-tau(d_f) - slack. The slack is derived: ``phi.slack`` covers the
-rounding in eval and the rise of phi over t*'s error (t* lies at most
-4 * 2**-53 below the exact crossing), 5 * 2**-53 * tau(d_f) covers the
-closed form for tau(d_f), and 4 * 2**-53 more the raw consequent, which
-is tried first. A failing pair records one counterexample at t*, which
-replays through membership in floats.
+tau(d_f) - slack; the raw consequent is tried first, and tau(d_f) is
+computed only where it fails. The slack is derived, for maps and
+moduli taken as exact real functions: ``phi.slack`` covers the rounding
+in eval and the rise of phi over t*'s distance below the exact crossing
+(4 * 2**-53, plus what rounding in g and in the distance may hide of
+d_g); d_f's own rounding error e costs at most e / tau(d_f) of tau, since
+tau(b)**2 - tau(a)**2 <= b - a; and 5 * 2**-53 * tau(d_f) + 4 * 2**-53
+cover the closed form for tau(d_f) and the raw consequent. A failing pair
+records one counterexample at t*, which replays through membership in
+floats.
 """
 
 from __future__ import annotations
@@ -27,14 +31,15 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .fmspace import FiniteSpace, FuzzyMetric, Point, Space, onset, threshold
-from .maps import BijectionSpec, MapSpec, bind, validate_map
+from .fmspace import EuclideanSpace, FiniteSpace, FuzzyMetric, Point, Space, onset, threshold
+from .maps import AffineBijection, AffineMap, BijectionSpec, MapSpec, rounding, validate_map
 from .phi import InducedPhi, PhiFunction, ensure_phi_class
 from .report import LawCheck, Report
 
 MAX_COUNTEREXAMPLES = 64
 
-_ONSET_ERROR = 4 * 2.0 ** -53
+_U = 2.0 ** -53
+_ONSET_ERROR = 4 * _U
 
 # Affine maps with offsets round before the distances are taken, so an
 # exact metric comparison would flag mathematically tight cases by an
@@ -105,13 +110,52 @@ def sample_pairs(
     return pairs
 
 
-def consequent_fails(phi: PhiFunction, t: float, scaled: float, d: float) -> bool:
-    """Whether scaled = phi.eval(t) at t = t* fails the consequent for image
-    distance d beyond the slack. At scaled == 0 it fails: membership is 0."""
-    if scaled != 0.0 and scaled / (scaled + d) > 1.0 - scaled:
-        return False
-    tau = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / d)) if d > 0.0 else 0.0
-    slack = phi.slack(t, scaled, _ONSET_ERROR) + _ONSET_ERROR * (1.0 + 1.25 * tau)
+def _tau(d: float) -> float:
+    return 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / d)) if d > 0.0 else 0.0
+
+
+def image_rounding(fm: FuzzyMetric, m) -> Tuple[float, float]:
+    """``maps.rounding`` of the point fm measures for m(p): fm's transform
+    h scales m's error by |h.a| and adds its own at m(p), whose size is at
+    most |m.a| * |p| + |m.b| per coordinate."""
+    r, s = rounding(m, fm.space)
+    h = fm.transform
+    # Permutations are exact, and a constant map's images are one point.
+    if not (isinstance(h, AffineBijection) and isinstance(m, (AffineMap, AffineBijection))):
+        return r, s
+    rh, sh = rounding(h, fm.space)
+    n = fm.space.dim if isinstance(fm.space, EuclideanSpace) else 1
+    return abs(h.a) * r + rh * abs(m.a), abs(h.a) * s + rh * abs(m.b) * n + sh
+
+
+def distance_error(rs: Tuple[float, float], size: float, d: float) -> float:
+    """Bound on how far d, the float distance between the points measured
+    for m(x) and m(y), lies from the exact one, with rs = image_rounding(fm,
+    m) and size = |x| + |y|; the distance itself adds 4 * 2**-53 * d (abs
+    and math.dist round within an ulp, normalization's expm1 within one
+    more)."""
+    r, s = rs
+    return r * size + 2.0 * s + 4 * _U * d
+
+
+def point_size(p: Point) -> float:
+    """|p|, summed over coordinates; 0 for a label, which maps exactly."""
+    if type(p) is str:
+        return 0.0
+    return sum(map(abs, p)) if type(p) is tuple else abs(p)
+
+
+def consequent_fails(
+    phi: PhiFunction, t: float, scaled: float, d_g: float, e_g: float, d: float, e: float
+) -> bool:
+    """Whether scaled = phi.eval(t) at t = t* = onset(d_g), where the raw
+    consequent failed, fails it for image distance d beyond the slack. The
+    exact distances lie within e_g of d_g and e of d. t* lies at most 4 *
+    2**-53 below the crossing of d_g, and that of d_g + e_g at most e_g /
+    tau(d_g + e_g) above it. At scaled == 0 it fails: membership is 0."""
+    tau = _tau(d)
+    dt = _ONSET_ERROR + (e_g / _tau(d_g + e_g) if e_g else 0.0)
+    slack = phi.slack(t, scaled, dt) + _ONSET_ERROR * (1.0 + 1.25 * tau) + (e / tau if tau else 0.0)
     return not (scaled > 0.0 and scaled >= tau - slack)
 
 
@@ -135,17 +179,20 @@ def check_g_phi(
     space = fm.space
     pairs = sample_pairs(space, samples, seed)
     dist = space.distance if fm.transform is None else fm.distance
-    f_at, g_at, modulus = bind(f, space), bind(g, space), phi.eval
+    modulus = phi.eval
+    f_rounding, g_rounding = image_rounding(fm, f), image_rounding(fm, g)
     found = []
     for x, y in pairs:
-        d_g = dist(g_at(x), g_at(y))
-        d_f = dist(f_at(x), f_at(y))
+        d_g = dist(g.apply(space, x), g.apply(space, y))
+        d_f = dist(f.apply(space, x), f.apply(space, y))
         t = onset(d_g)
         scaled = modulus(t)
         # The raw consequent passes almost every passing pair, without tau_f.
         if scaled != 0.0 and scaled / (scaled + d_f) > 1.0 - scaled:
             continue
-        if consequent_fails(phi, t, scaled, d_f):
+        size = point_size(x) + point_size(y)
+        e_g, e_f = distance_error(g_rounding, size, d_g), distance_error(f_rounding, size, d_f)
+        if consequent_fails(phi, t, scaled, d_g, e_g, d_f, e_f):
             consequent = scaled / (scaled + d_f) if scaled != 0.0 else 0.0
             kx, ky = space.point_key(x), space.point_key(y)
             found.append((kx, ky, len(found), (x, y, t, t / (t + d_g), consequent)))

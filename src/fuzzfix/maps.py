@@ -8,8 +8,9 @@ with nonzero slope fixing the endpoints, or a full permutation table).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
 from .errors import InverseUndefined, NotBijective, UnknownPoint
 from .fmspace import EuclideanSpace, FiniteSpace, IntervalSpace, Point, Space
@@ -81,15 +82,24 @@ def validate_map(space: Space, m) -> None:
     m.validate(space)
 
 
-def bind(m, space: Space):
-    """``m.apply`` on ``space`` as a function of the point alone: affine
-    maps are specialised to the space's canonical points, once."""
+def rounding(m, space: Space) -> Tuple[float, float]:
+    """(r, s): the float image of an exact point p under m lies within
+    r * |p| + s of its exact image, with sizes and distances summed over
+    coordinates.
+
+    An affine map rounds a * c unless a is a signed power of two, and
+    rounds again adding b unless b is 0. Each rounding moves a value by at
+    most 2**-53 of it; the bound takes twice that, since its sizes come
+    from rounded values. Tables, permutations and constants are exact; an
+    InverseComposite, which the solver builds and no check takes, counts
+    as exact too.
+    """
     if not isinstance(m, (AffineMap, AffineBijection)):
-        return lambda p: m.apply(space, p)
-    a, b = m.a, m.b
-    if isinstance(space, EuclideanSpace):
-        return lambda p: tuple([a * c + b for c in p])
-    return lambda p: a * p + b
+        return 0.0, 0.0
+    n = space.dim if isinstance(space, EuclideanSpace) else 1
+    product = 0.0 if math.frexp(m.a)[0] in (0.5, -0.5) else 1.0
+    offset = 1.0 if m.b else 0.0
+    return 2.0 ** -52 * abs(m.a) * (product + offset), 2.0 ** -52 * abs(m.b) * n
 
 
 @dataclass(frozen=True)

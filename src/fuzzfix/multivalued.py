@@ -13,10 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .contraction import ContractionReport, consequent_fails
+from .contraction import (
+    ContractionReport,
+    consequent_fails,
+    distance_error,
+    image_rounding,
+    point_size,
+)
 from .errors import NoAdmissibleSuccessor, NotDemicompact, UnknownPoint
 from .fmspace import FiniteSpace, FuzzyMetric, Point, Space, is_cauchy_window, onset
-from .maps import BijectionSpec
+from .maps import BijectionSpec, identity_for
 from .phi import PhiFunction, ensure_phi_class, horizon
 from .solver import IterationRecord, SolverConfig
 from .tnorm import Grade
@@ -151,6 +157,7 @@ def check_setvalued_contraction(
             raise ValueError("an explicit pair plan is required on continuum spaces")
         eligible = [x for x in space.labels if g.apply(space, x) in T.images]
         pairs = [(x, y) for x in eligible for y in eligible]
+    g_rounding, point_rounding = image_rounding(fm, g), image_rounding(fm, identity_for(space))
     found = []
     for x, y in pairs:
         gx, gy = g.apply(space, x), g.apply(space, y)
@@ -160,7 +167,15 @@ def check_setvalued_contraction(
         images_v = T.image(gy)
         for u in T.image(gx):
             d = min(fm.distance(u, v) for v in images_v)
-            if consequent_fails(phi, t, scaled, d):
+            if scaled != 0.0 and scaled / (scaled + d) > 1.0 - scaled:
+                continue
+            e_g = distance_error(g_rounding, point_size(x) + point_size(y), d_g)
+            # The exact nearest distance lies at most the largest error below d.
+            e = max(
+                distance_error(point_rounding, point_size(u) + point_size(v), fm.distance(u, v))
+                for v in images_v
+            )
+            if consequent_fails(phi, t, scaled, d_g, e_g, d, e):
                 best = scaled / (scaled + d) if scaled != 0.0 else 0.0
                 keys = space.point_key(x), space.point_key(y), space.point_key(u)
                 found.append((*keys, len(found), (x, y, t, t / (t + d_g), best, u)))

@@ -2,11 +2,13 @@
 
 These deliberately avoid the library's threshold reduction: the raw
 implication is evaluated on a dense time grid straight from the
-membership formula, or decided in exact rationals, so agreement with
-the checkers is meaningful.
+membership formula, or decided exactly on the real maps and moduli
+(rationals, and 60-digit decimals where a root or an exponential
+enters), so agreement with the checkers is meaningful.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import fuzzfix as fx
@@ -146,18 +148,21 @@ def table_laws_dense(points, t_max, lattice=256):
     return nondecreasing, below, vanish
 
 
-# The contraction checks decided exactly. Each pair is judged at the
-# float t* where the antecedent switches on (fuzzfix.onset): the oracle
-# confirms in floats that the antecedent holds at t* and fails one ulp
-# below, and in rationals that the exact crossing lies within 4 units of
-# 2**-53 of t*. The consequent is then decided in rationals on the float
-# inputs: phi(t*) + slack must reach the exact crossing of the image
-# distance, where slack is the modulus's declared ``slack`` plus the
-# 4 * 2**-53 * (1 + 1.25 * tau) the checker adds for its own roundings.
+# The contraction checks decided exactly, with the maps and moduli taken
+# as the real functions their parameters define. A pair passes iff
+# phi(tau(d_g)) >= tau(d_f) for the exact distances of the exact images,
+# evaluated in 60-digit decimals; a tie (within TIE) passes unless phi is
+# a step function, which stays flat past it. Nothing here reads the
+# library's slack. Each failing pair is reported as the checker replays
+# it: at the float t* where the antecedent switches on (fuzzfix.onset),
+# which the oracle confirms in floats at t* and one ulp below, and in
+# rationals within 4 units of 2**-53 of the exact crossing.
 
 U = 2.0 ** -53
 ONSET_ERROR = 4 * U
 COUNTEREXAMPLE_CAP = 64
+DIGITS = 60
+TIE = Decimal("1e-45")
 
 
 def bisect_threshold(d, tol=1e-12):
@@ -203,13 +208,85 @@ def checked_onset(d):
     return t
 
 
-def consequent_holds(phi, t, s, d):
-    """The implication's consequent at t*, up to the declared slack."""
-    if s <= 0.0:
-        return False
-    tau_f = 0.0 if d == 0.0 else tau(d)
-    slack = Fraction(phi.slack(t, s, ONSET_ERROR)) + Fraction(ONSET_ERROR) * (1 + Fraction(1.25) * Fraction(tau_f))
-    return reaches_crossing(Fraction(s) + slack, d)
+def dec(q):
+    """A float or a Fraction as a Decimal, to DIGITS digits."""
+    q = Fraction(q)
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def exact_tau(d):
+    """The crossing of t / (t + d) with 1 - t, for a Decimal d."""
+    return 2 / (1 + (1 + 4 / d).sqrt()) if d > 0 else Decimal(0)
+
+
+def exact_image(space, m, p):
+    """m(p) without rounding: affine maps in rationals, per coordinate."""
+    if not isinstance(m, (fx.AffineMap, fx.AffineBijection)):
+        return m.apply(space, p)
+    a, b = Fraction(m.a), Fraction(m.b)
+    if isinstance(p, tuple):
+        return tuple(a * Fraction(c) + b for c in p)
+    return a * Fraction(p) + b
+
+
+def exact_distance(fm, m, p, q):
+    """The distance fm grades between m(p) and m(q), without rounding."""
+    space = fm.space
+    p, q = exact_image(space, m, p), exact_image(space, m, q)
+    if fm.transform is not None:
+        p, q = exact_image(space, fm.transform, p), exact_image(space, fm.transform, q)
+    if isinstance(space, fx.FiniteSpace):
+        d = dec(space.dist[space.index(p)][space.index(q)])
+    elif isinstance(p, tuple):
+        d = dec(sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(p, q))).sqrt()
+    else:
+        d = dec(abs(Fraction(p) - Fraction(q)))
+    return 1 - (-d).exp() if space.normalize else d
+
+
+def exact_phi(phi, t):
+    """phi at the Decimal t, from the modulus's definition."""
+    if isinstance(phi, fx.LinearPhi):
+        return dec(phi.k) * t
+    if isinstance(phi, fx.RationalPhi):
+        return t / (1 + t)
+    if isinstance(phi, fx.InducedPhi):
+        k, cap = dec(phi.k), dec(phi.cap)
+        if t <= exact_tau(cap):
+            return exact_tau(k * t * t / (1 - t)) if t > 0 else Decimal(0)
+        return exact_tau(k * cap) + k * (t - exact_tau(cap))
+    value = Decimal(0)
+    for bt, bv in phi.points:
+        if dec(bt) <= t:
+            value = dec(bv)
+    return value
+
+
+def exact_pass(phi, d_g, d_f):
+    """Whether phi(t) > tau(d_f) for every t > tau(d_g), for Decimal distances."""
+    margin = exact_phi(phi, exact_tau(d_g)) - exact_tau(d_f)
+    if abs(margin) <= TIE:
+        return not isinstance(phi, fx.TablePhi)
+    return margin > 0
+
+
+def slack_bound(phi, t, value, dt):
+    """An upper bound on phi.slack(t, value, dt) from each modulus's
+    formula: 4 units of 2**-53 of the value for the closed forms, 8 of
+    every magnitude for the induced one, which cancels, plus the steepest
+    slope on [t, t + dt] times dt; for a step function its rise alone."""
+    if isinstance(phi, fx.LinearPhi):
+        return 4 * U * value + phi.k * dt
+    if isinstance(phi, fx.RationalPhi):
+        return 4 * U * value + dt
+    if isinstance(phi, fx.InducedPhi):
+        if t > phi.tau_cap:
+            return 8 * U * (1.0 + phi.cap + value) + phi.k * dt
+        gap = phi.k * t * t / (1.0 - t)
+        return 8 * U * (1.0 + gap + value) + dt / (1.0 - t - dt) ** 2
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return float(exact_phi(phi, dec(t) + dec(dt)) - dec(value))
 
 
 def metric_distance(fm):
@@ -228,13 +305,15 @@ def reference_check_g_phi(fm, f, g, phi, pairs):
     consequent), sorted by point keys)."""
     space, dist = fm.space, metric_distance(fm)
     found = []
-    for x, y in pairs:
-        d_g = dist(g.apply(space, x), g.apply(space, y))
-        d_f = dist(f.apply(space, x), f.apply(space, y))
-        t = checked_onset(d_g)
-        s = phi.eval(t)
-        if not consequent_holds(phi, t, s, d_f):
-            found.append((x, y, t, raw_grade(t, d_g), raw_grade(s, d_f)))
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        for x, y in pairs:
+            if exact_pass(phi, exact_distance(fm, g, x, y), exact_distance(fm, f, x, y)):
+                continue
+            d_g = dist(g.apply(space, x), g.apply(space, y))
+            d_f = dist(f.apply(space, x), f.apply(space, y))
+            t = checked_onset(d_g)
+            found.append((x, y, t, raw_grade(t, d_g), raw_grade(phi.eval(t), d_f)))
     found.sort(key=lambda ce: (space.point_key(ce[0]), space.point_key(ce[1])))
     return not found, found[:COUNTEREXAMPLE_CAP]
 
@@ -242,17 +321,21 @@ def reference_check_g_phi(fm, f, g, phi, pairs):
 def reference_check_setvalued(fm, T, g, phi, pairs):
     """(passed, the first 64 counterexamples as (x, y, t, antecedent,
     best, u), sorted by point keys of x, y and u). Each image point u
-    takes its best grade, at its nearest image point v."""
+    needs one image point v of gy that passes with it."""
     space, dist = fm.space, metric_distance(fm)
+    ident = fx.identity_for(space)
     found = []
-    for x, y in pairs:
-        gx, gy = g.apply(space, x), g.apply(space, y)
-        d_g = dist(gx, gy)
-        t = checked_onset(d_g)
-        s = phi.eval(t)
-        for u in T.image(gx):
-            d = min(dist(u, v) for v in T.image(gy))
-            if not consequent_holds(phi, t, s, d):
-                found.append((x, y, t, raw_grade(t, d_g), raw_grade(s, d), u))
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        for x, y in pairs:
+            gx, gy = g.apply(space, x), g.apply(space, y)
+            d_g = exact_distance(fm, g, x, y)
+            for u in T.image(gx):
+                d = min(exact_distance(fm, ident, u, v) for v in T.image(gy))
+                if exact_pass(phi, d_g, d):
+                    continue
+                t = checked_onset(dist(gx, gy))
+                best = raw_grade(phi.eval(t), min(dist(u, v) for v in T.image(gy)))
+                found.append((x, y, t, raw_grade(t, dist(gx, gy)), best, u))
     found.sort(key=lambda ce: (space.point_key(ce[0]), space.point_key(ce[1]), space.point_key(ce[5])))
     return not found, found[:COUNTEREXAMPLE_CAP]

@@ -321,6 +321,7 @@ MALFORMED = (
         "space: field 'normalize' must be a boolean",
     ),
     ("space", "fractional_dim", {"kind": "euclidean", "dim": 2.5}, "space: field 'dim' must be an integer"),
+    ("space", "null_dim", {"kind": "euclidean", "dim": None}, "space: field 'dim' must be an integer"),
     ("space", "string_bound", {"kind": "interval", "lo": "0", "hi": 1.0}, "space: field 'lo' must be a number"),
     ("space", "numeric_label", {"kind": "finite", "points": [1], "dist": [[0]]}, "space: labels must be nonempty strings without whitespace"),
     ("phi", "boolean_ratio", {"kind": "linear", "k": True}, "phi: field 'k' must be a number"),
@@ -359,6 +360,14 @@ def test_malformed_section_is_usage_error(tmp_path, capsys, section, value, mess
         assert section in err
     else:
         assert err == f"config error: {message}\n"
+
+
+def test_null_optional_field_takes_its_default():
+    # JSON null in an optional field reads as the field left out.
+    doc = {"space": {"kind": "euclidean", "dim": 2, "bound": None, "normalize": None}, "verification": {"samples": None}}
+    cfg = parse_config(json.dumps(doc))
+    assert cfg.space == fx.EuclideanSpace(2)
+    assert cfg.samples == 10000
 
 
 json_values = st.recursive(

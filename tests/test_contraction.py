@@ -114,6 +114,39 @@ def test_ratio_just_above_the_induced_modulus_fails(flagship_fm, a, passed):
         assert ce.t == fx.onset(abs(ce.x - ce.y))
 
 
+# On [0, 1] under the identity, f(x) = x / 4 is exact in floats and the
+# extreme pair (0, 1) alone is checked: its crossing tau(1) must carry to
+# at least tau(1 / 4). At share 1 the modulus reaches it to the float,
+# which must pass; at a share of 1e-14 less it falls short by about 70
+# ulps, 2.2 times the derived slack of the linear modulus and 4.1 times
+# that of the step, which must fail.
+QUARTER = fx.crossing_time(0.25)
+
+
+@pytest.mark.parametrize(
+    "make_phi",
+    [lambda v: fx.LinearPhi(v / fx.onset(1.0)), lambda v: fx.TablePhi(((0.0, 0.0), (0.5, v)))],
+    ids=["linear", "table"],
+)
+@pytest.mark.parametrize("share,passed", [(1.0, True), (1.0 - 1e-14, False)])
+def test_modulus_just_below_tight_fails(flagship_fm, make_phi, share, passed):
+    g = fx.identity_for(flagship_fm.space)
+    phi = make_phi(QUARTER * share)
+    report = fx.check_g_phi(flagship_fm, fx.AffineMap(0.25, 0.0), g, phi, samples=2, seed=0)
+    assert report.checked_pairs == 2
+    assert report.passed is passed
+
+
+@pytest.mark.parametrize("seed", range(5, 10))
+def test_rounding_in_the_map_is_no_violation(flagship_fm, seed):
+    # 0.5 x + 0.25 rounds, so a float image gap can exceed half the float
+    # gap by an ulp although the real map halves every gap exactly.
+    g = fx.identity_for(flagship_fm.space)
+    phi = fx.induce_phi(0.5, 1.0)
+    report = fx.check_g_phi(flagship_fm, fx.AffineMap(0.5, 0.25), g, phi, samples=10000, seed=seed)
+    assert report.passed
+
+
 def test_one_counterexample_per_failing_pair(flagship_fm, flagship_f):
     g = fx.identity_for(flagship_fm.space)
     report = fx.check_g_phi(flagship_fm, flagship_f, g, fx.LinearPhi(0.5), samples=40, seed=0)

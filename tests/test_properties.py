@@ -3,11 +3,13 @@
 The horizon is compared with plain float iteration of each modulus's
 definition, table admissibility with a dense time check, the threshold
 with plain bisection, and the contraction checks with an oracle that
-decides each pair in exact rationals at the onset of its antecedent.
+decides each pair exactly for the real maps and moduli, without the
+library's slack, whose size a separate property bounds.
 Every test runs on a fixed seed, so the suite stays deterministic.
 """
 
 import math
+from decimal import localcontext
 from fractions import Fraction
 
 import pytest
@@ -16,9 +18,12 @@ from hypothesis import strategies as st
 
 import fuzzfix as fx
 from oracles import (
+    DIGITS,
     ONSET_ERROR,
     bisect_threshold,
     checked_onset,
+    dec,
+    exact_phi,
     induced_step,
     linear_step,
     orbit_count,
@@ -26,6 +31,7 @@ from oracles import (
     reaches_crossing,
     reference_check_g_phi,
     reference_check_setvalued,
+    slack_bound,
     table_laws_dense,
 )
 
@@ -242,6 +248,20 @@ def _metric(space, transform):
     return fm if transform is None else fm.g_transform(transform)
 
 
+@seed(SEED)
+@settings(max_examples=500, deadline=None, database=None)
+@given(phi=moduli(4.0), t=st.floats(1e-6, 2.0), dt=st.sampled_from([ONSET_ERROR, 1e-12, 1e-9]))
+def test_modulus_slack_is_derived_not_loose(phi, t, dt):
+    # The slack covers the exact modulus at t + dt above the float value
+    # at t, and stays within the bound written from the formulas.
+    value = phi.eval(t)
+    slack = phi.slack(t, value, dt)
+    assert 0.0 <= slack <= slack_bound(phi, t, value, dt)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        assert exact_phi(phi, dec(t) + dec(dt)) <= dec(value) + dec(slack)
+
+
 @st.composite
 def interval_cases(draw):
     lo = draw(_dyadic(-16, 16))
@@ -320,6 +340,13 @@ FLAGSHIP_CASE = (
     fx.InducedPhi(0.5, 1.0),
 )
 NAIVE_CASE = FLAGSHIP_CASE[:3] + (fx.LinearPhi(0.5),)
+# Exactly tight for the real maps, while f and g round in floats.
+ROUNDING_CASE = (
+    FLAGSHIP_CASE[0],
+    fx.AffineMap(0.123456789, 0.5),
+    fx.AffineBijection(-1.0, 1.0),
+    fx.InducedPhi(0.123456789, 1.0),
+)
 
 
 @seed(SEED)
@@ -327,6 +354,7 @@ NAIVE_CASE = FLAGSHIP_CASE[:3] + (fx.LinearPhi(0.5),)
 @given(case=interval_cases(), samples=st.integers(1, 150), sample_seed=st.integers(0, 99))
 @example(case=FLAGSHIP_CASE, samples=150, sample_seed=0)  # passes
 @example(case=NAIVE_CASE, samples=150, sample_seed=0)  # fails on every pair of distinct points
+@example(case=ROUNDING_CASE, samples=150, sample_seed=0)  # passes
 def test_check_g_phi_matches_reference_on_intervals(case, samples, sample_seed):
     assert_matches_reference(case, samples, sample_seed)
 
@@ -347,6 +375,7 @@ def test_check_g_phi_matches_reference_on_finite_spaces(case, samples, sample_se
 
 def test_reference_cases_cover_both_verdicts():
     assert assert_matches_reference(FLAGSHIP_CASE, 150, 0)
+    assert assert_matches_reference(ROUNDING_CASE, 150, 0)
     assert not assert_matches_reference(NAIVE_CASE, 150, 0)
 
 
