@@ -47,7 +47,6 @@ from .fmspace import (
     FiniteSpace,
     FuzzyMetric,
     IntervalSpace,
-    distance_threshold,
     in_uniformity,
     is_cauchy_window,
     onset,

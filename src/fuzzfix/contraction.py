@@ -16,11 +16,14 @@ computed only where it fails. The slack is derived, for maps and
 moduli taken as exact real functions: ``phi.slack`` covers the rounding
 in eval and the rise of phi over t*'s distance below the exact crossing
 (4 * 2**-53, plus what rounding in g and in the distance may hide of
-d_g); d_f's own rounding error e costs at most e / tau(d_f) of tau, since
-tau(b)**2 - tau(a)**2 <= b - a; and 5 * 2**-53 * tau(d_f) + 4 * 2**-53
-cover the closed form for tau(d_f) and the raw consequent. A failing pair
-records one counterexample at t*, which replays through membership in
-floats.
+d_g). Errors in the distances are carried through tau's own slope,
+tau'(d) = (1 - tau)**2 / (tau (2 - tau)), which falls with d as tau is
+concave: an error e_g in d_g moves the crossing by at most e_g *
+tau'(d_g), and one e in d_f moves tau(d_f) by at most e * tau'(d_f - e).
+5 * 2**-53 * tau(d_f) + 4 * 2**-53 cover the closed form for tau(d_f) and
+the raw consequent. A failing pair records one counterexample at t*,
+which replays through membership in floats. The metric-side check
+``check_metric_phi`` takes the same rounding bounds.
 """
 
 from __future__ import annotations
@@ -33,18 +36,13 @@ from typing import List, Optional, Sequence, Tuple
 
 from .fmspace import EuclideanSpace, FiniteSpace, FuzzyMetric, Point, Space, onset, threshold
 from .maps import AffineBijection, AffineMap, BijectionSpec, MapSpec, rounding, validate_map
-from .phi import InducedPhi, PhiFunction, ensure_phi_class
+from .phi import InducedPhi, PhiFunction, crossing_time, ensure_phi_class
 from .report import LawCheck, Report
 
 MAX_COUNTEREXAMPLES = 64
 
 _U = 2.0 ** -53
 _ONSET_ERROR = 4 * _U
-
-# Affine maps with offsets round before the distances are taken, so an
-# exact metric comparison would flag mathematically tight cases by an
-# ulp; violations of interest are many orders of magnitude larger.
-_METRIC_SLACK = 1e-12
 
 DEFAULT_T_GRID = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
 DEFAULT_S_GRID = (
@@ -110,10 +108,6 @@ def sample_pairs(
     return pairs
 
 
-def _tau(d: float) -> float:
-    return 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / d)) if d > 0.0 else 0.0
-
-
 def image_rounding(fm: FuzzyMetric, m) -> Tuple[float, float]:
     """``maps.rounding`` of the point fm measures for m(p): fm's transform
     h scales m's error by |h.a| and adds its own at m(p), whose size is at
@@ -145,17 +139,25 @@ def point_size(p: Point) -> float:
     return sum(map(abs, p)) if type(p) is tuple else abs(p)
 
 
+def _tau_slope(tau: float) -> float:
+    """tau'(d) at tau = tau(d), which bounds tau's slope on [d, inf) and
+    falls as tau rises; inf at tau <= 0."""
+    return (1.0 - tau) ** 2 / (tau * (2.0 - tau)) if tau > 0.0 else math.inf
+
+
 def consequent_fails(
     phi: PhiFunction, t: float, scaled: float, d_g: float, e_g: float, d: float, e: float
 ) -> bool:
     """Whether scaled = phi.eval(t) at t = t* = onset(d_g), where the raw
     consequent failed, fails it for image distance d beyond the slack. The
     exact distances lie within e_g of d_g and e of d. t* lies at most 4 *
-    2**-53 below the crossing of d_g, and that of d_g + e_g at most e_g /
-    tau(d_g + e_g) above it. At scaled == 0 it fails: membership is 0."""
-    tau = _tau(d)
-    dt = _ONSET_ERROR + (e_g / _tau(d_g + e_g) if e_g else 0.0)
-    slack = phi.slack(t, scaled, dt) + _ONSET_ERROR * (1.0 + 1.25 * tau) + (e / tau if tau else 0.0)
+    2**-53 below the crossing of d_g, and that of d_g + e_g at most e_g *
+    tau'(d_g) above it, where t - 4 * 2**-53 <= tau(d_g) gives tau' its
+    bound. At scaled == 0 it fails: membership is 0."""
+    tau = crossing_time(d)
+    dt = _ONSET_ERROR + (e_g * _tau_slope(t - _ONSET_ERROR) if e_g else 0.0)
+    e_tau = e * _tau_slope(crossing_time(d - e) if d > e else 0.0) if e else 0.0
+    slack = phi.slack(t, scaled, dt) + _ONSET_ERROR * (1.0 + 1.25 * tau) + e_tau
     return not (scaled > 0.0 and scaled >= tau - slack)
 
 
@@ -209,6 +211,8 @@ def check_metric_phi(
 ) -> ContractionReport:
     """Check the metric-side condition d(fx, fy) <= psi(d(gx, gy)).
 
+    A pair fails iff d_f - e_f > psi(d_g) + psi.slack(d_g, psi(d_g), e_g),
+    with e_g and e_f the distances' ``distance_error`` bounds.
     Counterexample fields: ``t`` is d(gx, gy), ``antecedent`` the allowed
     bound psi(d(gx, gy)), ``consequent`` the actual d(fx, fy).
     """
@@ -216,12 +220,17 @@ def check_metric_phi(
     g.validate_bijection(space)
     validate_map(space, f)
     pairs = sample_pairs(space, samples, seed)
+    f_rounding, g_rounding = rounding(f, space), rounding(g, space)
     found = []
     for x, y in pairs:
         d_g = space.distance(g.apply(space, x), g.apply(space, y))
         d_f = space.distance(f.apply(space, x), f.apply(space, y))
         bound = psi.eval(d_g)
-        if not d_f <= bound + _METRIC_SLACK * (1.0 + d_g):
+        if d_f <= bound:
+            continue
+        size = point_size(x) + point_size(y)
+        e_g, e_f = distance_error(g_rounding, size, d_g), distance_error(f_rounding, size, d_f)
+        if d_f - e_f > bound + psi.slack(d_g, bound, e_g):
             kx, ky = space.point_key(x), space.point_key(y)
             found.append((kx, ky, d_g, len(found), (x, y, d_g, bound, d_f)))
     return ContractionReport.of(found, len(pairs), "metric-direct")

@@ -9,11 +9,9 @@ Spaces may carry ``normalize=True``, which replaces the raw metric by
 d1 = 1 - exp(-d). That keeps distances in [0, 1) without changing the
 induced uniformity, so unbounded metrics still admit a diameter cap.
 
-The crossing time ``threshold`` of membership with 1 - t is defined by
-bisection to a tolerance; ``distance_threshold`` returns that bisection's
-grid point from the closed form, checked at the point and one grid step
-below, and bisects only where the check fails or the grid is too fine.
-``onset`` is the float at which membership's own expression exceeds 1 - t.
+The crossing time ``threshold`` of membership with 1 - t is ``onset`` of
+the pair's distance: the float at which membership's own expression first
+exceeds 1 - t, searched for from the closed form ``phi.crossing_time``.
 """
 
 from __future__ import annotations
@@ -24,24 +22,11 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import UnknownPoint
+from .phi import crossing_time
 from .report import LawCheck, Report
 from .tnorm import Grade, TNorm
 
 Point = Union[str, float, Tuple[float, ...]]
-
-DEFAULT_THRESHOLD_TOL = 1e-12
-
-# Finest bisection step for which distance_threshold trusts the closed
-# form to land on the bisection's own grid point.
-_GRID_FLOOR = 2.0 ** -44
-
-
-def _grid_step(tol: float) -> float:
-    """The bisection's last step: the first power of two <= tol, at most 1."""
-    return math.ldexp(1.0, min(math.frexp(tol)[1] - 1, 0))
-
-
-_DEFAULT_STEP = _grid_step(DEFAULT_THRESHOLD_TOL)
 
 # Continuity in t is verified by shrinking finite differences down to
 # this floor; the pass tolerance matches the verifier's 1e-6 target.
@@ -317,55 +302,17 @@ def in_uniformity(
     return fm.membership(x, y, epsilon) > 1.0 - lam
 
 
-def threshold(
-    fm: FuzzyMetric, x: Point, y: Point, tol: float = DEFAULT_THRESHOLD_TOL
-) -> float:
-    """The unique t with membership(x, y, t) == 1 - t, to within ``tol``.
+def threshold(fm: FuzzyMetric, x: Point, y: Point) -> float:
+    """The crossing time of membership(x, y, t) with 1 - t: 0.0 for
+    coincident points, else ``onset`` of their distance.
 
     Membership is nondecreasing in t while 1 - t strictly falls, so the
-    crossing exists and is unique; it is 0 exactly for coincident points.
-    For every t above the returned value the strict inequality
-    membership(x, y, t) > 1 - t holds; at tol below it, it fails. The
-    value depends on the pair only through its distance; see
-    ``distance_threshold``.
+    crossing exists and is unique. At the returned float the strict
+    inequality membership(x, y, t) > 1 - t holds, and one float below it
+    fails.
     """
-    return distance_threshold(fm.distance(x, y), tol)
-
-
-def distance_threshold(d: float, tol: float = DEFAULT_THRESHOLD_TOL) -> float:
-    """``threshold`` of a pair at distance ``d``: the bisection's grid point.
-
-    Bisection on [0, 1] halves until its step h, the first power of two
-    <= tol, and returns the least grid point m * h at which the crossing
-    predicate t / (t + d) - (1 - t) >= 0 holds. That point is read off
-    the closed form 2 / (1 + sqrt(1 + 4 / d)) and kept only if the
-    predicate holds there and fails one step below. For h >= 2**-44 the
-    predicate's slope (at least 1) times h dwarfs its rounding error, so
-    its sign changes once along the grid and the point is the one the
-    bisection finds, bit for bit. Anything else is bisected.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if d == 0.0:
-        return 0.0
-    if tol >= _GRID_FLOOR and 0.0 < d < math.inf:
-        h = _DEFAULT_STEP if tol == DEFAULT_THRESHOLD_TOL else _grid_step(tol)
-        m = max(math.ceil(2.0 / (1.0 + math.sqrt(1.0 + 4.0 / d)) / h), 1)
-        t, below = m * h, (m - 1) * h
-        if t / (t + d) - (1.0 - t) >= 0.0 and not below / (below + d) - (1.0 - below) >= 0.0:
-            return t
-    # Bisection evaluates the same expression membership uses, with the
-    # pair's distance fixed.
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent floats: tol is below their gap
-        if mid / (mid + d) - (1.0 - mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    d = fm.distance(x, y)
+    return onset(d) if d > 0.0 else 0.0
 
 
 def onset(d: float) -> float:
@@ -376,8 +323,7 @@ def onset(d: float) -> float:
     closed form the search doubles its step until the predicate changes,
     then bisects down to adjacent floats.
     """
-    c = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / d)) if d > 0.0 else 0.0
-    t = max(c, 2.0 ** -54)  # up to 2**-54, 1 - t rounds to 1: the predicate fails
+    t = max(crossing_time(d), 2.0 ** -54)  # up to 2**-54, 1 - t rounds to 1: the predicate fails
     step = math.ulp(t)
     if t / (t + d) > 1.0 - t:
         lo, hi = t - step, t

@@ -15,8 +15,9 @@ import fuzzfix as fx
 
 
 def tau(d):
-    """Closed form for the crossing of t / (t + d) with 1 - t."""
-    return 0.5 * (math.sqrt(d * d + 4.0 * d) - d)
+    """The crossing of t / (t + d) with 1 - t, in the float expression of
+    fuzzfix.crossing_time, so that an induced orbit below is the library's."""
+    return 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / d)) if d > 1e-300 else math.sqrt(d)
 
 
 def dense_grid(points=10000, t_max=2.0):
@@ -165,20 +166,6 @@ DIGITS = 60
 TIE = Decimal("1e-45")
 
 
-def bisect_threshold(d, tol=1e-12):
-    """The crossing of t / (t + d) with 1 - t by bisection on [0, 1]."""
-    if d == 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid / (mid + d) - (1.0 - mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def raw_grade(t, d):
     """membership(x, y, t) for a pair at distance d."""
     return 0.0 if t == 0.0 else t / (t + d)
@@ -272,18 +259,19 @@ def exact_pass(phi, d_g, d_f):
 
 def slack_bound(phi, t, value, dt):
     """An upper bound on phi.slack(t, value, dt) from each modulus's
-    formula: 4 units of 2**-53 of the value for the closed forms, 8 of
-    every magnitude for the induced one, which cancels, plus the steepest
-    slope on [t, t + dt] times dt; for a step function its rise alone."""
+    formula: 4 units of 2**-53 of the value for the linear and rational
+    forms and 8 for the induced one, plus the steepest slope on
+    [t, t + dt] times dt; for a step function its rise alone.
+    Below tau_cap the induced slope s**3 (2 - t) / (k t**3 (2 - s)), with
+    s = phi(t) < t, stays below 1 / k as well as 1 / (1 - t)**2."""
     if isinstance(phi, fx.LinearPhi):
         return 4 * U * value + phi.k * dt
     if isinstance(phi, fx.RationalPhi):
         return 4 * U * value + dt
     if isinstance(phi, fx.InducedPhi):
-        if t > phi.tau_cap:
-            return 8 * U * (1.0 + phi.cap + value) + phi.k * dt
-        gap = phi.k * t * t / (1.0 - t)
-        return 8 * U * (1.0 + gap + value) + dt / (1.0 - t - dt) ** 2
+        slope = phi.k if t > phi.tau_cap else min(1.0 / phi.k, 1.0 / (1.0 - t - dt) ** 2)
+        # Written another way, the slope term may round a few ulps apart.
+        return 8 * U * value + (1.0 + 4 * U) * slope * dt
     with localcontext() as ctx:
         ctx.prec = DIGITS
         return float(exact_phi(phi, dec(t) + dec(dt)) - dec(value))

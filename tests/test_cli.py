@@ -404,8 +404,8 @@ def test_fuzzed_config_raises_only_config_or_value_errors(doc, section, field, v
 
 @pytest.mark.parametrize("command", ["check-contraction", "induce-phi"])
 def test_induced_cap_whose_crossing_rounds_to_one_is_usage_error(tmp_path, capsys, command):
-    # crossing_time(1e12) rounds to 1.0, where eval would divide by 1 - t = 0.
-    path = write_config(tmp_path, dict(FLAGSHIP, phi={"kind": "induced", "k": 0.5, "cap": 1e12}))
+    # crossing_time(1e16) rounds to 1.0, where eval would divide by 1 - t = 0.
+    path = write_config(tmp_path, dict(FLAGSHIP, phi={"kind": "induced", "k": 0.5, "cap": 1e16}))
     assert main([command, "--config", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -2,6 +2,8 @@ import pytest
 
 import fuzzfix as fx
 from corpus import CORPUS
+from fuzzfix import contraction
+from fuzzfix.contraction import consequent_fails
 from oracles import dense_grid, exhaustive_g_phi, tau
 
 
@@ -147,6 +149,39 @@ def test_rounding_in_the_map_is_no_violation(flagship_fm, seed):
     assert report.passed
 
 
+def _failing_pairs(monkeypatch, a, cap):
+    """(report, number of failing pairs) of f(x) = a x on [0, cap] under
+    the identity with induced(0.5, cap), at 2,000 pairs and seed 1."""
+    verdicts = []
+
+    def spy(*args):
+        verdicts.append(consequent_fails(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(contraction, "consequent_fails", spy)
+    fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, cap), fx.TNorm("product"))
+    report = fx.check_g_phi(
+        fm, fx.AffineMap(a, 0.0), fx.identity_for(fm.space), fx.induce_phi(0.5, cap), samples=2000, seed=1,
+    )
+    return report, sum(verdicts)
+
+
+@pytest.mark.parametrize("cap", [1e2, 1e6, 1e8])
+def test_induced_slack_catches_every_pair_at_large_caps(monkeypatch, cap):
+    # 0.7 x breaks the implication on every pair of distinct points. A
+    # slope bound of 1 / (1 - t)**2 and distance errors carried as
+    # e / tau let all but 18 pairs pass at cap 1e6, and all at 1e8.
+    report, failing = _failing_pairs(monkeypatch, 0.7, cap)
+    assert not report.passed
+    assert failing == report.checked_pairs == 2000
+
+
+@pytest.mark.parametrize("cap", [1.0, 1e2, 1e6, 1e8, 1e12, 1e15])
+def test_induced_modulus_is_tight_at_any_cap(monkeypatch, cap):
+    report, failing = _failing_pairs(monkeypatch, 0.5, cap)
+    assert report.passed and failing == 0
+
+
 def test_one_counterexample_per_failing_pair(flagship_fm, flagship_f):
     g = fx.identity_for(flagship_fm.space)
     report = fx.check_g_phi(flagship_fm, flagship_f, g, fx.LinearPhi(0.5), samples=40, seed=0)
@@ -231,6 +266,17 @@ def test_metric_check_flags_expansion(unit_interval):
     ce = report.counterexamples[0]
     # t holds d(gx, gy); consequent is the actual image distance
     assert ce.consequent > ce.antecedent
+
+
+@pytest.mark.parametrize("k,passed", [(0.5, True), (0.5 * (1.0 - 1e-13), False)])
+def test_metric_check_slack_is_the_rounding_alone(unit_interval, k, passed):
+    # f(x) = x / 2 is exact in floats, so a modulus 1e-13 short of its
+    # ratio fails; a fixed allowance of 1e-12 let it pass.
+    report = fx.check_metric_phi(
+        unit_interval, fx.AffineMap(0.5, 0.0), fx.identity_for(unit_interval), fx.LinearPhi(k),
+        samples=2000, seed=0,
+    )
+    assert report.passed is passed
 
 
 def test_metric_check_constant_map(unit_interval):

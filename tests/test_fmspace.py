@@ -151,12 +151,11 @@ def test_threshold_matches_closed_form_oracle():
 
 
 def test_threshold_separates_the_antecedent(flagship_fm):
-    tol = 1e-12
     for d in (0.05, 0.4, 0.9):
-        t_star = fx.threshold(flagship_fm, 0.0, d, tol=tol)
-        for t in (t_star + 1e-9, t_star + 0.1, 1.0):
+        t_star = fx.threshold(flagship_fm, 0.0, d)
+        for t in (t_star, t_star + 1e-9, t_star + 0.1, 1.0):
             assert flagship_fm.membership(0.0, d, t) > 1.0 - t
-        below = t_star - tol
+        below = math.nextafter(t_star, 0.0)
         assert not flagship_fm.membership(0.0, d, below) > 1.0 - below
 
 

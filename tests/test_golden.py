@@ -1,15 +1,17 @@
 """Golden CLI corpus: each config's stdout, exit code and trace, byte for byte.
 
-The passing ``check-contraction`` report and the ``threshold`` and
-``solve_set`` outputs in ``golden/`` were captured before the
-contraction check computed one distance per pair, so they pin the
-verdicts and the threshold. The three failing ``check-contraction``
-reports were regenerated when the check came to decide each pair at the
-onset of its antecedent: they pin one counterexample per failing pair,
-at that onset, in point order. The other outputs and every ``.trace``
-file were captured before the config parser and the command dispatch
-became table-driven, so they pin every report section and the trace
-format of both solvers.
+The passing ``check-contraction`` report and the ``solve_set`` output in
+``golden/`` were captured before the contraction check computed one
+distance per pair, so they pin the verdicts. The three failing
+``check-contraction`` reports were regenerated when the check came to
+decide each pair at the onset of its antecedent: they pin one
+counterexample per failing pair, at that onset, in point order. The
+``threshold`` and ``induce`` outputs were regenerated when the crossing
+time came to be computed one way, in the stable closed form: they pin
+the threshold as the onset and the induced curve. The other outputs and
+every ``.trace`` file were captured before the config parser and the
+command dispatch became table-driven, so they pin every report section
+and the trace format of both solvers.
 """
 
 from pathlib import Path

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -78,6 +79,15 @@ def test_horizon_cap_raises():
         fx.horizon(fx.LinearPhi(0.99), 1.0, 1e-6, 0.5, cap=3)
 
 
+@pytest.mark.parametrize("d", [0.0, 5e-324, 1e-300, 1e-30, 1e-5, 1.0, 1e5, 1e10, 1e15, 1e300])
+def test_crossing_time_is_accurate_at_any_gap(d):
+    # The closed form cancels at no gap, and 4 / d never overflows.
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = 2 / (1 + (1 + 4 / Decimal(d)).sqrt()) if d else Decimal(0)
+        assert abs(Decimal(fx.crossing_time(d)) - exact) <= 4 * Decimal(2.0 ** -53) * exact
+
+
 def test_induced_conjugation_identity():
     # eval(tau(d)) == tau(k d) for d up to the cap, the defining identity.
     phi = fx.InducedPhi(0.5, 1.0)
@@ -91,6 +101,9 @@ def test_induced_values():
     assert phi.eval(tau(1.0)) == pytest.approx(0.5, abs=1e-12)
     assert phi.eval(0.5) == pytest.approx(tau(0.25), abs=1e-12)
     assert phi.eval(0.5) == pytest.approx(0.39038820320220756, abs=1e-9)
+    # Near 0, phi(t) = tau(k t**2 / (1 - t)) is sqrt(k) t, also where the
+    # gap k t**2 is subnormal.
+    assert abs(phi.eval(1e-155) / 1e-155 - math.sqrt(0.5)) < 1e-12
 
 
 def test_induced_linear_extension_is_continuous():
