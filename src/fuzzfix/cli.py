@@ -137,9 +137,15 @@ def _of_kind(raw: dict, kinds: dict, *args):
     return kinds[kind](raw, *args)
 
 
-# Field kinds: the JSON values each admits (true and false are no
-# numbers) and their conversion.
-_KINDS = {"a number": ((int, float), float), "an integer": ((int,), int), "a boolean": ((bool,), bool)}
+# Field kinds: which JSON values each admits (true and false are no numbers), and their conversion.
+_KINDS = {
+    "a number": (lambda v: type(v) in (int, float), float),
+    "an integer": (lambda v: type(v) is int, int),
+    "a boolean": (lambda v: type(v) is bool, bool),
+    "a list": (lambda v: type(v) is list, tuple),
+    "a list of lists": (lambda v: type(v) is list and all(type(row) is list for row in v), tuple),
+    "an object": (lambda v: type(v) is dict, dict),
+}
 
 
 def _field(raw: dict, name: str, kind: str, *default):
@@ -147,8 +153,8 @@ def _field(raw: dict, name: str, kind: str, *default):
     with a default) that is missing or null takes the default."""
     if raw.get(name) is None and default:
         return default[0]
-    types, convert = _KINDS[kind]
-    if type(raw[name]) not in types:
+    admits, convert = _KINDS[kind]
+    if not admits(raw[name]):
         raise ValueError(f"field {name!r} must be {kind}")
     return convert(raw[name])
 
@@ -165,8 +171,8 @@ def _parse_point(space: Space, raw, where: str) -> Point:
 
 _SPACES = {
     "finite": lambda raw: FiniteSpace(
-        labels=tuple(raw["points"]),
-        dist=tuple(tuple(map(as_number, row)) for row in raw["dist"]),
+        labels=_field(raw, "points", "a list"),
+        dist=tuple(tuple(map(as_number, row)) for row in _field(raw, "dist", "a list of lists")),
         normalize=_field(raw, "normalize", "a boolean", False),
     ),
     "interval": lambda raw: IntervalSpace(
@@ -194,30 +200,27 @@ _MAPS = {
     "table": lambda raw, space: TableMap(
         {
             _parse_point(space, key, "f.map"): _parse_point(space, value, "f.map")
-            for key, value in dict(raw["map"]).items()
+            for key, value in _field(raw, "map", "an object").items()
         }
     ),
 }
 
 _BIJECTIONS = {
     "affine": lambda raw: AffineBijection(a=_field(raw, "a", "a number"), b=_field(raw, "b", "a number")),
-    "permutation": lambda raw: PermutationBijection(dict(raw["map"])),
+    "permutation": lambda raw: PermutationBijection(_field(raw, "map", "an object")),
 }
 
 
 def _setvalued(raw, space: Space) -> SetValuedMap:
     if not isinstance(raw, dict) or raw.get("kind") != "setvalued":
         raise ValidationError('T: must be an object with kind "setvalued"')
-    table = raw.get("map")
-    if not isinstance(table, dict) or not table:
-        raise ValidationError("T.map: must be a nonempty object")
     images = {}
-    for key, values in table.items():
+    for key, values in _section("T", raw, _field, "map", "an object").items():
         point = _parse_point(space, key, "T.map")
         if not isinstance(values, list) or not values:
             raise ValidationError(f"T.map[{key!r}]: image must be a nonempty list")
         images[point] = tuple(_parse_point(space, v, "T.map") for v in values)
-    return SetValuedMap(images)
+    return _section("T", images, SetValuedMap)  # an empty domain is a ValueError
 
 
 def _solver(raw: dict, space: Space) -> SolverConfig:

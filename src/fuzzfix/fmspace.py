@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from operator import add
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import UnknownPoint
@@ -56,8 +57,11 @@ class FiniteSpace:
 
     The table is validated exactly at construction: zero diagonal,
     symmetry, and the triangle inequality must hold for the given floats
-    as written. Labels must be nonempty and free of whitespace (they
-    appear as single tokens in trace files).
+    as written. The triangle check of a symmetric table takes one ``min``
+    over j of d(i, j) + d(k, j) per pair i < k; only a row that fails it is
+    scanned in (i, j, k) order, to name its first failing triple. Labels
+    must be nonempty and free of whitespace (they appear as single tokens
+    in trace files).
     """
 
     labels: Tuple[str, ...]
@@ -84,14 +88,14 @@ class FiniteSpace:
                     raise ValueError("distances must be nonnegative")
                 if table[i][j] != table[j][i]:
                     raise ValueError("distance table must be symmetric")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if table[i][k] > table[i][j] + table[j][k]:
-                        raise ValueError(
-                            "triangle inequality fails at "
-                            f"({labels[i]}, {labels[j]}, {labels[k]})"
-                        )
+        for i, row in enumerate(table):
+            for k in range(i + 1, n):
+                if row[k] > min(map(add, row, table[k])):
+                    j, k = next((j, k) for j in range(n) for k in range(n) if row[k] > row[j] + table[j][k])
+                    raise ValueError(
+                        "triangle inequality fails at "
+                        f"({labels[i]}, {labels[j]}, {labels[k]})"
+                    )
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", table)
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(labels)})
@@ -112,7 +116,10 @@ class FiniteSpace:
         return isinstance(p, str) and p in self._index
 
     def distance(self, x: Point, y: Point) -> float:
-        d = self.dist[self.index(x)][self.index(y)]
+        try:
+            d = self.dist[self._index[x]][self._index[y]]
+        except (KeyError, TypeError):
+            d = self.dist[self.index(x)][self.index(y)]  # raises UnknownPoint for the first unknown point
         return _d1(d) if self.normalize else d
 
     def sample(self, rng: random.Random) -> Point:

@@ -10,6 +10,7 @@ enters), so agreement with the checkers is meaningful.
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import product
 
 import fuzzfix as fx
 
@@ -327,3 +328,31 @@ def reference_check_setvalued(fm, T, g, phi, pairs):
                 found.append((x, y, t, raw_grade(t, dist(gx, gy)), best, u))
     found.sort(key=lambda ce: (space.point_key(ce[0]), space.point_key(ce[1]), space.point_key(ce[5])))
     return not found, found[:COUNTEREXAMPLE_CAP]
+
+
+def finite_space_fault(labels, table):
+    """The message fuzzfix.FiniteSpace(labels, table) raises, or None if it
+    accepts the table: the checks in their documented order, the triangle
+    inequality by a plain scan of every triple (i, j, k) in that order."""
+    n = len(labels)
+    if n == 0:
+        return "finite space needs at least one point"
+    if len(set(labels)) < n:
+        return "labels must be unique"
+    for label in labels:
+        if not isinstance(label, str) or label == "" or any(c.isspace() for c in label):
+            return "labels must be nonempty strings without whitespace"
+    if len(table) != n or {len(row) for row in table} != {n}:
+        return "distance table must be square and match the labels"
+    for i in range(n):
+        if not table[i][i] == 0.0:
+            return f"d({labels[i]}, {labels[i]}) must be 0"
+        for j in range(n):
+            if table[i][j] < 0.0:
+                return "distances must be nonnegative"
+            if not table[i][j] == table[j][i]:
+                return "distance table must be symmetric"
+    for i, j, k in product(range(n), repeat=3):
+        if table[i][j] + table[j][k] < table[i][k]:
+            return f"triangle inequality fails at ({labels[i]}, {labels[j]}, {labels[k]})"
+    return None

@@ -282,7 +282,7 @@ MALFORMED = (
         "f",
         "table_not_object",
         {"kind": "table", "map": [1]},
-        "f: cannot convert dictionary update sequence element #0 to a sequence",
+        "f: field 'map' must be an object",
     ),
     ("f", "absent", ABSENT, None),
     ("g", "not_object", 1, "g: must be an object"),
@@ -291,7 +291,7 @@ MALFORMED = (
     ("g", "bad_value", {"kind": "affine", "a": 0.0, "b": 0.0}, "g: affine bijection requires a != 0"),
     ("T", "not_object", [], 'T: must be an object with kind "setvalued"'),
     ("T", "unknown_kind", {"kind": "multi"}, 'T: must be an object with kind "setvalued"'),
-    ("T", "missing_field", {"kind": "setvalued"}, "T.map: must be a nonempty object"),
+    ("T", "missing_field", {"kind": "setvalued"}, "T: missing field 'map'"),
     ("T", "bad_value", {"kind": "setvalued", "map": {"0": []}}, "T.map['0']: image must be a nonempty list"),
     ("T", "absent", ABSENT, None),
     ("solver", "not_object", 2, "solver: must be an object"),
@@ -324,6 +324,21 @@ MALFORMED = (
     ("space", "null_dim", {"kind": "euclidean", "dim": None}, "space: field 'dim' must be an integer"),
     ("space", "string_bound", {"kind": "interval", "lo": "0", "hi": 1.0}, "space: field 'lo' must be a number"),
     ("space", "numeric_label", {"kind": "finite", "points": [1], "dist": [[0]]}, "space: labels must be nonempty strings without whitespace"),
+    # Shaped fields: a list, a list of lists or an object, never a string or
+    # another container read as one.
+    ("space", "string_points", {"kind": "finite", "points": "ab", "dist": [[0, 1], [1, 0]]}, "space: field 'points' must be a list"),
+    (
+        "space",
+        "object_points",
+        {"kind": "finite", "points": {"a": 1, "b": 2}, "dist": [[0, 1], [1, 0]]},
+        "space: field 'points' must be a list",
+    ),
+    ("space", "object_dist", {"kind": "finite", "points": ["a"], "dist": {"a": [0]}}, "space: field 'dist' must be a list of lists"),
+    ("space", "string_rows", {"kind": "finite", "points": ["a", "b"], "dist": ["01", "10"]}, "space: field 'dist' must be a list of lists"),
+    ("f", "table_of_pairs", {"kind": "table", "map": [["a", "b"], ["b", "a"]]}, "f: field 'map' must be an object"),
+    ("g", "listed_permutation", {"kind": "permutation", "map": ["ab", "ba"]}, "g: field 'map' must be an object"),
+    ("T", "listed_map", {"kind": "setvalued", "map": [["0", ["0"]]]}, "T: field 'map' must be an object"),
+    ("T", "empty_map", {"kind": "setvalued", "map": {}}, "T: set-valued map needs a nonempty domain"),
     ("phi", "boolean_ratio", {"kind": "linear", "k": True}, "phi: field 'k' must be a number"),
     ("phi", "string_breakpoint", {"kind": "table", "points": [[0, "0"]]}, "phi: '0' is not a number"),
     (

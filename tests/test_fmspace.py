@@ -13,21 +13,50 @@ def tau(d):
 # ---------------------------------------------------------------- spaces
 
 
+NAN = float("nan")
+# (labels, table, message): each fault, with the message the validation names it by.
+INVALID_FINITE = (
+    (("a", "a"), ((0.0, 1.0), (1.0, 0.0)), "labels must be unique"),
+    (("a b",), ((0.0,),), "labels must be nonempty strings without whitespace"),
+    (("a", "b"), ((0.0, 1.0),), "distance table must be square and match the labels"),
+    (("a", "b"), ((0.5, 1.0), (1.0, 0.0)), "d(a, a) must be 0"),
+    (("a", "b"), ((0.0, 1.0), (1.0, 1e-300)), "d(b, b) must be 0"),
+    (("a", "b"), ((0.0, -1.0), (-1.0, 0.0)), "distances must be nonnegative"),
+    (("a", "b"), ((0.0, 1.0), (2.0, 0.0)), "distance table must be symmetric"),
+    (("a", "b"), ((0.0, float("nan")), (float("nan"), 0.0)), "distance table must be symmetric"),
+    # One NaN object at (a, b) and (b, a): a comparison that short-circuits
+    # on identity, as tuple == does, would pass it.
+    (("a", "b"), ((0.0, NAN), (NAN, 0.0)), "distance table must be symmetric"),
+    (("a", "b"), ((NAN, 1.0), (1.0, 0.0)), "d(a, a) must be 0"),
+    (("a", "b", "c"), ((0.0, 1.0, 5.0), (1.0, 0.0, 1.0), (5.0, 1.0, 0.0)), "triangle inequality fails at (a, b, c)"),
+    (
+        ("a", "b", "c"),
+        ((0.0, 1.0, math.nextafter(2.0, 3.0)), (1.0, 0.0, 1.0), (math.nextafter(2.0, 3.0), 1.0, 0.0)),
+        "triangle inequality fails at (a, b, c)",
+    ),
+    # The pair (a, c) fails first in pair order (through d), but the first
+    # failing triple in (i, j, k) order is (a, b, d).
+    (
+        ("a", "b", "c", "d"),
+        ((0.0, 1.0, 5.0, 3.0), (1.0, 0.0, 4.0, 1.0), (5.0, 4.0, 0.0, 1.0), (3.0, 1.0, 1.0, 0.0)),
+        "triangle inequality fails at (a, b, d)",
+    ),
+    # Row a holds; the first failing row is b.
+    (
+        ("a", "b", "c", "d"),
+        ((0.0, 2.0, 2.0, 2.0), (2.0, 0.0, 1.0, 3.0), (2.0, 1.0, 0.0, 1.0), (2.0, 3.0, 1.0, 0.0)),
+        "triangle inequality fails at (b, c, d)",
+    ),
+)
+
+
 def test_finite_space_validation():
-    with pytest.raises(ValueError):
-        fx.FiniteSpace(("a", "a"), ((0.0, 1.0), (1.0, 0.0)))
-    with pytest.raises(ValueError):
-        fx.FiniteSpace(("a", "b"), ((0.0, 1.0), (2.0, 0.0)))  # asymmetric
-    with pytest.raises(ValueError):
-        fx.FiniteSpace(("a", "b"), ((0.5, 1.0), (1.0, 0.0)))  # nonzero diagonal
-    with pytest.raises(ValueError):
-        # triangle fails: d(a,c) = 5 > 1 + 1
-        fx.FiniteSpace(
-            ("a", "b", "c"),
-            ((0.0, 1.0, 5.0), (1.0, 0.0, 1.0), (5.0, 1.0, 0.0)),
-        )
-    with pytest.raises(ValueError):
-        fx.FiniteSpace(("a b",), ((0.0,),))  # whitespace in label
+    for labels, table, message in INVALID_FINITE:
+        with pytest.raises(ValueError) as raised:
+            fx.FiniteSpace(labels, table)
+        assert str(raised.value) == message, labels
+    # The triangle inequality holds with equality everywhere on a line.
+    fx.FiniteSpace(("a", "b", "c"), ((0.0, 1.0, 2.0), (1.0, 0.0, 1.0), (2.0, 1.0, 0.0)))
 
 
 def test_distance_examples():

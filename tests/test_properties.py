@@ -24,6 +24,7 @@ from oracles import (
     checked_onset,
     dec,
     exact_phi,
+    finite_space_fault,
     induced_step,
     linear_step,
     orbit_count,
@@ -373,3 +374,65 @@ def test_setvalued_check_matches_reference(case):
     passed, expected = reference_check_setvalued(fm, T, g, phi, pairs)
     got = [(ce.x, ce.y, ce.t, ce.antecedent, ce.consequent, ce.u) for ce in report.counterexamples]
     assert (report.passed, got) == (passed, expected)
+
+
+FAULTS = ("duplicate", "whitespace", "diagonal", "negative", "asymmetric", "nan", "shared_nan", "entry", "ulp")
+
+
+@st.composite
+def finite_tables(draw):
+    """Labels and a distance table on up to 6 points, with 0 to 3 faults
+    injected. The points lie on a line or are drawn at random, so the
+    triangle inequality is often tight up to the rounding of a sum."""
+    n = draw(st.integers(1, 6))
+    labels = [f"p{i}" for i in range(n)]
+    xs = draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n))
+    table = [[abs(x - y) for y in xs] for x in xs]
+    if draw(st.booleans()):
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n * n)):
+            if i != j:
+                table[i][j] = table[j][i] = draw(st.floats(0.0, 16.0))
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if fault == "duplicate":
+            labels[i] = labels[j]
+        elif fault == "whitespace":
+            labels[i] = draw(st.sampled_from(["", "p q", "p\t"]))
+        elif fault == "diagonal":
+            table[i][i] = draw(st.sampled_from([5e-324, 1.0, -0.5, float("nan")]))
+        elif fault == "negative":
+            table[i][j] = table[j][i] = -draw(st.floats(5e-324, 4.0))
+        elif fault == "asymmetric":
+            table[i][j] = math.nextafter(table[j][i], math.inf)
+        elif fault in ("nan", "shared_nan"):
+            nan = float("nan")
+            table[i][j], table[j][i] = nan, nan if fault == "shared_nan" else float("nan")
+        elif fault == "entry":
+            table[i][j] = table[j][i] = draw(st.floats(0.0, 16.0))
+        else:  # one ulp beyond the entry on a tight triangle
+            table[i][j] = table[j][i] = math.nextafter(table[i][j], math.inf)
+    return labels, table
+
+
+# The first failing pair (p0, p2) is found through p3, the first failing
+# triple is (p0, p1, p3).
+SCAN_ORDER_TABLE = (
+    ["p0", "p1", "p2", "p3"],
+    [[0.0, 1.0, 5.0, 3.0], [1.0, 0.0, 4.0, 1.0], [5.0, 4.0, 0.0, 1.0], [3.0, 1.0, 1.0, 0.0]],
+)
+
+
+@seed(SEED)
+@settings(max_examples=1000, deadline=None, database=None)
+@given(case=finite_tables())
+@example(case=SCAN_ORDER_TABLE)
+@example(case=(["a", "b"], [[0.0, float("nan")], [float("nan"), 0.0]]))
+def test_finite_space_validation_matches_triple_scan(case):
+    labels, table = case
+    expected = finite_space_fault(labels, table)
+    try:
+        fx.FiniteSpace(tuple(labels), tuple(map(tuple, table)))
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
