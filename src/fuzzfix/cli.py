@@ -223,6 +223,10 @@ def _setvalued(raw, space: Space) -> SetValuedMap:
     return _section("T", images, SetValuedMap)  # an empty domain is a ValueError
 
 
+def _numbers(items: Optional[tuple]) -> Optional[tuple]:
+    return None if items is None else tuple(map(as_number, items))
+
+
 def _solver(raw: dict, space: Space) -> SolverConfig:
     return SolverConfig(
         start=_parse_point(space, raw["start"], "solver.start"),
@@ -230,9 +234,7 @@ def _solver(raw: dict, space: Space) -> SolverConfig:
         lam=_field(raw, "lambda", "a number"),
         t0=_field(raw, "t0", "a number", 2.0),
         max_iter=_field(raw, "max_iter", "an integer", 10000),
-        residual_times=(
-            tuple(map(as_number, raw["residual_times"])) if "residual_times" in raw else None
-        ),
+        residual_times=_numbers(_field(raw, "residual_times", "a list", None)),
         window=_field(raw, "window", "an integer", 2),
     )
 
@@ -328,45 +330,23 @@ def parse_config(text: str) -> ProblemConfig:
     )
 
 
+# Reports render the dataclasses' own fields in their declared order, through
+# vars: dataclasses.asdict would deep-copy every witness and a solve's trace.
 def _report_dict(report: Report) -> dict:
-    return {
-        "passed": report.passed,
-        "laws": [
-            {
-                "name": law.name,
-                "passed": law.passed,
-                "checks": law.checks,
-                "witnesses": law.witnesses,
-            }
-            for law in report.laws
-        ],
-    }
+    return {"passed": report.passed, "laws": [vars(law) for law in report.laws]}
 
 
 def _counterexample_dicts(report: ContractionReport) -> list:
-    out = []
-    for ce in report.counterexamples:
-        entry = {
-            "x": ce.x,
-            "y": ce.y,
-            "t": ce.t,
-            "antecedent": ce.antecedent,
-            "consequent": ce.consequent,
-        }
-        if ce.u is not None:
-            entry["u"] = ce.u
-        out.append(entry)
-    return out
+    """The counterexamples' fields; ``u`` only for set-valued ones."""
+    return [
+        {k: v for k, v in vars(ce).items() if k != "u" or v is not None}
+        for ce in report.counterexamples
+    ]
 
 
 def _solve_result_dict(res: SolveResult) -> dict:
-    return {
-        "point": res.point,
-        "iterations": res.iterations,
-        "horizon_used": res.horizon_used,
-        "residuals": [[t, grade] for t, grade in res.residuals],
-        "converged": res.converged,
-    }
+    """The result's fields but its trace, which goes to the trace file."""
+    return {k: v for k, v in vars(res).items() if k != "trace"}
 
 
 def _write_trace(path: str, records: Tuple[IterationRecord, ...]) -> None:
@@ -425,11 +405,7 @@ def run(
 
         elif command == "check-contraction":
             report = check_g_phi(fm, cfg.f, cfg.g, cfg.phi, samples=samples, seed=seed)
-            verdicts["contraction"] = {
-                "passed": report.passed,
-                "checked_pairs": report.checked_pairs,
-                "method": report.method,
-            }
+            verdicts["contraction"] = {k: v for k, v in vars(report).items() if k != "counterexamples"}
             counterexamples = _counterexample_dicts(report)
             code = 0 if report.passed else 1
 
@@ -518,16 +494,7 @@ def run(
 
 
 def render_report(report: RunReport) -> str:
-    payload = {
-        "command": report.command,
-        "config_digest": report.config_digest,
-        "seed": report.seed,
-        "samples": report.samples,
-        "verdicts": report.verdicts,
-        "counterexamples": report.counterexamples,
-        "result": report.result,
-    }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    return json.dumps(vars(report), indent=2, allow_nan=False) + "\n"
 
 
 def main(argv: Optional[list] = None) -> int:

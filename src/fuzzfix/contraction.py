@@ -32,7 +32,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .fmspace import EuclideanSpace, FiniteSpace, FuzzyMetric, Point, Space, onset, threshold
 from .maps import AffineBijection, AffineMap, BijectionSpec, MapSpec, rounding, validate_map
@@ -44,10 +44,10 @@ MAX_COUNTEREXAMPLES = 64
 _U = 2.0 ** -53
 _ONSET_ERROR = 4 * _U
 
-DEFAULT_T_GRID = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
-DEFAULT_S_GRID = (
-    1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8,
-)
+# Fuzzy continuity: the target levels checked, and the floor below which
+# a needed source level is reported as a jump.
+CONTINUITY_T_GRID = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
+CONTINUITY_S_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -255,8 +255,6 @@ def check_fuzzy_continuity(
     f: MapSpec,
     samples: int = 200,
     seed: int = 0,
-    t_grid: Sequence[float] = DEFAULT_T_GRID,
-    s_grid: Sequence[float] = DEFAULT_S_GRID,
 ) -> Report:
     """Empirical check that f carries the source uniformity into the target.
 
@@ -264,7 +262,7 @@ def check_fuzzy_continuity(
     source level s must exclude every sampled neighbour whose image
     misses the target level. Admissibility reduces to thresholds: s must
     not exceed the source crossing time of any such neighbour. Failures
-    are (x0, t, s_needed) with s_needed below the grid floor, so jumps
+    are (x0, t, s_needed) with s_needed below ``CONTINUITY_S_FLOOR``, so jumps
     across gaps finer than the floor are reported while genuinely
     continuous maps pass.
     """
@@ -288,13 +286,13 @@ def check_fuzzy_continuity(
             )
             for y in neighbours
         ]
-        for t in t_grid:
+        for t in CONTINUITY_T_GRID:
             checks += 1
             bad = [tau_src for tau_src, tau_dst in taus if tau_dst >= t]
             if not bad:
                 continue
             s_needed = min(bad)
-            if not any(s <= s_needed for s in s_grid):
+            if s_needed < CONTINUITY_S_FLOOR:
                 witnesses.append((x0, t, s_needed))
     law = LawCheck.of("fuzzy_continuity", checks, witnesses, MAX_COUNTEREXAMPLES)
     return Report(laws=(law,))

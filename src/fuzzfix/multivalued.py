@@ -21,10 +21,10 @@ from .contraction import (
     point_size,
 )
 from .errors import NoAdmissibleSuccessor, NotDemicompact, UnknownPoint
-from .fmspace import FiniteSpace, FuzzyMetric, Point, Space, is_cauchy_window, onset
+from .fmspace import FiniteSpace, FuzzyMetric, Point, Space, onset
 from .maps import BijectionSpec, identity_for
 from .phi import PhiFunction, ensure_phi_class, horizon
-from .solver import IterationRecord, SolverConfig
+from .solver import IterationRecord, SolverConfig, orbit
 from .tnorm import Grade
 
 
@@ -214,11 +214,11 @@ def solve_inclusion(
 
     Step n picks x_{n+1} = select_successor(u=x_n, y=x_n, t_n) with
     t_n = iterate(phi, t0, n), which maintains the chain bound
-    membership(x_{n+1}, x_n, t_{n+1}) > 1 - t_{n+1}. Stopping mirrors
-    the single-valued solver: trailing window Cauchy at or past the
-    horizon, else max_iter with converged=False. Each step is recorded
-    as in that solver's trace, with successive grade
-    membership(x_{n+1}, x_n, epsilon).
+    membership(x_{n+1}, x_n, t_{n+1}) > 1 - t_{n+1}. The steps run in
+    ``solver.orbit``, the single-valued solver's loop, under the plain
+    metric: it stops with the trailing window Cauchy at or past the
+    horizon, else at max_iter with converged=False, and records each step
+    with successive grade membership(x_{n+1}, x_n, epsilon).
 
     The limit point x is then tested for closure membership in the image
     of its g-carried point at shrinking levels (``member_check``, summary
@@ -234,28 +234,16 @@ def solve_inclusion(
         raise NotDemicompact(
             "set-valued solve on a continuum space requires assume_demicompact=True"
         )
-    if not space.contains(cfg.start):
-        raise UnknownPoint(f"start point {cfg.start!r} lies outside the space")
 
-    n_horizon = horizon(phi, cfg.t0, cfg.epsilon, cfg.lam)
-    trace = []
-    window_points = [cfg.start]
-    x = cfg.start
     t = cfg.t0
-    stopped = False
-    for n in range(1, cfg.max_iter + 1):
+
+    def successor(space: Space, x: Point) -> Point:
+        nonlocal t
         x_next = select_successor(fm, T, g, phi, u=x, y=x, t=t)
-        trace.append(IterationRecord(n, x_next, fm.membership(x_next, x, cfg.epsilon)))
-        window_points.append(x_next)
-        if len(window_points) > cfg.window:
-            window_points.pop(0)
-        x = x_next
         t = phi.eval(t)
-        if n >= n_horizon and is_cauchy_window(
-            fm, window_points, cfg.epsilon, cfg.lam
-        ):
-            stopped = True
-            break
+        return x_next
+
+    x, trace, stopped = orbit(fm, cfg, horizon(phi, cfg.t0, cfg.epsilon, cfg.lam), successor)
 
     levels = (
         (cfg.epsilon, cfg.lam),
@@ -276,7 +264,7 @@ def solve_inclusion(
     return OrbitResult(
         point=x,
         orbit=(cfg.start,) + tuple(r.point for r in trace),
-        trace=tuple(trace),
+        trace=trace,
         member_check=tuple(evidence),
         in_image_of_carried=in_carried,
         in_image=in_image,

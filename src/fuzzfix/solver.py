@@ -10,11 +10,12 @@ the residual grades at the returned point clear 1 - lam.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import UnknownPoint
-from .fmspace import FuzzyMetric, Point, in_uniformity, is_cauchy_window
+from .fmspace import FuzzyMetric, Point, Space, in_uniformity, is_cauchy_window
 from .maps import BijectionSpec, InverseComposite, MapSpec, validate_map
 from .phi import PhiFunction, ensure_phi_class, horizon
 from .tnorm import Grade
@@ -85,6 +86,37 @@ class SolveResult:
     converged: bool
 
 
+def orbit(
+    fm: FuzzyMetric,
+    cfg: SolverConfig,
+    n_horizon: int,
+    step: Callable[[Space, Point], Point],
+) -> Tuple[Point, Tuple[IterationRecord, ...], bool]:
+    """The orbit loop both solvers run: x_n = step(space, x_{n-1}) from cfg.start.
+
+    Raises UnknownPoint for a start outside the space. Step n is recorded
+    with its successive grade membership(x_n, x_{n-1}, epsilon) under
+    ``fm``. The loop stops at the first n >= n_horizon where the last
+    cfg.window points, the start included, pass ``is_cauchy_window``
+    under ``fm``, and otherwise after max_iter steps. Returns the last
+    point, the trace, and whether the window test stopped the loop.
+    """
+    space = fm.space
+    if not space.contains(cfg.start):
+        raise UnknownPoint(f"start point {cfg.start!r} lies outside the space")
+    trace = []
+    window = deque([cfg.start], maxlen=cfg.window)
+    x = cfg.start
+    for n in range(1, cfg.max_iter + 1):
+        x_next = step(space, x)
+        trace.append(IterationRecord(n, x_next, fm.membership(x_next, x, cfg.epsilon)))
+        window.append(x_next)
+        x = x_next
+        if n >= n_horizon and is_cauchy_window(fm, window, cfg.epsilon, cfg.lam):
+            return x, tuple(trace), True
+    return x, tuple(trace), False
+
+
 def solve_coincidence(
     fm: FuzzyMetric,
     f: MapSpec,
@@ -94,9 +126,10 @@ def solve_coincidence(
 ) -> SolveResult:
     """Iterate x_{n+1} = g^{-1}(f(x_n)) from cfg.start.
 
-    Stops at the first n >= horizon(phi, t0, epsilon, lambda) where the
-    trailing window is Cauchy under the g-transformed metric, or at
-    max_iter with converged=False (partial trace returned either way).
+    Runs ``orbit`` under the g-transformed metric with the horizon
+    N = horizon(phi, t0, epsilon, lambda): it stops at the first n >= N
+    where the trailing window is Cauchy, or at max_iter with
+    converged=False (partial trace returned either way).
     Residual grades membership(gz, fz, t) are reported for each
     configured time; convergence additionally requires them to reach
     1 - lambda for every time >= epsilon.
@@ -105,32 +138,11 @@ def solve_coincidence(
     ensure_phi_class(phi, t_max=cfg.t_max)
     g.validate_bijection(space)
     validate_map(space, f)
-    if not space.contains(cfg.start):
-        raise UnknownPoint(f"start point {cfg.start!r} lies outside the space")
 
     n_horizon = horizon(phi, cfg.t0, cfg.epsilon, cfg.lam)
-    mg = fm.g_transform(g)
-    step = InverseComposite(g, f)
-
-    trace = []
-    window_points = [cfg.start]
-    x = cfg.start
-    stopped = False
-    iterations = 0
-    for n in range(1, cfg.max_iter + 1):
-        x_next = step.apply(space, x)
-        grade = mg.membership(x_next, x, cfg.epsilon)
-        trace.append(IterationRecord(n, x_next, grade))
-        window_points.append(x_next)
-        if len(window_points) > cfg.window:
-            window_points.pop(0)
-        x = x_next
-        iterations = n
-        if n >= n_horizon and is_cauchy_window(
-            mg, window_points, cfg.epsilon, cfg.lam
-        ):
-            stopped = True
-            break
+    x, trace, stopped = orbit(
+        fm.g_transform(g), cfg, n_horizon, InverseComposite(g, f).apply
+    )
 
     gz = g.apply(space, x)
     fz = f.apply(space, x)
@@ -140,9 +152,9 @@ def solve_coincidence(
     )
     return SolveResult(
         point=x,
-        iterations=iterations,
+        iterations=len(trace),
         horizon_used=n_horizon,
-        trace=tuple(trace),
+        trace=trace,
         residuals=residuals,
         converged=converged,
     )
@@ -193,8 +205,8 @@ def uniqueness_probe(
     space = fm.space
     pairwise = []
     curves = []
-    n_horizon = horizon(phi, cfg.t0, cfg.epsilon, cfg.lam)
-    ns = range(0, min(n_horizon, _CURVE_CAP) + 1)
+    # Every run shares the config's horizon; only the start differs.
+    ns = range(0, min(results[0].horizon_used, _CURVE_CAP) + 1)
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             pairwise.append(

@@ -125,6 +125,39 @@ def orbit_count(step, t0, target, limit):
     return n
 
 
+def relabeled_distance(space, g):
+    """d(g(a), g(b)) by hand for a point function g: |g(a) - g(b)| on an
+    interval, the table's entry on a finite space."""
+    if isinstance(space, fx.FiniteSpace):
+        index = {label: i for i, label in enumerate(space.labels)}
+        return lambda a, b: space.dist[index[g(a)]][index[g(b)]]
+    return lambda a, b: abs(g(a) - g(b))
+
+
+def reference_orbit(step, distance, start, epsilon, lam, window, max_iter, n_horizon):
+    """The solvers' stop rule, written out without the library's loop.
+
+    Steps x_n = step(x_{n-1}) from start and records (n, x_n, grade) with
+    grade = epsilon / (epsilon + distance(x_n, x_{n-1})). Stops at the
+    first n >= n_horizon at which every pair of the last ``window``
+    points of the orbit, the start among them, grades above 1 - lam at
+    epsilon; else after max_iter steps. Returns (trace, stopped).
+    """
+    orbit = [start]
+    trace = []
+    for n in range(1, max_iter + 1):
+        orbit.append(step(orbit[-1]))
+        trace.append((n, orbit[-1], epsilon / (epsilon + distance(orbit[-1], orbit[-2]))))
+        last = orbit[-window:]
+        if n >= n_horizon and all(
+            epsilon / (epsilon + distance(a, b)) > 1.0 - lam
+            for i, a in enumerate(last)
+            for b in last[i + 1:]
+        ):
+            return trace, True
+    return trace, False
+
+
 def table_laws_dense(points, t_max, lattice=256):
     """Admissibility of a step modulus on (0, t_max], by brute force.
 

@@ -354,6 +354,25 @@ MALFORMED = (
         "solver: field 'window' must be an integer",
     ),
     ("solver", "string_start", {"start": "0.5", "epsilon": 1e-3, "lambda": 1e-3}, "solver.start: '0.5' is not a number"),
+    # Empty containers of another shape are no empty list of times.
+    (
+        "solver",
+        "object_residual_times",
+        {"start": 0.0, "epsilon": 1e-3, "lambda": 1e-3, "residual_times": {}},
+        "solver: field 'residual_times' must be a list",
+    ),
+    (
+        "solver",
+        "string_residual_times",
+        {"start": 0.0, "epsilon": 1e-3, "lambda": 1e-3, "residual_times": ""},
+        "solver: field 'residual_times' must be a list",
+    ),
+    (
+        "solver",
+        "string_residual_time",
+        {"start": 0.0, "epsilon": 1e-3, "lambda": 1e-3, "residual_times": [0.1, "x"]},
+        "solver: 'x' is not a number",
+    ),
     ("query", "string_point", {"x": "0.5", "y": 1.0}, "query.x: '0.5' is not a number"),
 )
 
@@ -383,6 +402,18 @@ def test_null_optional_field_takes_its_default():
     cfg = parse_config(json.dumps(doc))
     assert cfg.space == fx.EuclideanSpace(2)
     assert cfg.samples == 10000
+    solver = {"start": 0.0, "epsilon": 1e-3, "lambda": 1e-3}
+    cfg = parse_config(json.dumps({**FLAGSHIP, "solver": {**solver, "residual_times": None}}))
+    assert cfg.solver == parse_config(json.dumps({**FLAGSHIP, "solver": solver})).solver
+    assert cfg.solver.residual_times is None
+
+
+def test_empty_residual_times_stay_empty():
+    cfg = parse_config(json.dumps({**FLAGSHIP, "solver": {**FLAGSHIP["solver"], "residual_times": []}}))
+    assert cfg.solver.residual_times == ()
+    report, code = fx.run("solve", cfg)
+    assert json.loads(fx.render_report(report))["result"]["residuals"] == []
+    assert code == 0
 
 
 json_values = st.recursive(

@@ -356,16 +356,43 @@ def test_continuity_of_composed_step(flagship_fm, flagship_f, flagship_g):
     assert report.passed
 
 
-def test_continuity_detects_jump_across_tiny_gap():
-    # Two points declared almost coincident whose images are far apart:
-    # no admissible source level exists above the grid floor.
+def _jump_across(gap):
+    """check_fuzzy_continuity of a map that sends b, at ``gap`` from a,
+    to c, at 1 from both."""
     space = fx.FiniteSpace(
         ("a", "b", "c"),
-        ((0.0, 1e-20, 1.0), (1e-20, 0.0, 1.0), (1.0, 1.0, 0.0)),
+        ((0.0, gap, 1.0), (gap, 0.0, 1.0), (1.0, 1.0, 0.0)),
     )
     fm = fx.FuzzyMetric(space, fx.TNorm("product"))
     jump = fx.TableMap({"a": "a", "b": "c", "c": "c"})
-    report = fx.check_fuzzy_continuity(fm, fm, jump, samples=10, seed=0)
-    law = report.law("fuzzy_continuity")
+    return fx.check_fuzzy_continuity(fm, fm, jump, samples=10, seed=0).law("fuzzy_continuity")
+
+
+def test_continuity_detects_jump_across_tiny_gap():
+    # Two points declared almost coincident whose images are far apart:
+    # no admissible source level exists above the floor. Every target
+    # level the image gap reaches (t <= 0.5) fails, from a and from b.
+    law = _jump_across(1e-20)
     assert not law.passed
-    assert any(w[0] == "a" for w in law.witnesses)
+    assert law.checks == 21
+    s_needed = fx.onset(1e-20)
+    assert law.witnesses == tuple(
+        (x0, t, s_needed) for x0 in "ab" for t in (0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
+    )
+
+
+@pytest.mark.parametrize(
+    "gap, fails",
+    [(1e-16, True), (1.00000001e-16, False)],
+    ids=["s_needed-just-below-floor", "s_needed-just-above-floor"],
+)
+def test_continuity_floor_is_strict(gap, fails):
+    # The source level needed is the gap's crossing time; a jump is
+    # reported iff it lies below the floor 1e-8, here by a few ulps.
+    s_needed = fx.onset(gap)
+    assert (s_needed < 1e-8) == fails
+    assert abs(s_needed - 1e-8) < 1e-16
+    law = _jump_across(gap)
+    assert law.passed is not fails
+    expected = tuple((x0, t, s_needed) for x0 in "ab" for t in (0.5, 0.2, 0.1, 0.05, 0.02, 0.01))
+    assert law.witnesses == (expected if fails else ())

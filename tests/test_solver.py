@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 import fuzzfix as fx
 from conftest import line_space
+from oracles import linear_step, orbit_count, reference_orbit, relabeled_distance
 
 
 def test_flagship_solve(flagship_fm, flagship_f, flagship_g, flagship_phi, flagship_cfg):
@@ -92,6 +95,132 @@ def test_window_invariant_at_stop(
     mg = flagship_fm.g_transform(flagship_g)
     tail = [r.point for r in res.trace[-flagship_cfg.window :]]
     assert fx.is_cauchy_window(mg, tail, flagship_cfg.epsilon, flagship_cfg.lam)
+
+
+# ------------------------------------------- stop rule against a reference
+
+# Sixteen labels 0.25 apart: a step grades below most windows' level.
+STEPS = line_space(tuple(0.25 * i for i in range(16)))
+L = STEPS.labels
+
+
+def _swapping(a, b):
+    """The permutation table of STEPS that swaps labels a and b."""
+    return {**{p: p for p in L}, a: b, b: a}
+
+
+def _coincidence_case(fm, f, g, g_point, step, start, epsilon, lam, k):
+    """solve_coincidence and its reference: the orbit's step and distance
+    by hand, and whether the residual grades at z clear 1 - lam."""
+    space = fm.space
+    cfg = fx.SolverConfig(start=start, epsilon=epsilon, lam=lam)
+
+    def solve(cfg):
+        return fx.solve_coincidence(fm, f, g, fx.LinearPhi(k), cfg)
+
+    def residuals_pass(z):
+        d = relabeled_distance(space, lambda p: p)(g_point(z), f.apply(space, z))
+        return all(t / (t + d) >= 1.0 - lam for t in cfg.times() if t >= epsilon)
+
+    return cfg, solve, step, relabeled_distance(space, g_point), k, residuals_pass
+
+
+def _inclusion_case(images, g_table, start, epsilon, lam, k):
+    """solve_inclusion on STEPS and its reference: the successor of x
+    picked by hand, closest to x at scale k * t_n among the images of
+    g(x), ties to the earlier label."""
+    fm = fx.FuzzyMetric(STEPS, fx.TNorm("product"))
+    g = fx.PermutationBijection(g_table)
+    T = fx.SetValuedMap(images)
+    cfg = fx.SolverConfig(start=start, epsilon=epsilon, lam=lam)
+    distance = relabeled_distance(STEPS, lambda p: p)
+    t = cfg.t0
+
+    def solve(cfg):
+        return fx.solve_inclusion(fm, T, g, fx.LinearPhi(k), cfg)
+
+    def step(x):
+        nonlocal t
+        t = k * t
+        best, best_grade = None, -1.0
+        for v in sorted(images[g_table[x]], key=L.index):
+            grade = t / (t + distance(x, v))
+            if grade > best_grade:
+                best, best_grade = v, grade
+        assert best_grade > 1.0 - t
+        return best
+
+    return cfg, solve, step, distance, k, lambda z: True
+
+
+# Up the labels two images at a time, the nearer one second; the last is fixed.
+CHAIN = {**{L[i]: (L[min(i + 2, 15)], L[i + 1]) for i in range(15)}, L[15]: (L[15],)}
+
+STOP_CASES = {
+    # 1 - x / 2 on [0, 1]: consecutive steps halve, past the horizon.
+    "solve-interval": lambda: _coincidence_case(
+        fx.FuzzyMetric(fx.IntervalSpace(0.0, 1.0), fx.TNorm("product")),
+        fx.AffineMap(0.5, 0.0),
+        fx.AffineBijection(-1.0, 1.0),
+        lambda p: -1.0 * p + 1.0,
+        lambda x: (0.5 * x + 0.0 - 1.0) / -1.0,
+        0.0, 1e-2, 1e-3, 0.5,
+    ),
+    # One step to the coincidence point 0.75 and a horizon of 2: a window
+    # of three or four still holds the start there.
+    "solve-interval-constant": lambda: _coincidence_case(
+        fx.FuzzyMetric(fx.IntervalSpace(0.0, 1.0), fx.TNorm("product")),
+        fx.ConstantMap(0.25),
+        fx.AffineBijection(-1.0, 1.0),
+        lambda p: -1.0 * p + 1.0,
+        lambda x: (0.25 - 1.0) / -1.0,
+        0.1, 0.5, 0.5, 0.5,
+    ),
+    # Up the labels to the pair g swaps, where the orbit settles at L[14].
+    "solve-finite-settling": lambda: _coincidence_case(
+        fx.FuzzyMetric(STEPS, fx.TNorm("product")),
+        fx.TableMap({L[i]: L[min(i + 1, 15)] for i in range(16)}),
+        fx.PermutationBijection(_swapping(L[14], L[15])),
+        _swapping(L[14], L[15]).get,
+        {**{L[i]: L[i + 1] for i in range(13)}, L[13]: L[15], L[14]: L[14], L[15]: L[14]}.get,
+        L[0], 0.1, 0.2, 0.5,
+    ),
+    # A cycle through every label: never Cauchy in a window of two or more.
+    "solve-finite-cycling": lambda: _coincidence_case(
+        fx.FuzzyMetric(STEPS, fx.TNorm("product")),
+        fx.TableMap({L[i]: L[(i + 1) % 16] for i in range(16)}),
+        fx.identity_for(STEPS),
+        lambda p: p,
+        {L[i]: L[(i + 1) % 16] for i in range(16)}.get,
+        L[3], 0.1, 0.2, 0.5,
+    ),
+    # Up the chain one label a step while the scales allow it, then fixed.
+    "solve-set-chain": lambda: _inclusion_case(CHAIN, _swapping(L[0], L[0]), L[0], 0.5, 0.5, 0.9),
+    # The same chain entered through g, which swaps the first two labels.
+    "solve-set-swapped": lambda: _inclusion_case(CHAIN, _swapping(L[0], L[1]), L[0], 0.5, 0.5, 0.9),
+}
+
+
+@pytest.mark.parametrize("max_iter", ["1", "horizon-1", "horizon", "default"])
+@pytest.mark.parametrize("window", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", sorted(STOP_CASES))
+def test_stop_rule_matches_reference_loop(case, window, max_iter):
+    cfg, solve, step, distance, k, residuals_pass = STOP_CASES[case]()
+    n_horizon = orbit_count(linear_step(k), cfg.t0, min(cfg.epsilon, cfg.lam), 10**6)
+    limit = {"1": 1, "horizon-1": n_horizon - 1, "horizon": n_horizon, "default": cfg.max_iter}[max_iter]
+    cfg = replace(cfg, window=window, max_iter=limit)
+    res = solve(cfg)
+    trace, stopped = reference_orbit(
+        step, distance, cfg.start, cfg.epsilon, cfg.lam, window, limit, n_horizon
+    )
+    assert [(r.index, r.point, r.successive_grade) for r in res.trace] == trace
+    assert res.point == trace[-1][1]
+    assert res.converged == (stopped and residuals_pass(res.point))
+    if isinstance(res, fx.SolveResult):
+        assert res.horizon_used == n_horizon
+        assert res.iterations == len(trace)
+    else:
+        assert res.orbit == (cfg.start,) + tuple(point for _, point, _ in trace)
 
 
 def test_max_iter_returns_partial_trace(flagship_fm, flagship_f, flagship_g, flagship_phi):
