@@ -79,6 +79,7 @@ from .solver import (
     SolverConfig,
     UniquenessReport,
     solve_coincidence,
+    trace_records,
     uniqueness_probe,
 )
 from .multivalued import (

@@ -54,7 +54,7 @@ from .maps import (
 from .multivalued import SetValuedMap, solve_inclusion
 from .phi import InducedPhi, LinearPhi, PhiFunction, RationalPhi, TablePhi, verify_phi_class
 from .report import Report
-from .solver import IterationRecord, SolveResult, SolverConfig, solve_coincidence
+from .solver import SolverConfig, solve_coincidence, trace_records
 from .tnorm import TNorm, verify_tnorm_axioms
 
 # The config sections each command needs before it runs.
@@ -331,7 +331,7 @@ def parse_config(text: str) -> ProblemConfig:
 
 
 # Reports render the dataclasses' own fields in their declared order, through
-# vars: dataclasses.asdict would deep-copy every witness and a solve's trace.
+# vars: dataclasses.asdict would deep-copy every witness and a solve's orbit.
 def _report_dict(report: Report) -> dict:
     return {"passed": report.passed, "laws": [vars(law) for law in report.laws]}
 
@@ -344,14 +344,9 @@ def _counterexample_dicts(report: ContractionReport) -> list:
     ]
 
 
-def _solve_result_dict(res: SolveResult) -> dict:
-    """The result's fields but its trace, which goes to the trace file."""
-    return {k: v for k, v in vars(res).items() if k != "trace"}
-
-
-def _write_trace(path: str, records: Tuple[IterationRecord, ...]) -> None:
+def _write_trace(path: str, fm: FuzzyMetric, orbit: Tuple[Point, ...], epsilon: float) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for r in records:
+        for r in trace_records(fm, orbit, epsilon):
             handle.write(f"{r.index} {_point_token(r.point)} {format17(r.successive_grade)}\n")
 
 
@@ -384,7 +379,6 @@ def run(
     verdicts: dict = {}
     counterexamples: list = []
     result = None
-    trace = None
     code = 0
     fm = FuzzyMetric(cfg.space, cfg.norm)
     # Admissibility is checked on the range the solvers require.
@@ -413,8 +407,10 @@ def run(
             if cfg.setvalued is not None:
                 raise ValidationError("solve takes f, not T; use solve-set")
             res = solve_coincidence(fm, cfg.f, cfg.g, cfg.phi, solver)
-            result = _solve_result_dict(res)
-            trace = res.trace
+            # The result's fields but its orbit, which goes to the trace file.
+            result = {k: v for k, v in vars(res).items() if k != "orbit"}
+            if trace_path:  # graded under the metric the orbit ran under
+                _write_trace(trace_path, fm.g_transform(cfg.g), res.orbit, solver.epsilon)
             code = 0 if res.converged else 1
 
         elif command == "solve-set":
@@ -438,7 +434,8 @@ def run(
                 ],
                 "converged": res.converged,
             }
-            trace = res.trace
+            if trace_path:
+                _write_trace(trace_path, fm, res.orbit, solver.epsilon)
             code = 0 if res.converged else 1
 
         elif command == "threshold":
@@ -470,9 +467,6 @@ def run(
                 "curve": curve,
             }
             code = 0 if report.passed else 1
-
-        if trace_path and trace is not None:
-            _write_trace(trace_path, trace)
 
     except (PhiInvalid, NoAdmissibleSuccessor, InverseUndefined, NotDemicompact) as exc:
         verdicts["hypothesis_failure"] = {

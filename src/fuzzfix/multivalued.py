@@ -24,7 +24,7 @@ from .errors import NoAdmissibleSuccessor, NotDemicompact, UnknownPoint
 from .fmspace import FiniteSpace, FuzzyMetric, Point, Space, onset
 from .maps import BijectionSpec, identity_for
 from .phi import PhiFunction, ensure_phi_class, horizon
-from .solver import IterationRecord, SolverConfig, orbit
+from .solver import SolverConfig, orbit
 from .tnorm import Grade
 
 
@@ -195,7 +195,6 @@ class MemberEvidence:
 class OrbitResult:
     point: Point
     orbit: Tuple[Point, ...]
-    trace: Tuple[IterationRecord, ...]
     member_check: Tuple[MemberEvidence, ...]
     in_image_of_carried: bool
     in_image: Optional[bool]
@@ -217,8 +216,8 @@ def solve_inclusion(
     membership(x_{n+1}, x_n, t_{n+1}) > 1 - t_{n+1}. The steps run in
     ``solver.orbit``, the single-valued solver's loop, under the plain
     metric: it stops with the trailing window Cauchy at or past the
-    horizon, else at max_iter with converged=False, and records each step
-    with successive grade membership(x_{n+1}, x_n, epsilon).
+    horizon, else at max_iter with converged=False, and returns the orbit,
+    the start first.
 
     The limit point x is then tested for closure membership in the image
     of its g-carried point at shrinking levels (``member_check``, summary
@@ -243,7 +242,8 @@ def solve_inclusion(
         t = phi.eval(t)
         return x_next
 
-    x, trace, stopped = orbit(fm, cfg, horizon(phi, cfg.t0, cfg.epsilon, cfg.lam), successor)
+    points, stopped = orbit(fm, cfg, horizon(phi, cfg.t0, cfg.epsilon, cfg.lam), successor)
+    x = points[-1]
 
     levels = (
         (cfg.epsilon, cfg.lam),
@@ -263,8 +263,7 @@ def solve_inclusion(
         in_image = in_fuzzy_closure(fm, T.image(x), x, levels)
     return OrbitResult(
         point=x,
-        orbit=(cfg.start,) + tuple(r.point for r in trace),
-        trace=trace,
+        orbit=points,
         member_check=tuple(evidence),
         in_image_of_carried=in_carried,
         in_image=in_image,

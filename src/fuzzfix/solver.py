@@ -10,7 +10,6 @@ the residual grades at the returned point clear 1 - lam.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -81,7 +80,7 @@ class SolveResult:
     point: Point
     iterations: int
     horizon_used: int
-    trace: Tuple[IterationRecord, ...]
+    orbit: Tuple[Point, ...]
     residuals: Tuple[Tuple[float, Grade], ...]
     converged: bool
 
@@ -91,30 +90,34 @@ def orbit(
     cfg: SolverConfig,
     n_horizon: int,
     step: Callable[[Space, Point], Point],
-) -> Tuple[Point, Tuple[IterationRecord, ...], bool]:
+) -> Tuple[Tuple[Point, ...], bool]:
     """The orbit loop both solvers run: x_n = step(space, x_{n-1}) from cfg.start.
 
-    Raises UnknownPoint for a start outside the space. Step n is recorded
-    with its successive grade membership(x_n, x_{n-1}, epsilon) under
-    ``fm``. The loop stops at the first n >= n_horizon where the last
-    cfg.window points, the start included, pass ``is_cauchy_window``
-    under ``fm``, and otherwise after max_iter steps. Returns the last
-    point, the trace, and whether the window test stopped the loop.
+    Raises UnknownPoint for a start outside the space. The loop grades
+    nothing before n_horizon: from there it stops at the first n whose
+    last cfg.window points, the start included, pass ``is_cauchy_window``
+    under ``fm``, and otherwise after max_iter steps. Returns the orbit's
+    points, the start first, and whether the window test stopped the
+    loop; ``trace_records`` grades them when a trace is written.
     """
     space = fm.space
     if not space.contains(cfg.start):
         raise UnknownPoint(f"start point {cfg.start!r} lies outside the space")
-    trace = []
-    window = deque([cfg.start], maxlen=cfg.window)
-    x = cfg.start
+    points = [cfg.start]
     for n in range(1, cfg.max_iter + 1):
-        x_next = step(space, x)
-        trace.append(IterationRecord(n, x_next, fm.membership(x_next, x, cfg.epsilon)))
-        window.append(x_next)
-        x = x_next
-        if n >= n_horizon and is_cauchy_window(fm, window, cfg.epsilon, cfg.lam):
-            return x, tuple(trace), True
-    return x, tuple(trace), False
+        points.append(step(space, points[-1]))
+        if n >= n_horizon and is_cauchy_window(fm, points[-cfg.window :], cfg.epsilon, cfg.lam):
+            return tuple(points), True
+    return tuple(points), False
+
+
+def trace_records(fm: FuzzyMetric, points: Sequence[Point], epsilon: float) -> Tuple[IterationRecord, ...]:
+    """Step n of an orbit as IterationRecord(n, x_n, membership(x_n, x_{n-1},
+    epsilon)) under ``fm``, the metric the orbit ran under: the trace lines."""
+    return tuple(
+        IterationRecord(n, x, fm.membership(x, prev, epsilon))
+        for n, (prev, x) in enumerate(zip(points, points[1:]), 1)
+    )
 
 
 def solve_coincidence(
@@ -129,21 +132,21 @@ def solve_coincidence(
     Runs ``orbit`` under the g-transformed metric with the horizon
     N = horizon(phi, t0, epsilon, lambda): it stops at the first n >= N
     where the trailing window is Cauchy, or at max_iter with
-    converged=False (partial trace returned either way).
+    converged=False (partial orbit returned either way).
     Residual grades membership(gz, fz, t) are reported for each
     configured time; convergence additionally requires them to reach
     1 - lambda for every time >= epsilon.
     """
     space = fm.space
     ensure_phi_class(phi, t_max=cfg.t_max)
-    g.validate_bijection(space)
+    # g_transform validates g, before f as every entry point does.
+    relabeled = fm.g_transform(g)
     validate_map(space, f)
 
     n_horizon = horizon(phi, cfg.t0, cfg.epsilon, cfg.lam)
-    x, trace, stopped = orbit(
-        fm.g_transform(g), cfg, n_horizon, InverseComposite(g, f).apply
-    )
+    points, stopped = orbit(relabeled, cfg, n_horizon, InverseComposite(g, f).apply)
 
+    x = points[-1]
     gz = g.apply(space, x)
     fz = f.apply(space, x)
     residuals = tuple((t, fm.membership(gz, fz, t)) for t in cfg.times())
@@ -152,9 +155,9 @@ def solve_coincidence(
     )
     return SolveResult(
         point=x,
-        iterations=len(trace),
+        iterations=len(points) - 1,
         horizon_used=n_horizon,
-        trace=trace,
+        orbit=points,
         residuals=residuals,
         converged=converged,
     )

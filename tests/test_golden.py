@@ -50,3 +50,17 @@ def test_stdout_matches_golden(tmp_path, capsys, command, name, code):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
     if trace.exists():
         assert (tmp_path / "trace.txt").read_bytes() == trace.read_bytes()
+
+
+TRACED = [case for case in CASES if (GOLDEN / f"{case[1]}.trace").exists()]
+
+
+@pytest.mark.parametrize("command,name,code", TRACED, ids=[name for _, name, _ in TRACED])
+def test_stdout_does_not_depend_on_trace(tmp_path, capsys, command, name, code):
+    # The solvers grade their orbits only when a trace is written.
+    argv = [command, "--config", str(GOLDEN / f"{name}.json")]
+    outputs = []
+    for extra in ([], ["--trace", str(tmp_path / "trace.txt")]):
+        assert main(argv + extra) == code
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == (GOLDEN / f"{name}.out").read_text()

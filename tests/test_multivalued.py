@@ -2,7 +2,7 @@ import pytest
 
 import fuzzfix as fx
 from conftest import line_space
-from oracles import dense_grid, exhaustive_setvalued, inclusion_points
+from oracles import dense_grid, exhaustive_setvalued, inclusion_points, reference_orbit, relabeled_distance
 
 
 @pytest.fixture
@@ -183,11 +183,21 @@ def test_orbit_trace_records_each_step(flagship_setting):
     fm, T, g, phi = flagship_setting
     cfg = fx.SolverConfig(start="1", epsilon=1e-3, lam=1e-3, t0=2.0)
     res = fx.solve_inclusion(fm, T, g, phi, cfg)
-    assert [r.index for r in res.trace] == list(range(1, len(res.orbit)))
-    assert (cfg.start,) + tuple(r.point for r in res.trace) == res.orbit
-    for r in res.trace:
-        prev = res.orbit[r.index - 1]
-        assert r.successive_grade == fm.membership(r.point, prev, cfg.epsilon)
+    space = fm.space
+    distance = relabeled_distance(space, lambda p: p)
+
+    def nearest_image(x):
+        # The image point of g(x) nearest x, ties to the earlier label.
+        images = sorted(T.image(g.apply(space, x)), key=space.labels.index)
+        return min(images, key=lambda v: distance(x, v))
+
+    n_horizon = fx.horizon(phi, cfg.t0, cfg.epsilon, cfg.lam)
+    trace, stopped = reference_orbit(
+        nearest_image, distance, cfg.start, cfg.epsilon, cfg.lam, cfg.window, cfg.max_iter, n_horizon
+    )
+    records = fx.trace_records(fm, res.orbit, cfg.epsilon)
+    assert [(r.index, r.point, r.successive_grade) for r in records] == trace
+    assert res.converged == stopped
 
 
 def test_identity_inclusion_returns_immediately(multivalued_space):

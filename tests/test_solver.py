@@ -44,13 +44,12 @@ def test_trace_recurrence(flagship_fm, flagship_f, flagship_g, flagship_phi, fla
         flagship_fm, flagship_f, flagship_g, flagship_phi, flagship_cfg
     )
     space = flagship_fm.space
-    prev = flagship_cfg.start
-    for record in res.trace:
-        lhs = flagship_g.apply(space, record.point)
+    assert res.orbit[0] == flagship_cfg.start
+    assert len(res.orbit) == res.iterations + 1
+    for prev, point in zip(res.orbit, res.orbit[1:]):
+        lhs = flagship_g.apply(space, point)
         rhs = flagship_f.apply(space, prev)
         assert lhs == pytest.approx(rhs, abs=1e-12)
-        prev = record.point
-    assert [r.index for r in res.trace] == list(range(1, res.iterations + 1))
 
 
 def test_horizon_certificate(flagship_phi, flagship_cfg):
@@ -93,7 +92,7 @@ def test_window_invariant_at_stop(
         flagship_fm, flagship_f, flagship_g, flagship_phi, flagship_cfg
     )
     mg = flagship_fm.g_transform(flagship_g)
-    tail = [r.point for r in res.trace[-flagship_cfg.window :]]
+    tail = res.orbit[-flagship_cfg.window :]
     assert fx.is_cauchy_window(mg, tail, flagship_cfg.epsilon, flagship_cfg.lam)
 
 
@@ -110,8 +109,9 @@ def _swapping(a, b):
 
 
 def _coincidence_case(fm, f, g, g_point, step, start, epsilon, lam, k):
-    """solve_coincidence and its reference: the orbit's step and distance
-    by hand, and whether the residual grades at z clear 1 - lam."""
+    """solve_coincidence, the metric its orbit runs under, and its
+    reference: the orbit's step and distance by hand, and whether the
+    residual grades at z clear 1 - lam."""
     space = fm.space
     cfg = fx.SolverConfig(start=start, epsilon=epsilon, lam=lam)
 
@@ -122,7 +122,7 @@ def _coincidence_case(fm, f, g, g_point, step, start, epsilon, lam, k):
         d = relabeled_distance(space, lambda p: p)(g_point(z), f.apply(space, z))
         return all(t / (t + d) >= 1.0 - lam for t in cfg.times() if t >= epsilon)
 
-    return cfg, solve, step, relabeled_distance(space, g_point), k, residuals_pass
+    return cfg, solve, fm.g_transform(g), step, relabeled_distance(space, g_point), k, residuals_pass
 
 
 def _inclusion_case(images, g_table, start, epsilon, lam, k):
@@ -150,7 +150,7 @@ def _inclusion_case(images, g_table, start, epsilon, lam, k):
         assert best_grade > 1.0 - t
         return best
 
-    return cfg, solve, step, distance, k, lambda z: True
+    return cfg, solve, fm, step, distance, k, lambda z: True
 
 
 # Up the labels two images at a time, the nearer one second; the last is fixed.
@@ -205,7 +205,7 @@ STOP_CASES = {
 @pytest.mark.parametrize("window", [1, 2, 3, 4])
 @pytest.mark.parametrize("case", sorted(STOP_CASES))
 def test_stop_rule_matches_reference_loop(case, window, max_iter):
-    cfg, solve, step, distance, k, residuals_pass = STOP_CASES[case]()
+    cfg, solve, metric, step, distance, k, residuals_pass = STOP_CASES[case]()
     n_horizon = orbit_count(linear_step(k), cfg.t0, min(cfg.epsilon, cfg.lam), 10**6)
     limit = {"1": 1, "horizon-1": n_horizon - 1, "horizon": n_horizon, "default": cfg.max_iter}[max_iter]
     cfg = replace(cfg, window=window, max_iter=limit)
@@ -213,14 +213,14 @@ def test_stop_rule_matches_reference_loop(case, window, max_iter):
     trace, stopped = reference_orbit(
         step, distance, cfg.start, cfg.epsilon, cfg.lam, window, limit, n_horizon
     )
-    assert [(r.index, r.point, r.successive_grade) for r in res.trace] == trace
+    records = fx.trace_records(metric, res.orbit, cfg.epsilon)
+    assert [(r.index, r.point, r.successive_grade) for r in records] == trace
+    assert res.orbit == (cfg.start,) + tuple(point for _, point, _ in trace)
     assert res.point == trace[-1][1]
     assert res.converged == (stopped and residuals_pass(res.point))
     if isinstance(res, fx.SolveResult):
         assert res.horizon_used == n_horizon
         assert res.iterations == len(trace)
-    else:
-        assert res.orbit == (cfg.start,) + tuple(point for _, point, _ in trace)
 
 
 def test_max_iter_returns_partial_trace(flagship_fm, flagship_f, flagship_g, flagship_phi):
@@ -228,7 +228,58 @@ def test_max_iter_returns_partial_trace(flagship_fm, flagship_f, flagship_g, fla
     res = fx.solve_coincidence(flagship_fm, flagship_f, flagship_g, flagship_phi, cfg)
     assert not res.converged
     assert res.iterations == 3
-    assert len(res.trace) == 3
+    assert len(res.orbit) == 4
+
+
+def test_untraced_solve_grades_only_for_the_stop_rule(monkeypatch):
+    # No grade before the horizon, then one per step at window 2 (the
+    # window's one pair); the residuals grade once per time after the loop.
+    events = []
+    membership, apply = fx.FuzzyMetric.membership, fx.InverseComposite.apply
+
+    def counted_membership(self, x, y, t):
+        events.append("grade")
+        return membership(self, x, y, t)
+
+    def counted_apply(self, space, p):
+        events.append("step")
+        return apply(self, space, p)
+
+    monkeypatch.setattr(fx.FuzzyMetric, "membership", counted_membership)
+    monkeypatch.setattr(fx.InverseComposite, "apply", counted_apply)
+    fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, 1.0), fx.TNorm("product"))
+    f, g, phi = fx.AffineMap(0.5, 0.0), fx.AffineBijection(-1.0, 1.0), fx.LinearPhi(0.5)
+    cfg = fx.SolverConfig(start=0.0, epsilon=1e-2, lam=1e-3)
+    res = fx.solve_coincidence(fm, f, g, phi, cfg)
+    assert res.converged and res.iterations > res.horizon_used
+    residuals = ["grade"] * len(cfg.times())
+    stop_rule = ["step", "grade"] * (res.iterations - res.horizon_used + 1)
+    assert events == ["step"] * (res.horizon_used - 1) + stop_rule + residuals
+
+    events.clear()
+    res = fx.solve_coincidence(fm, f, g, phi, replace(cfg, max_iter=res.horizon_used - 1))
+    assert not res.converged
+    assert events == ["step"] * res.iterations + residuals
+
+
+def test_solve_validates_g_once_and_before_f(
+    monkeypatch, flagship_fm, flagship_f, flagship_g, flagship_phi, flagship_cfg
+):
+    checked = []
+    validate = fx.AffineBijection.validate_bijection
+    monkeypatch.setattr(
+        fx.AffineBijection,
+        "validate_bijection",
+        lambda self, space: checked.append(self) or validate(self, space),
+    )
+    fx.solve_coincidence(flagship_fm, flagship_f, flagship_g, flagship_phi, flagship_cfg)
+    assert checked == [flagship_g]
+    bad_f, bad_g = fx.AffineMap(2.0, 0.0), fx.AffineBijection(0.0, 1.0)
+    with pytest.raises(ValueError, match="outside the interval"):
+        fx.solve_coincidence(flagship_fm, bad_f, flagship_g, flagship_phi, flagship_cfg)
+    # With both maps bad, g's error is the one raised.
+    with pytest.raises(fx.NotBijective):
+        fx.solve_coincidence(flagship_fm, bad_f, bad_g, flagship_phi, flagship_cfg)
 
 
 def test_determinism(flagship_fm, flagship_f, flagship_g, flagship_phi, flagship_cfg):
