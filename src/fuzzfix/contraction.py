@@ -8,22 +8,19 @@ The single-valued condition under test is an implication over all t > 0:
 For the standard fuzzy metric the antecedent holds iff t > tau(d_g) and
 the consequent iff phi(t) > tau(d_f), with d_g = d(gx, gy) and d_f =
 d(fx, fy). As phi does not decrease, the consequent is hardest where the
-antecedent first holds: at t* = ``onset(d_g)``, in floats. So one
-comparison per pair decides the whole t-quantifier; only the pair
-sampling is approximate. A pair passes iff phi(t*) > 0 and phi(t*) >=
-tau(d_f) - slack; the raw consequent is tried first, and tau(d_f) is
-computed only where it fails. The slack is derived, for maps and
-moduli taken as exact real functions: ``phi.slack`` covers the rounding
-in eval and the rise of phi over t*'s distance below the exact crossing
-(4 * 2**-53, plus what rounding in g and in the distance may hide of
-d_g). Errors in the distances are carried through tau's own slope,
-tau'(d) = (1 - tau)**2 / (tau (2 - tau)), which falls with d as tau is
-concave: an error e_g in d_g moves the crossing by at most e_g *
-tau'(d_g), and one e in d_f moves tau(d_f) by at most e * tau'(d_f - e).
-5 * 2**-53 * tau(d_f) + 4 * 2**-53 cover the closed form for tau(d_f) and
-the raw consequent. A failing pair records one counterexample at t*,
-which replays through membership in floats. The metric-side check
-``check_metric_phi`` takes the same rounding bounds.
+antecedent first holds, so one comparison per pair decides the whole
+t-quantifier; only the pair sampling is approximate. The distances come
+from ``image_distances``, relatively within DISTANCE_ERROR of the exact
+ones. A pair passes iff phi(t) > 0 and phi(t) >= tau(d_f) - slack at t =
+crossing_time(d_g) (``COINCIDENT_ONSET`` at d_g = 0); the raw consequent
+is tried first. The slack is derived, for maps and moduli taken as exact
+real functions. t lies relatively within 4 * 2**-53 of tau(d_g), and tau
+rises like d**(1/2) at most, so the exact crossing lies at most dt = 4 *
+2**-53 + DISTANCE_ERROR * t above t; ``phi.slack`` covers the rounding in
+eval and the rise of phi over dt, (5 * 2**-53 + DISTANCE_ERROR) * tau(d_f)
+the closed form for tau(d_f) and the error in d_f, and 4 * 2**-53 the raw
+consequent and distances that underflow. Only the counterexamples a
+report keeps are computed from the float images of their points.
 """
 
 from __future__ import annotations
@@ -32,17 +29,26 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from operator import sub
+from typing import List, Optional, Sequence, Tuple
 
-from .fmspace import EuclideanSpace, FiniteSpace, FuzzyMetric, Point, Space, onset, threshold
-from .maps import AffineBijection, AffineMap, BijectionSpec, MapSpec, rounding, validate_map
-from .phi import InducedPhi, PhiFunction, crossing_time, ensure_phi_class
+from .fmspace import FiniteSpace, FuzzyMetric, IntervalSpace, Point, Space, onset, threshold
+from .maps import BijectionSpec, ConstantMap, MapSpec, validate_map
+from .phi import InducedPhi, LinearPhi, PhiFunction, RationalPhi, TablePhi, crossing_time, ensure_phi_class
 from .report import LawCheck, Report
 
 MAX_COUNTEREXAMPLES = 64
 
 _U = 2.0 ** -53
 _ONSET_ERROR = 4 * _U
+# Relative error of a distance from image_distances: delta rounds once
+# (abs) or thrice (math.dist rounds each difference, then the norm within
+# an ulp), s and s * delta once each, and normalization's expm1 within an
+# ulp more.
+DISTANCE_ERROR = 8 * _U
+# Coincident points, whose crossing is 0, are judged at the first float t
+# at which their antecedent holds: phi must be positive past 0.
+COINCIDENT_ONSET = onset(0.0)
 
 # Fuzzy continuity: the target levels checked, and the floor below which
 # a needed source level is reported as a jump.
@@ -52,8 +58,9 @@ CONTINUITY_S_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class CounterExample:
-    """A replayable violation: recomputing both sides from (x, y, t)
-    reproduces antecedent > 1 - t with the consequent failing."""
+    """A violation at t = onset(d(gx, gy)) of the float images: recomputing
+    both sides reproduces antecedent > 1 - t with the consequent failing,
+    unless the violation is below the rounding of those images."""
 
     x: Point
     y: Point
@@ -71,25 +78,19 @@ class ContractionReport:
     method: str
 
     @classmethod
-    def of(cls, found: list, checked: int, method: str) -> "ContractionReport":
-        """The report of ``checked`` pairs from their failures, of which the
-        first MAX_COUNTEREXAMPLES in report order are kept.
-
-        Each entry of ``found`` is a flat tuple: the sort key's components
-        (point keys), the failure's position in the scan (ties keep scan
-        order, as a stable sort would) and last the CounterExample fields as
-        a tuple. heapq.nsmallest equals sorted(found)[:n], and only the kept
-        entries become objects.
-        """
-        kept = heapq.nsmallest(MAX_COUNTEREXAMPLES, found)
-        return cls(not found, checked, tuple(CounterExample(*entry[-1]) for entry in kept), method)
+    def of(cls, space: Space, failing: list, checked: int, method: str, replay) -> "ContractionReport":
+        """The report of ``checked`` pairs from the failing ones (tuples of
+        points): only the first MAX_COUNTEREXAMPLES by point keys, ties in
+        scan order, are ``replay``ed into CounterExample fields."""
+        kept = heapq.nsmallest(MAX_COUNTEREXAMPLES, failing, key=lambda p: tuple(map(space.point_key, p)))
+        return cls(not failing, checked, tuple(CounterExample(*replay(*p)) for p in kept), method)
 
 
-def sample_pairs(
-    space: Space, samples: int, seed: int
-) -> List[Tuple[Point, Point]]:
+def sample_pairs(space: Space, samples: int, seed: int) -> List[Tuple[Point, Point]]:
     """Deterministic pair plan: all ordered pairs on small finite spaces,
-    otherwise seeded draws with the space's extremes prepended."""
+    otherwise seeded draws with the space's extremes prepended. Interval
+    and box coordinates are drawn as lo + w * random(), random.uniform's
+    own formula, so they are the floats of space.sample."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
@@ -98,142 +99,163 @@ def sample_pairs(
         if len(pairs) <= samples:
             return pairs
         return [pairs[rng.randrange(len(pairs))] for _ in range(samples)]
-    pairs = []
     ext = space.extreme_points()
-    if len(ext) == 2:
-        pairs.append((ext[0], ext[1]))
-        pairs.append((ext[1], ext[0]))
-    while len(pairs) < samples:
-        pairs.append((space.sample(rng), space.sample(rng)))
+    pairs = [(ext[0], ext[1]), (ext[1], ext[0])] if ext else []
+    draws, rnd = range(samples - len(pairs)), rng.random
+    if isinstance(space, IntervalSpace):
+        lo, w = space.lo, space.hi - space.lo
+        pairs += [(lo + w * rnd(), lo + w * rnd()) for _ in draws]
+    elif space.bound is not None:
+        lo, w, n = -space.bound, 2.0 * space.bound, range(space.dim)
+        pairs += [(tuple([lo + w * rnd() for _ in n]), tuple([lo + w * rnd() for _ in n])) for _ in draws]
+    else:
+        pairs += [(space.sample(rng), space.sample(rng)) for _ in draws]
     return pairs
 
 
-def image_rounding(fm: FuzzyMetric, m) -> Tuple[float, float]:
-    """``maps.rounding`` of the point fm measures for m(p): fm's transform
-    h scales m's error by |h.a| and adds its own at m(p), whose size is at
-    most |m.a| * |p| + |m.b| per coordinate."""
-    r, s = rounding(m, fm.space)
-    h = fm.transform
-    # Permutations are exact, and a constant map's images are one point.
-    if not (isinstance(h, AffineBijection) and isinstance(m, (AffineMap, AffineBijection))):
-        return r, s
-    rh, sh = rounding(h, fm.space)
-    n = fm.space.dim if isinstance(fm.space, EuclideanSpace) else 1
-    return abs(h.a) * r + rh * abs(m.a), abs(h.a) * s + rh * abs(m.b) * n + sh
+def image_distances(space: Space, maps: Sequence, h, pairs: Sequence) -> List[List[float]]:
+    """For each map m, the distances of h(m(x)) and h(m(y)) over ``pairs``
+    (h the metric's transform, or None), relatively within DISTANCE_ERROR of
+    the exact ones: on a finite space the table floats of the mapped labels,
+    on a continuum one s delta for one distance delta of x and y, with s =
+    |a| |a_h| (0 for a constant map), and 1 - exp(-s delta) under normalize."""
+    if isinstance(space, FiniteSpace):
+        table, out = space.dist, []
+        for m in maps:
+            images = {l: m.apply(space, l) for l in space.labels}
+            rows = {l: space.index(p if h is None else h.apply(space, p)) for l, p in images.items()}
+            out.append([table[rows[x]][rows[y]] for x, y in pairs])
+    else:
+        p, q = [x for x, _ in pairs], [y for _, y in pairs]
+        delta = list(map(abs, map(sub, p, q)) if isinstance(space, IntervalSpace) else map(math.dist, p, q))
+        a_h = 1.0 if h is None else abs(h.a)
+        slopes = [0.0 if isinstance(m, ConstantMap) else abs(m.a) * a_h for m in maps]
+        out = [[s * d for d in delta] for s in slopes]
+    if space.normalize:
+        out = [[-math.expm1(-d) for d in ds] for ds in out]
+    return out
 
 
-def distance_error(rs: Tuple[float, float], size: float, d: float) -> float:
-    """Bound on how far d, the float distance between the points measured
-    for m(x) and m(y), lies from the exact one, with rs = image_rounding(fm,
-    m) and size = |x| + |y|; the distance itself adds 4 * 2**-53 * d (abs
-    and math.dist round within an ulp, normalization's expm1 within one
-    more)."""
-    r, s = rs
-    return r * size + 2.0 * s + 4 * _U * d
+def slack_cap(phi: PhiFunction) -> float:
+    """Twice the largest slack ``consequent_fails`` allows a pair (t, phi(t)
+    and tau lie in [0, 1]), from each modulus's steepest slope: k, 1 or 1/k
+    for the linear, rational and induced forms; inf for a step function."""
+    if isinstance(phi, TablePhi):
+        return math.inf
+    slope = phi.k if isinstance(phi, LinearPhi) else 1.0 if isinstance(phi, RationalPhi) else 1.0 / phi.k
+    return 2.0 * (17 * _U + DISTANCE_ERROR + slope * (_ONSET_ERROR + DISTANCE_ERROR))
 
 
-def point_size(p: Point) -> float:
-    """|p|, summed over coordinates; 0 for a label, which maps exactly."""
-    if type(p) is str:
-        return 0.0
-    return sum(map(abs, p)) if type(p) is tuple else abs(p)
-
-
-def _tau_slope(tau: float) -> float:
-    """tau'(d) at tau = tau(d), which bounds tau's slope on [d, inf) and
-    falls as tau rises; inf at tau <= 0."""
-    return (1.0 - tau) ** 2 / (tau * (2.0 - tau)) if tau > 0.0 else math.inf
-
-
-def consequent_fails(
-    phi: PhiFunction, t: float, scaled: float, d_g: float, e_g: float, d: float, e: float
-) -> bool:
-    """Whether scaled = phi.eval(t) at t = t* = onset(d_g), where the raw
-    consequent failed, fails it for image distance d beyond the slack. The
-    exact distances lie within e_g of d_g and e of d. t* lies at most 4 *
-    2**-53 below the crossing of d_g, and that of d_g + e_g at most e_g *
-    tau'(d_g) above it, where t - 4 * 2**-53 <= tau(d_g) gives tau' its
-    bound. At scaled == 0 it fails: membership is 0."""
+def consequent_fails(phi: PhiFunction, t: float, scaled: float, d: float, cap: float) -> bool:
+    """Whether scaled = phi.eval(t) at t = crossing_time(d_g), where the raw
+    consequent failed, fails it for image distance d beyond the slack. A
+    deficit above cap = slack_cap(phi) fails without the slack. At scaled
+    == 0 it fails: membership is 0."""
     tau = crossing_time(d)
-    dt = _ONSET_ERROR + (e_g * _tau_slope(t - _ONSET_ERROR) if e_g else 0.0)
-    e_tau = e * _tau_slope(crossing_time(d - e) if d > e else 0.0) if e else 0.0
-    slack = phi.slack(t, scaled, dt) + _ONSET_ERROR * (1.0 + 1.25 * tau) + e_tau
+    if tau - scaled > cap:
+        return True
+    dt = _ONSET_ERROR + DISTANCE_ERROR * t
+    slack = phi.slack(t, scaled, dt) + _ONSET_ERROR + (5 * _U + DISTANCE_ERROR) * tau
     return not (scaled > 0.0 and scaled >= tau - slack)
 
 
+def induced_tie_rule(fm: FuzzyMetric, f: MapSpec, g: BijectionSpec, phi: PhiFunction):
+    """fails(pair, d_g), exactly, for an induced modulus on an unnormalized
+    continuum space whose ratio r = s_f / s_g is at least k; else None.
+    Up to the cap phi(tau(d)) = tau(k d), and past it tau(r d) outgrows
+    phi(tau(d)): at r > k every pair of distinct points fails, at r == k
+    those past the cap, by violations that may lie far inside the slack."""
+    space, h = fm.space, fm.transform
+    if not isinstance(phi, InducedPhi) or isinstance(space, FiniteSpace) or space.normalize:
+        return None
+    from fractions import Fraction  # here, as importing it costs a few ms at startup
+
+    slope_f = 0 if isinstance(f, ConstantMap) else Fraction(abs(f.a))
+    excess = slope_f - Fraction(phi.k) * Fraction(abs(g.a))  # the transform's slope cancels in r
+    if excess > 0:
+        return lambda pair, d_g: pair[0] != pair[1]
+    if excess < 0:
+        return None
+    s_g = Fraction(abs(g.a)) * Fraction(1.0 if h is None else abs(h.a))
+    cap, room, squared_cap = phi.cap, 2 * DISTANCE_ERROR * phi.cap, (Fraction(phi.cap) / s_g) ** 2
+
+    def fails(pair, d_g):
+        if abs(d_g - cap) > room:  # d_g tells the pair's side of the cap
+            return d_g > cap
+        x, y = (p if type(p) is tuple else (p,) for p in pair)
+        return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x, y)) > squared_cap
+
+    return fails
+
+
 def check_g_phi(
-    fm: FuzzyMetric,
-    f: MapSpec,
-    g: BijectionSpec,
-    phi: PhiFunction,
-    samples: int = 10000,
-    seed: int = 0,
+    fm: FuzzyMetric, f: MapSpec, g: BijectionSpec, phi: PhiFunction, samples: int = 10000, seed: int = 0
 ) -> ContractionReport:
     """Verify the contraction implication by one comparison per pair.
 
     The classic special cases are recovered by the arguments alone:
     a linear modulus gives the ratio form of the implication, and the
-    identity bijection gives the plain (untransformed) form.
+    identity bijection gives the plain (untransformed) form. f is affine
+    or constant on a continuum space.
     """
     ensure_phi_class(phi)
     g.validate_bijection(fm.space)
     validate_map(fm.space, f)
     space = fm.space
     pairs = sample_pairs(space, samples, seed)
-    dist = space.distance if fm.transform is None else fm.distance
-    modulus = phi.eval
-    f_rounding, g_rounding = image_rounding(fm, f), image_rounding(fm, g)
-    found = []
-    for x, y in pairs:
-        d_g = dist(g.apply(space, x), g.apply(space, y))
-        d_f = dist(f.apply(space, x), f.apply(space, y))
-        t = onset(d_g)
+    d_gs, d_fs = image_distances(space, (g, f), fm.transform, pairs)
+    modulus, cap = phi.eval, slack_cap(phi)
+    failing = []
+    for pair, d_g, d_f in zip(pairs, d_gs, d_fs):
+        t = crossing_time(d_g) or COINCIDENT_ONSET
         scaled = modulus(t)
         # The raw consequent passes almost every passing pair, without tau_f.
         if scaled != 0.0 and scaled / (scaled + d_f) > 1.0 - scaled:
             continue
-        size = point_size(x) + point_size(y)
-        e_g, e_f = distance_error(g_rounding, size, d_g), distance_error(f_rounding, size, d_f)
-        if consequent_fails(phi, t, scaled, d_g, e_g, d_f, e_f):
-            consequent = scaled / (scaled + d_f) if scaled != 0.0 else 0.0
-            kx, ky = space.point_key(x), space.point_key(y)
-            found.append((kx, ky, len(found), (x, y, t, t / (t + d_g), consequent)))
-    return ContractionReport.of(found, len(pairs), "threshold-reduction")
+        if consequent_fails(phi, t, scaled, d_f, cap):
+            failing.append(pair)
+    exact = induced_tie_rule(fm, f, g, phi)
+    if exact is not None:
+        failing = [pair for pair, d_g in zip(pairs, d_gs) if exact(pair, d_g)]
+
+    def replay(x, y):
+        d_g = fm.distance(g.apply(space, x), g.apply(space, y))
+        d_f = fm.distance(f.apply(space, x), f.apply(space, y))
+        t = onset(d_g)
+        scaled = modulus(t)
+        return x, y, t, t / (t + d_g), scaled / (scaled + d_f) if scaled != 0.0 else 0.0
+
+    return ContractionReport.of(space, failing, len(pairs), "threshold-reduction", replay)
 
 
 def check_metric_phi(
-    space: Space,
-    f: MapSpec,
-    g: BijectionSpec,
-    psi: PhiFunction,
-    samples: int = 10000,
-    seed: int = 0,
+    space: Space, f: MapSpec, g: BijectionSpec, psi: PhiFunction, samples: int = 10000, seed: int = 0
 ) -> ContractionReport:
     """Check the metric-side condition d(fx, fy) <= psi(d(gx, gy)).
 
-    A pair fails iff d_f - e_f > psi(d_g) + psi.slack(d_g, psi(d_g), e_g),
-    with e_g and e_f the distances' ``distance_error`` bounds.
-    Counterexample fields: ``t`` is d(gx, gy), ``antecedent`` the allowed
-    bound psi(d(gx, gy)), ``consequent`` the actual d(fx, fy).
+    With d_g and d_f from ``image_distances``, each within e = DISTANCE_ERROR
+    of itself from the exact distance, a pair fails iff d_f (1 - e) >
+    psi(d_g) + psi.slack(d_g, psi(d_g), e d_g).
+    Counterexample fields, from the float images: ``t`` is d(gx, gy),
+    ``antecedent`` the allowed bound psi(d(gx, gy)), ``consequent`` the
+    actual d(fx, fy).
     """
     ensure_phi_class(psi)
     g.validate_bijection(space)
     validate_map(space, f)
     pairs = sample_pairs(space, samples, seed)
-    f_rounding, g_rounding = rounding(f, space), rounding(g, space)
-    found = []
-    for x, y in pairs:
-        d_g = space.distance(g.apply(space, x), g.apply(space, y))
-        d_f = space.distance(f.apply(space, x), f.apply(space, y))
+    d_gs, d_fs = image_distances(space, (g, f), None, pairs)
+    failing, e = [], DISTANCE_ERROR
+    for pair, d_g, d_f in zip(pairs, d_gs, d_fs):
         bound = psi.eval(d_g)
-        if d_f <= bound:
-            continue
-        size = point_size(x) + point_size(y)
-        e_g, e_f = distance_error(g_rounding, size, d_g), distance_error(f_rounding, size, d_f)
-        if d_f - e_f > bound + psi.slack(d_g, bound, e_g):
-            kx, ky = space.point_key(x), space.point_key(y)
-            found.append((kx, ky, d_g, len(found), (x, y, d_g, bound, d_f)))
-    return ContractionReport.of(found, len(pairs), "metric-direct")
+        if d_f > bound and d_f * (1.0 - e) > bound + psi.slack(d_g, bound, e * d_g):
+            failing.append(pair)
+
+    def replay(x, y):
+        d_g = space.distance(g.apply(space, x), g.apply(space, y))
+        return x, y, d_g, psi.eval(d_g), space.distance(f.apply(space, x), f.apply(space, y))
+
+    return ContractionReport.of(space, failing, len(pairs), "metric-direct", replay)
 
 
 def induce_phi(k: float, cap: float) -> InducedPhi:

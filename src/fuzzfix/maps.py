@@ -8,12 +8,11 @@ with nonzero slope fixing the endpoints, or a full permutation table).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple, Union
+from typing import Dict, Union
 
 from .errors import InverseUndefined, NotBijective, UnknownPoint
-from .fmspace import EuclideanSpace, FiniteSpace, IntervalSpace, Point, Space
+from .fmspace import FiniteSpace, IntervalSpace, Point, Space
 
 
 @dataclass(frozen=True)
@@ -80,26 +79,6 @@ class TableMap:
 def validate_map(space: Space, m) -> None:
     """Raise ValueError unless ``m`` maps ``space`` into itself."""
     m.validate(space)
-
-
-def rounding(m, space: Space) -> Tuple[float, float]:
-    """(r, s): the float image of an exact point p under m lies within
-    r * |p| + s of its exact image, with sizes and distances summed over
-    coordinates.
-
-    An affine map rounds a * c unless a is a signed power of two, and
-    rounds again adding b unless b is 0. Each rounding moves a value by at
-    most 2**-53 of it; the bound takes twice that, since its sizes come
-    from rounded values. Tables, permutations and constants are exact; an
-    InverseComposite, which the solver builds and no check takes, counts
-    as exact too.
-    """
-    if not isinstance(m, (AffineMap, AffineBijection)):
-        return 0.0, 0.0
-    n = space.dim if isinstance(space, EuclideanSpace) else 1
-    product = 0.0 if math.frexp(m.a)[0] in (0.5, -0.5) else 1.0
-    offset = 1.0 if m.b else 0.0
-    return 2.0 ** -52 * abs(m.a) * (product + offset), 2.0 ** -52 * abs(m.b) * n
 
 
 @dataclass(frozen=True)

@@ -13,17 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .contraction import (
-    ContractionReport,
-    consequent_fails,
-    distance_error,
-    image_rounding,
-    point_size,
-)
+from .contraction import COINCIDENT_ONSET, ContractionReport, consequent_fails, image_distances, slack_cap
 from .errors import NoAdmissibleSuccessor, NotDemicompact, UnknownPoint
 from .fmspace import FiniteSpace, FuzzyMetric, Point, Space, onset
 from .maps import BijectionSpec, identity_for
-from .phi import PhiFunction, ensure_phi_class, horizon
+from .phi import PhiFunction, crossing_time, ensure_phi_class, horizon
 from .solver import SolverConfig, orbit
 from .tnorm import Grade
 
@@ -144,9 +138,9 @@ def check_setvalued_contraction(
     With ``pairs`` omitted, every ordered pair of points whose g-image
     lies in the map's domain is checked (finite spaces); continuum
     spaces need an explicit pair plan. Each image point u of gx is judged
-    as in ``check_g_phi``, at t* and with its nearest image point v of
-    gy, which grades best at every scale. A counterexample records the u
-    with no admissible v, with the consequent being that best grade.
+    as in ``check_g_phi``, with its nearest image point v of gy, which
+    grades best at every scale. A counterexample records the u with no
+    admissible v, with the consequent being that best grade.
     """
     ensure_phi_class(phi)
     space = fm.space
@@ -157,29 +151,32 @@ def check_setvalued_contraction(
             raise ValueError("an explicit pair plan is required on continuum spaces")
         eligible = [x for x in space.labels if g.apply(space, x) in T.images]
         pairs = [(x, y) for x in eligible for y in eligible]
-    g_rounding, point_rounding = image_rounding(fm, g), image_rounding(fm, identity_for(space))
-    found = []
-    for x, y in pairs:
+    images = [(T.image(g.apply(space, x)), T.image(g.apply(space, y))) for x, y in pairs]
+    d_gs, = image_distances(space, (g,), fm.transform, pairs)
+    points = {p for values in T.images.values() for p in values}
+    between = [(u, v) for u in points for v in points]
+    near = dict(zip(between, image_distances(space, (identity_for(space),), fm.transform, between)[0]))
+    cap = slack_cap(phi)
+    failing = []
+    for (x, y), (images_u, images_v), d_g in zip(pairs, images, d_gs):
+        t = crossing_time(d_g) or COINCIDENT_ONSET
+        scaled = phi.eval(t)
+        for u in images_u:
+            d = min(near[u, v] for v in images_v)
+            if scaled != 0.0 and scaled / (scaled + d) > 1.0 - scaled:
+                continue
+            if consequent_fails(phi, t, scaled, d, cap):
+                failing.append((x, y, u))
+
+    def replay(x, y, u):
         gx, gy = g.apply(space, x), g.apply(space, y)
         d_g = fm.distance(gx, gy)
         t = onset(d_g)
         scaled = phi.eval(t)
-        images_v = T.image(gy)
-        for u in T.image(gx):
-            d = min(fm.distance(u, v) for v in images_v)
-            if scaled != 0.0 and scaled / (scaled + d) > 1.0 - scaled:
-                continue
-            e_g = distance_error(g_rounding, point_size(x) + point_size(y), d_g)
-            # The exact nearest distance lies at most the largest error below d.
-            e = max(
-                distance_error(point_rounding, point_size(u) + point_size(v), fm.distance(u, v))
-                for v in images_v
-            )
-            if consequent_fails(phi, t, scaled, d_g, e_g, d, e):
-                best = scaled / (scaled + d) if scaled != 0.0 else 0.0
-                keys = space.point_key(x), space.point_key(y), space.point_key(u)
-                found.append((*keys, len(found), (x, y, t, t / (t + d_g), best, u)))
-    return ContractionReport.of(found, len(pairs), "threshold-reduction")
+        d = min(fm.distance(u, v) for v in T.image(gy))
+        return x, y, t, t / (t + d_g), scaled / (scaled + d) if scaled != 0.0 else 0.0, u
+
+    return ContractionReport.of(space, failing, len(pairs), "threshold-reduction", replay)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,31 @@
+import math
+import random
+
 import pytest
 
 import fuzzfix as fx
 from corpus import CORPUS
 from fuzzfix import contraction
-from fuzzfix.contraction import consequent_fails
+from fuzzfix.contraction import consequent_fails, slack_cap
 from oracles import dense_grid, exhaustive_g_phi, tau
+
+
+# ----------------------------------------------------------- sample_pairs
+
+
+@pytest.mark.parametrize(
+    "space",
+    [fx.IntervalSpace(-0.75, 2.5), fx.EuclideanSpace(2, 1.0), fx.EuclideanSpace(3, 0.5), fx.EuclideanSpace(2)],
+    ids=["interval", "box2", "box3", "plane"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_sample_pairs_are_the_space_s_own_draws(space, seed):
+    # The extremes first, then pairs of space.sample draws from one generator.
+    rng = random.Random(seed)
+    ext = space.extreme_points()
+    expected = [(ext[0], ext[1]), (ext[1], ext[0])] if ext else []
+    expected += [(space.sample(rng), space.sample(rng)) for _ in range(50 - len(expected))]
+    assert fx.sample_pairs(space, 50, seed) == expected
 
 
 # ------------------------------------------------------------ check_g_phi
@@ -149,9 +170,10 @@ def test_rounding_in_the_map_is_no_violation(flagship_fm, seed):
     assert report.passed
 
 
-def _failing_pairs(monkeypatch, a, cap):
-    """(report, number of failing pairs) of f(x) = a x on [0, cap] under
-    the identity with induced(0.5, cap), at 2,000 pairs and seed 1."""
+def _failing_pairs(monkeypatch, a, cap, k=0.5):
+    """(report, number of pairs consequent_fails fails) of f(x) = a x on
+    [0, cap] under the identity with induced(k, cap), at 2,000 pairs and
+    seed 1."""
     verdicts = []
 
     def spy(*args):
@@ -161,7 +183,7 @@ def _failing_pairs(monkeypatch, a, cap):
     monkeypatch.setattr(contraction, "consequent_fails", spy)
     fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, cap), fx.TNorm("product"))
     report = fx.check_g_phi(
-        fm, fx.AffineMap(a, 0.0), fx.identity_for(fm.space), fx.induce_phi(0.5, cap), samples=2000, seed=1,
+        fm, fx.AffineMap(a, 0.0), fx.identity_for(fm.space), fx.induce_phi(k, cap), samples=2000, seed=1,
     )
     return report, sum(verdicts)
 
@@ -180,6 +202,54 @@ def test_induced_slack_catches_every_pair_at_large_caps(monkeypatch, cap):
 def test_induced_modulus_is_tight_at_any_cap(monkeypatch, cap):
     report, failing = _failing_pairs(monkeypatch, 0.5, cap)
     assert report.passed and failing == 0
+
+
+@pytest.mark.parametrize("k", [0.05, 0.02])
+@pytest.mark.parametrize("cap", [1e2, 1e4, 1e6])
+def test_steep_induced_modulus_is_tight(monkeypatch, k, cap):
+    # Near tau = 1 induced(k, cap) rises with slope up to 1 / k, so the slack
+    # must carry its rise over the error of the crossing time: without it,
+    # up to 540 of these pairs fail.
+    report, failing = _failing_pairs(monkeypatch, k, cap, k)
+    assert report.passed and failing == 0
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [fx.LinearPhi(0.3), fx.RationalPhi(), fx.InducedPhi(0.2, 1.0), fx.InducedPhi(0.9, 1e6)],
+    ids=["linear", "rational", "induced", "induced-wide"],
+)
+def test_slack_cap_only_skips_the_slack(phi):
+    # A deficit above the cap fails exactly where the full slack fails it.
+    cap = slack_cap(phi)
+    assert 0.0 < cap < 1e-13
+    rng = random.Random(0)
+    for _ in range(5000):
+        t = fx.crossing_time(math.exp(rng.uniform(-40.0, 15.0)))
+        scaled = phi.eval(t)
+        tau_f = scaled + rng.choice([-1.0, 1.0]) * cap * rng.uniform(0.0, 3.0)
+        if tau_f <= 0.0:
+            continue
+        d = tau_f * tau_f / (1.0 - tau_f) if tau_f < 1.0 else 1e300
+        assert consequent_fails(phi, t, scaled, d, cap) == consequent_fails(phi, t, scaled, d, math.inf)
+
+
+def test_slack_cap_of_a_step_function_is_infinite():
+    assert slack_cap(fx.TablePhi(((0.0, 0.0), (0.5, 0.25)))) == math.inf
+
+
+def test_tie_just_past_the_induced_cap_fails():
+    # f(x) = x / 2 with induced(0.5, cap) ties every pair up to the cap. The
+    # extreme pair of the cube [-1/2, 1/2]^3 lies sqrt(3) apart, just past
+    # the float cap fl(sqrt(3)), where the implication fails by about 5e-18,
+    # far inside the slack.
+    fm = fx.FuzzyMetric(fx.EuclideanSpace(3, 0.5), fx.TNorm("product"))
+    g, phi = fx.identity_for(fm.space), fx.InducedPhi(0.5, math.sqrt(3.0))
+    report = fx.check_g_phi(fm, fx.AffineMap(0.5, 0.0), g, phi, samples=200, seed=0)
+    assert not report.passed
+    assert {(ce.x, ce.y) for ce in report.counterexamples} == set(fx.sample_pairs(fm.space, 2, 0))
+    inside = fx.check_g_phi(fm, fx.AffineMap(0.5, 0.0), g, fx.InducedPhi(0.5, 2.0), samples=200, seed=0)
+    assert inside.passed
 
 
 def test_one_counterexample_per_failing_pair(flagship_fm, flagship_f):

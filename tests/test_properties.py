@@ -10,6 +10,7 @@ Every test runs on a fixed seed, so the suite stays deterministic.
 """
 
 import math
+import random
 from decimal import localcontext
 from fractions import Fraction
 
@@ -237,11 +238,19 @@ def test_modulus_slack_is_derived_not_loose(phi, t, dt):
         assert exact_phi(phi, dec(t) + dec(dt)) <= dec(value) + dec(slack)
 
 
+def _image(draw, space, f):
+    """f, or a constant map onto a point of the space: constant maps scale
+    every distance by 0."""
+    if not draw(st.booleans()):
+        return f
+    return fx.ConstantMap(space.sample(random.Random(draw(st.integers(0, 99)))))
+
+
 @st.composite
 def interval_cases(draw):
     lo = draw(_dyadic(-16, 16))
     hi = lo + draw(_dyadic(1, 32))
-    space = fx.IntervalSpace(lo, hi)
+    space = fx.IntervalSpace(lo, hi, normalize=draw(st.booleans()))
     reflection = fx.AffineBijection(-1.0, lo + hi)
     g, h = (draw(st.sampled_from([fx.AffineBijection(1.0, 0.0), reflection])) for _ in range(2))
     a = draw(st.floats(-0.95, 0.95))
@@ -250,7 +259,7 @@ def interval_cases(draw):
     f = fx.AffineMap(a, b)
     assume(maps_into(space, f))  # b may round the image past an end
     transform = h if draw(st.booleans()) else None
-    return _metric(space, transform), f, g, draw(moduli(hi - lo))
+    return _metric(space, transform), _image(draw, space, f), g, draw(moduli(space.diameter()))
 
 
 def maps_into(space, f):
@@ -263,14 +272,31 @@ def maps_into(space, f):
 
 @st.composite
 def box_cases(draw):
-    dim = draw(st.sampled_from([2, 3]))
+    dim = draw(st.sampled_from([1, 2, 3]))
     bound = draw(st.sampled_from([0.5, 1.0, 2.0]))
-    space = fx.EuclideanSpace(dim, bound)
+    space = fx.EuclideanSpace(dim, bound, normalize=draw(st.booleans()))
     g, h = (draw(st.sampled_from([fx.AffineBijection(1.0, 0.0), fx.AffineBijection(-1.0, 0.0)])) for _ in range(2))
     a = draw(st.floats(-0.9, 0.9))
     b = draw(st.floats(-1.0, 1.0)) * (1.0 - abs(a)) * bound * 0.999
     transform = h if draw(st.booleans()) else None
-    return _metric(space, transform), fx.AffineMap(a, b), g, draw(moduli(2.0 * bound * math.sqrt(dim)))
+    f = _image(draw, space, fx.AffineMap(a, b))
+    return _metric(space, transform), f, g, draw(moduli(space.diameter()))
+
+
+def _slope(draw):
+    return draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.1, 10.0))
+
+
+@st.composite
+def unbounded_cases(draw):
+    """R^1 to R^3 without a bound, where any affine bijection is one: g and
+    the metric's transform have slopes other than +-1, so the scale
+    |a_g| |a_h| of a distance rounds."""
+    space = fx.EuclideanSpace(draw(st.integers(1, 3)), normalize=draw(st.booleans()))
+    g, h = (fx.AffineBijection(_slope(draw), draw(st.floats(-1.0, 1.0))) for _ in range(2))
+    f = _image(draw, space, fx.AffineMap(_slope(draw) / 10.0, draw(st.floats(-1.0, 1.0))))
+    transform = h if draw(st.booleans()) else None
+    return _metric(space, transform), f, g, draw(moduli(space.diameter() or draw(st.floats(0.5, 8.0))))
 
 
 @st.composite
@@ -338,6 +364,13 @@ def test_check_g_phi_matches_reference_on_intervals(case, samples, sample_seed):
 @contraction_settings
 @given(case=box_cases(), samples=st.integers(1, 100), sample_seed=st.integers(0, 99))
 def test_check_g_phi_matches_reference_on_boxes(case, samples, sample_seed):
+    assert_matches_reference(case, samples, sample_seed)
+
+
+@seed(SEED)
+@contraction_settings
+@given(case=unbounded_cases(), samples=st.integers(1, 100), sample_seed=st.integers(0, 99))
+def test_check_g_phi_matches_reference_on_unbounded_spaces(case, samples, sample_seed):
     assert_matches_reference(case, samples, sample_seed)
 
 
