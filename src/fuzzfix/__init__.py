@@ -28,7 +28,6 @@ from .tnorm import (
     TNorm,
     delta_for_lambda,
     fold,
-    sqrt_level,
     verify_tnorm_axioms,
 )
 from .phi import (
@@ -61,14 +60,11 @@ from .maps import (
     PermutationBijection,
     TableMap,
     identity_for,
-    validate_map,
 )
 from .contraction import (
     ContractionReport,
     CounterExample,
-    check_fuzzy_continuity,
     check_g_phi,
-    check_metric_phi,
     induce_phi,
     sample_pairs,
 )
@@ -86,7 +82,6 @@ from .multivalued import (
     MemberEvidence,
     OrbitResult,
     SetValuedMap,
-    check_demicompact_finite,
     check_setvalued_contraction,
     in_fuzzy_closure,
     select_successor,

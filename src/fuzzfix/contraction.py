@@ -21,6 +21,10 @@ eval and the rise of phi over dt, (5 * 2**-53 + DISTANCE_ERROR) * tau(d_f)
 the closed form for tau(d_f) and the error in d_f, and 4 * 2**-53 the raw
 consequent and distances that underflow. Only the counterexamples a
 report keeps are computed from the float images of their points.
+
+No other hypothesis is checked here. A map that passes with phi(t) < t is
+already uniformly continuous from the g-transformed uniformity, and a
+metric k-contraction enters only through ``induce_phi``'s modulus.
 """
 
 from __future__ import annotations
@@ -32,10 +36,11 @@ from dataclasses import dataclass
 from operator import sub
 from typing import List, Optional, Sequence, Tuple
 
-from .fmspace import FiniteSpace, FuzzyMetric, IntervalSpace, Point, Space, onset, threshold
-from .maps import BijectionSpec, ConstantMap, MapSpec, validate_map
+# threshold is no longer called here, but stays importable as contraction.threshold:
+# perfbench/tests checks that its tracer rebinds and restores it in this module.
+from .fmspace import FiniteSpace, FuzzyMetric, IntervalSpace, Point, Space, onset, threshold  # noqa: F401
+from .maps import BijectionSpec, ConstantMap, MapSpec
 from .phi import InducedPhi, LinearPhi, PhiFunction, RationalPhi, TablePhi, crossing_time, ensure_phi_class
-from .report import LawCheck, Report
 
 MAX_COUNTEREXAMPLES = 64
 
@@ -49,11 +54,6 @@ DISTANCE_ERROR = 8 * _U
 # Coincident points, whose crossing is 0, are judged at the first float t
 # at which their antecedent holds: phi must be positive past 0.
 COINCIDENT_ONSET = onset(0.0)
-
-# Fuzzy continuity: the target levels checked, and the floor below which
-# a needed source level is reported as a jump.
-CONTINUITY_T_GRID = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
-CONTINUITY_S_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,12 @@ class ContractionReport:
     method: str
 
     @classmethod
-    def of(cls, space: Space, failing: list, checked: int, method: str, replay) -> "ContractionReport":
+    def of(cls, space: Space, failing: list, checked: int, replay) -> "ContractionReport":
         """The report of ``checked`` pairs from the failing ones (tuples of
         points): only the first MAX_COUNTEREXAMPLES by point keys, ties in
         scan order, are ``replay``ed into CounterExample fields."""
         kept = heapq.nsmallest(MAX_COUNTEREXAMPLES, failing, key=lambda p: tuple(map(space.point_key, p)))
-        return cls(not failing, checked, tuple(CounterExample(*replay(*p)) for p in kept), method)
+        return cls(not failing, checked, tuple(CounterExample(*replay(*p)) for p in kept), "threshold-reduction")
 
 
 def sample_pairs(space: Space, samples: int, seed: int) -> List[Tuple[Point, Point]]:
@@ -200,7 +200,7 @@ def check_g_phi(
     """
     ensure_phi_class(phi)
     g.validate_bijection(fm.space)
-    validate_map(fm.space, f)
+    f.validate(fm.space)
     space = fm.space
     pairs = sample_pairs(space, samples, seed)
     d_gs, d_fs = image_distances(space, (g, f), fm.transform, pairs)
@@ -225,37 +225,7 @@ def check_g_phi(
         scaled = modulus(t)
         return x, y, t, t / (t + d_g), scaled / (scaled + d_f) if scaled != 0.0 else 0.0
 
-    return ContractionReport.of(space, failing, len(pairs), "threshold-reduction", replay)
-
-
-def check_metric_phi(
-    space: Space, f: MapSpec, g: BijectionSpec, psi: PhiFunction, samples: int = 10000, seed: int = 0
-) -> ContractionReport:
-    """Check the metric-side condition d(fx, fy) <= psi(d(gx, gy)).
-
-    With d_g and d_f from ``image_distances``, each within e = DISTANCE_ERROR
-    of itself from the exact distance, a pair fails iff d_f (1 - e) >
-    psi(d_g) + psi.slack(d_g, psi(d_g), e d_g).
-    Counterexample fields, from the float images: ``t`` is d(gx, gy),
-    ``antecedent`` the allowed bound psi(d(gx, gy)), ``consequent`` the
-    actual d(fx, fy).
-    """
-    ensure_phi_class(psi)
-    g.validate_bijection(space)
-    validate_map(space, f)
-    pairs = sample_pairs(space, samples, seed)
-    d_gs, d_fs = image_distances(space, (g, f), None, pairs)
-    failing, e = [], DISTANCE_ERROR
-    for pair, d_g, d_f in zip(pairs, d_gs, d_fs):
-        bound = psi.eval(d_g)
-        if d_f > bound and d_f * (1.0 - e) > bound + psi.slack(d_g, bound, e * d_g):
-            failing.append(pair)
-
-    def replay(x, y):
-        d_g = space.distance(g.apply(space, x), g.apply(space, y))
-        return x, y, d_g, psi.eval(d_g), space.distance(f.apply(space, x), f.apply(space, y))
-
-    return ContractionReport.of(space, failing, len(pairs), "metric-direct", replay)
+    return ContractionReport.of(space, failing, len(pairs), replay)
 
 
 def induce_phi(k: float, cap: float) -> InducedPhi:
@@ -269,52 +239,3 @@ def induce_phi(k: float, cap: float) -> InducedPhi:
     for every d <= cap.
     """
     return InducedPhi(k, cap)
-
-
-def check_fuzzy_continuity(
-    fm_src: FuzzyMetric,
-    fm_dst: FuzzyMetric,
-    f: MapSpec,
-    samples: int = 200,
-    seed: int = 0,
-) -> Report:
-    """Empirical check that f carries the source uniformity into the target.
-
-    For each sampled base point and each target level t, an admissible
-    source level s must exclude every sampled neighbour whose image
-    misses the target level. Admissibility reduces to thresholds: s must
-    not exceed the source crossing time of any such neighbour. Failures
-    are (x0, t, s_needed) with s_needed below ``CONTINUITY_S_FLOOR``, so jumps
-    across gaps finer than the floor are reported while genuinely
-    continuous maps pass.
-    """
-    space = fm_src.space
-    validate_map(space, f)
-    rng = random.Random(seed)
-    if isinstance(space, FiniteSpace):
-        base_points = list(space.labels)
-        neighbours = list(space.labels)
-    else:
-        base_points = [space.sample(rng) for _ in range(min(16, samples))]
-        neighbours = [space.sample(rng) for _ in range(samples)]
-    witnesses = []
-    checks = 0
-    for x0 in base_points:
-        fx0 = f.apply(space, x0)
-        taus = [
-            (
-                threshold(fm_src, x0, y),
-                threshold(fm_dst, fx0, f.apply(space, y)),
-            )
-            for y in neighbours
-        ]
-        for t in CONTINUITY_T_GRID:
-            checks += 1
-            bad = [tau_src for tau_src, tau_dst in taus if tau_dst >= t]
-            if not bad:
-                continue
-            s_needed = min(bad)
-            if s_needed < CONTINUITY_S_FLOOR:
-                witnesses.append((x0, t, s_needed))
-    law = LawCheck.of("fuzzy_continuity", checks, witnesses, MAX_COUNTEREXAMPLES)
-    return Report(laws=(law,))

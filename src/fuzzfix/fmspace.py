@@ -147,6 +147,8 @@ class IntervalSpace:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("interval requires lo < hi")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError("interval length hi - lo must be a finite float")
 
     def parse_point(self, raw) -> Point:
         """A point as written in a config: a number."""
@@ -190,6 +192,8 @@ class EuclideanSpace:
             raise ValueError("dim must be >= 1")
         if self.bound is not None and self.bound <= 0.0:
             raise ValueError("bound must be positive when given")
+        if self.bound is not None and not math.isfinite(2.0 * self.bound * math.sqrt(self.dim)):
+            raise ValueError("box diameter 2 * bound * sqrt(dim) must be a finite float")
 
     def coords(self, p: Point) -> Tuple[float, ...]:
         if isinstance(p, (int, float)):

@@ -76,11 +76,6 @@ class TableMap:
                 raise ValueError(f"table image {value!r} lies outside the space")
 
 
-def validate_map(space: Space, m) -> None:
-    """Raise ValueError unless ``m`` maps ``space`` into itself."""
-    m.validate(space)
-
-
 @dataclass(frozen=True)
 class AffineBijection:
     """x -> a*x + b with a != 0; must map the space onto itself."""

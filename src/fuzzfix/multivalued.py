@@ -59,13 +59,6 @@ def validate_setvalued(space: Space, T: SetValuedMap) -> None:
                 raise ValueError(f"image point {v!r} lies outside the space")
 
 
-def check_demicompact_finite(space: Space) -> bool:
-    """True only for finite spaces, where every orbit has a constant
-    subsequence. Continuum spaces are never inferred demicompact, even
-    when they happen to be compact; callers must assert the property."""
-    return isinstance(space, FiniteSpace)
-
-
 def in_fuzzy_closure(
     fm: FuzzyMetric,
     points: Sequence[Point],
@@ -176,7 +169,7 @@ def check_setvalued_contraction(
         d = min(fm.distance(u, v) for v in T.image(gy))
         return x, y, t, t / (t + d_g), scaled / (scaled + d) if scaled != 0.0 else 0.0, u
 
-    return ContractionReport.of(space, failing, len(pairs), "threshold-reduction", replay)
+    return ContractionReport.of(space, failing, len(pairs), replay)
 
 
 @dataclass(frozen=True)
@@ -226,7 +219,10 @@ def solve_inclusion(
     ensure_phi_class(phi, t_max=cfg.t_max)
     g.validate_bijection(space)
     validate_setvalued(space, T)
-    if not check_demicompact_finite(space) and not assume_demicompact:
+    # A finite space is demicompact: every orbit has a constant subsequence.
+    # A continuum space is never inferred so, even when it happens to be
+    # compact; the caller must assert the property.
+    if not isinstance(space, FiniteSpace) and not assume_demicompact:
         raise NotDemicompact(
             "set-valued solve on a continuum space requires assume_demicompact=True"
         )

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import UnknownPoint
 from .fmspace import FuzzyMetric, Point, Space, in_uniformity, is_cauchy_window
-from .maps import BijectionSpec, InverseComposite, MapSpec, validate_map
+from .maps import BijectionSpec, InverseComposite, MapSpec
 from .phi import PhiFunction, ensure_phi_class, horizon
 from .tnorm import Grade
 
@@ -141,7 +141,7 @@ def solve_coincidence(
     ensure_phi_class(phi, t_max=cfg.t_max)
     # g_transform validates g, before f as every entry point does.
     relabeled = fm.g_transform(g)
-    validate_map(space, f)
+    f.validate(space)
 
     n_horizon = horizon(phi, cfg.t0, cfg.epsilon, cfg.lam)
     points, stopped = orbit(relabeled, cfg, n_horizon, InverseComposite(g, f).apply)

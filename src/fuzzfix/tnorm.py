@@ -1,12 +1,13 @@
-"""Continuous t-norms on [0, 1] and the witness searches built on them.
+"""Continuous t-norms on [0, 1] and the fold margin built on them.
 
 Three built-in norms are provided: product, minimum, and Lukasiewicz.
-All three are continuous, so the helper searches below (square-root
-levels, fold margins) always terminate with a valid witness.
+Each has a closed form for the margin its folds allow, and
+``delta_for_lambda`` steps from it to the exact float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .report import LawCheck, Report
@@ -14,8 +15,6 @@ from .report import LawCheck, Report
 Grade = float
 
 VARIANTS = ("product", "minimum", "lukasiewicz")
-
-DEFAULT_TOL = 1e-9
 
 # Floating-point products and sums do not reassociate exactly; every other
 # law is checked with exact comparisons.
@@ -63,50 +62,35 @@ def fold(norm: TNorm, a: Grade, depth: int) -> Grade:
     return acc
 
 
-def sqrt_level(norm: TNorm, r: Grade, tol: float = DEFAULT_TOL) -> Grade:
-    """Least s (up to ``tol``) with combine(s, s) >= r, for r in (0, 1).
+def delta_for_lambda(norm: TNorm, lam: Grade, depth: int) -> Grade:
+    """The margin delta whose level v = 1 - delta is the least a float
+    margin reaches with fold(v, depth) > 1 - lam, strictly, as entourages
+    are strict (``fmspace.in_uniformity``).
 
-    Bisection on the nondecreasing map s -> combine(s, s); the returned
-    level satisfies the bound while s - tol does not (or is <= 0).
+    The closed form for v ((1 - lam)**(1/depth), 1 - lam or 1 - lam/depth
+    for product, minimum and Lukasiewicz) lands within an ulp or two of
+    it, and ``math.nextafter`` steps to the float. Below 1/2 the levels
+    1 - delta lie on the 2**-53 grid of delta in (1/2, 1), so v goes up
+    to that grid. delta is 1 - v exactly; the level one step below, v -
+    2**-53, does not pass.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie strictly between 0 and 1")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if norm.combine(mid, mid) >= r:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def delta_for_lambda(
-    norm: TNorm, lam: Grade, depth: int, tol: float = DEFAULT_TOL
-) -> Grade:
-    """Largest margin delta (up to ``tol``) whose ``depth``-fold of
-    (1 - delta) stays >= 1 - lam.
-
-    Bisection on the nonincreasing map delta -> fold(1 - delta, depth);
-    the returned delta satisfies the bound while delta + tol does not.
-    """
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie strictly between 0 and 1")
+    if not 0.0 < lam < 1.0 or 1.0 - lam == 1.0:
+        raise ValueError("lam must lie strictly between 0 and 1, with 1 - lam below 1 in floats")
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     target = 1.0 - lam
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if fold(norm, 1.0 - mid, depth) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if norm.variant == "product":
+        v = target ** (1.0 / depth)
+    elif norm.variant == "minimum":
+        v = target
+    else:
+        v = 1.0 - lam / depth
+    while fold(norm, v, depth) <= target:
+        v = math.nextafter(v, 1.0)
+    while fold(norm, math.nextafter(v, 0.0), depth) > target:
+        v = math.nextafter(v, 0.0)
+    delta = 1.0 - v
+    return delta if 1.0 - delta >= v else math.nextafter(delta, 0.0)
 
 
 def verify_tnorm_axioms(norm: TNorm, grid: int = 11) -> Report:

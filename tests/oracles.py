@@ -8,6 +8,7 @@ enters), so agreement with the checkers is meaningful.
 """
 
 import math
+import struct
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
@@ -389,3 +390,42 @@ def finite_space_fault(labels, table):
         if table[i][j] + table[j][k] < table[i][k]:
             return f"triangle inequality fails at ({labels[i]}, {labels[j]}, {labels[k]})"
     return None
+
+
+# The fold margin from each t-norm's formula, searched for over the bit
+# patterns of nonnegative floats, which order as the floats themselves do.
+
+
+def fold_level(variant, v, depth):
+    """v combined with itself depth times, left associated, in the float
+    expressions of the product, minimum and Lukasiewicz t-norms."""
+    if v == 1.0:
+        return 1.0  # the unit law, which Lukasiewicz keeps exact
+    acc = v
+    for _ in range(depth - 1):
+        if variant == "product":
+            acc = acc * v
+        elif variant == "minimum":
+            acc = min(acc, v)
+        else:
+            acc = max(acc + v - 1.0, 0.0)
+    return acc
+
+
+def largest_margin(variant, lam, depth):
+    """The largest float delta whose level 1 - delta, in floats, folds
+    strictly above 1 - lam, by bisection over the bit patterns of [0, 1]."""
+
+    def margin(bits):
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    target = 1.0 - lam
+    assert target < 1.0, "delta = 0 must pass"
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1.0))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fold_level(variant, 1.0 - margin(mid), depth) > target:
+            lo = mid
+        else:
+            hi = mid
+    return margin(lo)

@@ -458,6 +458,26 @@ def test_induced_cap_whose_crossing_rounds_to_one_is_usage_error(tmp_path, capsy
     assert err.startswith("config error: phi: cap")
 
 
+@pytest.mark.parametrize("command", ["check-contraction", "check-axioms", "threshold"])
+@pytest.mark.parametrize(
+    "space, query",
+    [
+        ({"kind": "interval", "lo": -1e308, "hi": 1e308}, (0.0, 1.0)),
+        ({"kind": "euclidean", "dim": 2, "bound": 1e308}, ([0.0, 0.0], [1.0, 0.0])),
+        ({"kind": "euclidean", "dim": 3, "bound": 1e308}, ([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])),
+    ],
+    ids=["interval", "box2", "box3"],
+)
+def test_space_whose_diameter_overflows_is_usage_error(tmp_path, capsys, command, space, query):
+    doc = dict(BAD_CONTRACTION, space=space, phi={"kind": "induced", "k": 0.5, "cap": 1e12})
+    doc.update(solver=dict(doc["solver"], start=query[0]), query={"x": query[0], "y": query[1]})
+    path = write_config(tmp_path, doc)
+    assert main([command, "--config", str(path), "--samples", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: space: ")
+
+
 def test_solve_requires_f_not_T(tmp_path, capsys):
     doc = dict(MULTI)
     path = write_config(tmp_path, doc)

@@ -88,6 +88,17 @@ def test_interval_requires_order():
         fx.IntervalSpace(1.0, 1.0)
 
 
+def test_bounded_spaces_require_a_finite_diameter():
+    # hi - lo and 2 * bound * sqrt(dim) overflow to inf here.
+    with pytest.raises(ValueError, match="hi - lo"):
+        fx.IntervalSpace(-1e308, 1e308)
+    for dim, bound in ((1, 1e308), (2, 1e308), (3, 6e307)):
+        with pytest.raises(ValueError, match="diameter"):
+            fx.EuclideanSpace(dim, bound)
+    assert fx.IntervalSpace(-8e307, 8e307).diameter() == 1.6e308
+    assert math.isfinite(fx.EuclideanSpace(3, 5e307).diameter())
+
+
 # ---------------------------------------------------------- membership
 
 

@@ -18,29 +18,29 @@ def test_affine_map_apply(unit_interval):
 
 
 def test_validate_map_affine(unit_interval):
-    fx.validate_map(unit_interval, fx.AffineMap(0.5, 0.0))
+    fx.AffineMap(0.5, 0.0).validate(unit_interval)
     with pytest.raises(ValueError):
-        fx.validate_map(unit_interval, fx.AffineMap(2.0, 0.0))
+        fx.AffineMap(2.0, 0.0).validate(unit_interval)
     with pytest.raises(ValueError):
-        fx.validate_map(unit_interval, fx.AffineMap(1.0, 0.5))
+        fx.AffineMap(1.0, 0.5).validate(unit_interval)
 
 
 def test_validate_map_constant(unit_interval, finite3):
-    fx.validate_map(unit_interval, fx.ConstantMap(0.25))
+    fx.ConstantMap(0.25).validate(unit_interval)
     with pytest.raises(ValueError):
-        fx.validate_map(unit_interval, fx.ConstantMap(1.5))
-    fx.validate_map(finite3, fx.ConstantMap("b"))
+        fx.ConstantMap(1.5).validate(unit_interval)
+    fx.ConstantMap("b").validate(finite3)
     with pytest.raises(ValueError):
-        fx.validate_map(finite3, fx.ConstantMap("zz"))
+        fx.ConstantMap("zz").validate(finite3)
 
 
 def test_validate_map_table(finite3, unit_interval):
     table = fx.TableMap({"a": "a", "b": "a", "c": "b"})
-    fx.validate_map(finite3, table)
+    table.validate(finite3)
     with pytest.raises(ValueError):
-        fx.validate_map(finite3, fx.TableMap({"a": "a"}))  # not total
+        fx.TableMap({"a": "a"}).validate(finite3)  # not total
     with pytest.raises(ValueError):
-        fx.validate_map(unit_interval, table)  # wrong space kind
+        table.validate(unit_interval)  # wrong space kind
     with pytest.raises(fx.UnknownPoint):
         table.apply(finite3, "zz")
 

@@ -267,10 +267,15 @@ def test_in_fuzzy_closure_examples(flagship_fm):
 # ------------------------------------------------------------ demicompact
 
 
-def test_check_demicompact_finite(multivalued_space, unit_interval):
-    assert fx.check_demicompact_finite(multivalued_space)
-    assert not fx.check_demicompact_finite(unit_interval)
-    assert not fx.check_demicompact_finite(fx.EuclideanSpace(2))
+def test_check_demicompact_finite(flagship_setting, unit_interval):
+    # Only a finite space is taken as demicompact without the assertion.
+    fm, T, g, phi = flagship_setting
+    fx.solve_inclusion(fm, T, g, phi, fx.SolverConfig(start="1", epsilon=1e-3, lam=1e-3, t0=2.0))
+    for space, p in ((unit_interval, 0.5), (fx.EuclideanSpace(2), (0.5, 0.5))):
+        fm = fx.FuzzyMetric(space, fx.TNorm("product"))
+        cfg = fx.SolverConfig(start=p, epsilon=0.3, lam=0.3, t0=2.0)
+        with pytest.raises(fx.NotDemicompact):
+            fx.solve_inclusion(fm, fx.SetValuedMap({p: (p,)}), fx.identity_for(space), fx.LinearPhi(0.5), cfg)
 
 
 def test_demicompactness_survives_transform(multivalued_space):
@@ -280,7 +285,7 @@ def test_demicompactness_survives_transform(multivalued_space):
     perm = fx.PermutationBijection({"0": "0.1", "0.1": "1", "1": "0"})
     fm_g = fm.g_transform(perm)
     assert fm_g.space is multivalued_space
-    assert fx.check_demicompact_finite(fm_g.space)
+    assert isinstance(fm_g.space, fx.FiniteSpace)
 
 
 # ----------------------------------------------------- delta decomposition

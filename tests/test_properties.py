@@ -1,7 +1,8 @@
 """Property tests of the exact layers against independent oracles.
 
 The horizon is compared with plain float iteration of each modulus's
-definition, table admissibility with a dense time check, the threshold
+definition, the fold margin with a bit-pattern bisection over the
+t-norms' formulas, table admissibility with a dense time check, the threshold
 with the float switch of the crossing predicate, checked in floats and
 rationals, and the contraction checks with an oracle that
 decides each pair exactly for the real maps and moduli, without the
@@ -27,6 +28,7 @@ from oracles import (
     exact_phi,
     finite_space_fault,
     induced_step,
+    largest_margin,
     linear_step,
     orbit_count,
     rational_step,
@@ -107,6 +109,24 @@ def test_table_horizon_on_a_cycle_raises():
     phi = fx.TablePhi(((0.0, 0.0), (0.5, 0.8), (0.7, 0.6)))
     with pytest.raises(fx.HorizonExceeded):
         fx.horizon(phi, 0.8, 0.1, 0.1)
+
+
+@seed(SEED)
+@settings(max_examples=500, deadline=None, database=None)
+@given(
+    variant=st.sampled_from(["product", "minimum", "lukasiewicz"]),
+    lam=st.floats(1e-15, 1.0, exclude_max=True),
+    depth=st.integers(2, 8),
+)
+@example(variant="minimum", lam=0.7, depth=3)  # the level lies below 1/2
+@example(variant="product", lam=0.99, depth=2)
+def test_fold_margin_matches_bit_pattern_search(variant, lam, depth):
+    delta = fx.delta_for_lambda(fx.TNorm(variant), lam, depth)
+    widest = largest_margin(variant, lam, depth)
+    # The same level, which delta gives exactly; the search's margin may
+    # exceed delta by what 1 - delta rounds away.
+    assert 1.0 - delta == 1.0 - widest
+    assert 1.0 - (1.0 - delta) == delta <= widest
 
 
 def _lattice(n):
@@ -264,7 +284,7 @@ def interval_cases(draw):
 
 def maps_into(space, f):
     try:
-        fx.validate_map(space, f)
+        f.validate(space)
     except ValueError:
         return False
     return True

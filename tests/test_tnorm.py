@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import fuzzfix as fx
@@ -49,28 +51,6 @@ def test_unknown_variant_rejected():
         fx.TNorm("hamacher")
 
 
-def test_sqrt_level_examples():
-    # product: solve s*s = r
-    s = fx.sqrt_level(fx.TNorm("product"), 0.81)
-    assert s == pytest.approx(0.9, abs=1e-8)
-    # minimum: min(r, r) = r
-    assert fx.sqrt_level(fx.TNorm("minimum"), 0.6) == pytest.approx(0.6, abs=1e-8)
-    # lukasiewicz: solve 2s - 1 = r
-    s = fx.sqrt_level(fx.TNorm("lukasiewicz"), 0.8)
-    assert s == pytest.approx(0.9, abs=1e-8)
-
-
-@pytest.mark.parametrize("norm", NORMS, ids=lambda n: n.variant)
-@pytest.mark.parametrize("r", [0.01, 0.2, 0.5, 0.81, 0.99])
-def test_sqrt_level_is_minimal_witness(norm, r):
-    tol = 1e-9
-    s = fx.sqrt_level(norm, r, tol=tol)
-    assert 0.0 < s < 1.0
-    assert norm.combine(s, s) >= r
-    below = s - tol
-    assert below <= 0.0 or norm.combine(below, below) < r
-
-
 def test_delta_for_lambda_examples():
     # product, depth 2: solve (1 - delta)^2 = 0.81
     d = fx.delta_for_lambda(fx.TNorm("product"), 0.19, 2)
@@ -84,14 +64,29 @@ def test_delta_for_lambda_examples():
 
 
 @pytest.mark.parametrize("norm", NORMS, ids=lambda n: n.variant)
-@pytest.mark.parametrize("lam", [0.05, 0.1, 0.2, 0.7])
+@pytest.mark.parametrize("lam", [0.05, 0.1, 0.2, 0.7, 0.9, 0.99])
 @pytest.mark.parametrize("depth", [2, 3, 5])
 def test_delta_for_lambda_is_maximal_witness(norm, lam, depth):
-    tol = 1e-9
-    delta = fx.delta_for_lambda(norm, lam, depth, tol=tol)
+    delta = fx.delta_for_lambda(norm, lam, depth)
     assert 0.0 < delta < 1.0
-    assert fx.fold(norm, 1.0 - delta, depth) >= 1.0 - lam
-    assert fx.fold(norm, 1.0 - (delta + tol), depth) < 1.0 - lam
+    level = 1.0 - delta
+    assert 1.0 - level == delta  # the margin is exactly 1 - level
+    assert fx.fold(norm, level, depth) > 1.0 - lam
+    # The next level a float margin reaches: floats in [1/2, 1] lie 2**-53
+    # apart, and below 1/2 so do the levels 1 - delta, as delta > 1/2 does.
+    below = level - 2.0 ** -53
+    if level > 0.5:
+        assert below == math.nextafter(level, 0.0)
+    assert fx.fold(norm, below, depth) <= 1.0 - lam
+
+
+def test_delta_for_lambda_rejects_bad_arguments():
+    norm = fx.TNorm("product")
+    for lam in (0.0, 1.0, 2.0 ** -60):  # the last one rounds 1 - lam to 1
+        with pytest.raises(ValueError):
+            fx.delta_for_lambda(norm, lam, 2)
+    with pytest.raises(ValueError):
+        fx.delta_for_lambda(norm, 0.5, 1)
 
 
 def test_fold_counts_factors():
