@@ -83,7 +83,6 @@ from .multivalued import (
     OrbitResult,
     SetValuedMap,
     check_setvalued_contraction,
-    in_fuzzy_closure,
     select_successor,
     solve_inclusion,
     validate_setvalued,

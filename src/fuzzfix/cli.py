@@ -57,19 +57,6 @@ from .report import Report
 from .solver import SolverConfig, solve_coincidence, trace_records
 from .tnorm import TNorm, verify_tnorm_axioms
 
-# The config sections each command needs before it runs.
-REQUIRES = {
-    "check-axioms": (),
-    "check-phi": ("phi",),
-    "check-contraction": ("phi", "f"),
-    "solve": ("phi", "f", "solver"),
-    "solve-set": ("phi", "T", "solver"),
-    "threshold": ("query",),
-    "induce-phi": ("phi",),
-}
-
-COMMANDS = tuple(REQUIRES)
-
 _INDUCE_CURVE_STEPS = 8
 
 
@@ -240,10 +227,10 @@ def _solver(raw: dict, space: Space) -> SolverConfig:
 
 
 def _query(raw: dict, space: Space) -> Tuple[Point, Point]:
-    return (
-        _parse_point(space, raw["x"], "query.x"),
-        _parse_point(space, raw["y"], "query.y"),
-    )
+    x, y = _parse_point(space, raw["x"], "query.x"), _parse_point(space, raw["y"], "query.y")
+    if math.isinf(space.distance(x, y)):  # only on an unbounded space
+        raise ValueError(f"the distance of {x!r} and {y!r} overflows a float")
+    return x, y
 
 
 def _verification(raw: dict) -> Tuple[int, int, int]:
@@ -350,6 +337,90 @@ def _write_trace(path: str, fm: FuzzyMetric, orbit: Tuple[Point, ...], epsilon: 
             handle.write(f"{r.index} {_point_token(r.point)} {format17(r.successive_grade)}\n")
 
 
+def _phi_class(cfg: ProblemConfig, phi: PhiFunction, solver: Optional[SolverConfig]) -> Tuple[dict, bool]:
+    # Admissibility is checked on the range the solvers require.
+    report = verify_phi_class(phi, grid=max(cfg.grid, 2), t_max=2.0 if solver is None else solver.t_max)
+    return {"phi_class": _report_dict(report)}, report.passed
+
+
+# Command handlers: each takes (cfg, fm, solver, seed, samples, trace_path),
+# overrides applied, and returns (verdicts, counterexamples, result, passed).
+def _check_axioms(cfg, fm, solver, seed, samples, trace_path):
+    tnorm_report = verify_tnorm_axioms(cfg.norm, grid=cfg.grid)
+    fm_report = verify_fm_axioms(fm, samples=samples, seed=seed)
+    verdicts = {"tnorm": _report_dict(tnorm_report), "fm_axioms": _report_dict(fm_report)}
+    return verdicts, [], None, tnorm_report.passed and fm_report.passed
+
+
+def _check_phi(cfg, fm, solver, seed, samples, trace_path):
+    verdicts, passed = _phi_class(cfg, cfg.phi, solver)
+    return verdicts, [], None, passed
+
+
+def _check_contraction(cfg, fm, solver, seed, samples, trace_path):
+    report = check_g_phi(fm, cfg.f, cfg.g, cfg.phi, samples=samples, seed=seed)
+    verdicts = {"contraction": {k: v for k, v in vars(report).items() if k != "counterexamples"}}
+    return verdicts, _counterexample_dicts(report), None, report.passed
+
+
+def _solve(cfg, fm, solver, seed, samples, trace_path):
+    if cfg.setvalued is not None:
+        raise ValidationError("solve takes f, not T; use solve-set")
+    res = solve_coincidence(fm, cfg.f, cfg.g, cfg.phi, solver)
+    if trace_path:  # graded under the metric the orbit ran under
+        _write_trace(trace_path, fm.g_transform(cfg.g), res.orbit, solver.epsilon)
+    # The result's fields but its orbit, which goes to the trace file.
+    return {}, [], {k: v for k, v in vars(res).items() if k != "orbit"}, res.converged
+
+
+def _solve_set(cfg, fm, solver, seed, samples, trace_path):
+    if cfg.f is not None:
+        raise ValidationError("solve-set takes T, not f; use solve")
+    res = solve_inclusion(fm, cfg.setvalued, cfg.g, cfg.phi, solver)
+    if trace_path:
+        _write_trace(trace_path, fm, res.orbit, solver.epsilon)
+    result = {
+        "point": res.point,
+        "orbit_length": len(res.orbit),
+        "in_image_of_carried": res.in_image_of_carried,
+        "in_image": res.in_image,
+        "member_check": [{"lambda" if k == "lam" else k: v for k, v in vars(e).items()} for e in res.member_check],
+        "converged": res.converged,
+    }
+    return {}, [], result, res.converged
+
+
+def _threshold(cfg, fm, solver, seed, samples, trace_path):
+    x, y = cfg.query
+    tau = threshold(fm, x, y)
+    return {}, [], {"x": x, "y": y, "tau": tau, "membership_at_tau": fm.membership(x, y, tau)}, True
+
+
+def _induce_phi(cfg, fm, solver, seed, samples, trace_path):
+    phi = cfg.phi
+    if not isinstance(phi, InducedPhi):
+        raise ValidationError('induce-phi requires phi of kind "induced"')
+    verdicts, passed = _phi_class(cfg, phi, solver)
+    times = [2.0 * phi.tau_cap * i / _INDUCE_CURVE_STEPS for i in range(1, _INDUCE_CURVE_STEPS + 1)]
+    curve = [[t, phi.eval(t)] for t in times]
+    result = {"k": phi.k, "cap": phi.cap, "tau_cap": phi.tau_cap, "anchor": phi.anchor, "curve": curve}
+    return verdicts, [], result, passed
+
+
+# Each command: the config sections it needs before it runs, and its handler.
+_HANDLERS = {
+    "check-axioms": ((), _check_axioms),
+    "check-phi": (("phi",), _check_phi),
+    "check-contraction": (("phi", "f"), _check_contraction),
+    "solve": (("phi", "f", "solver"), _solve),
+    "solve-set": (("phi", "T", "solver"), _solve_set),
+    "threshold": (("query",), _threshold),
+    "induce-phi": (("phi",), _induce_phi),
+}
+
+COMMANDS = tuple(_HANDLERS)
+
+
 def run(
     command: str,
     cfg: ProblemConfig,
@@ -362,12 +433,13 @@ def run(
 
     Returns the report and the process exit code. Flag overrides win
     over config values; hypothesis failures surface as exit code 1 with
-    the report intact. A config without a section the command
-    ``REQUIRES`` raises ValidationError.
+    the report intact. A config without a section the command requires
+    raises ValidationError.
     """
     if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
-    for section in REQUIRES[command]:
+    sections, handler = _HANDLERS[command]
+    for section in sections:
         if getattr(cfg, "setvalued" if section == "T" else section) is None:
             raise ValidationError(f"{section}: section is required by {command}")
     seed = cfg.seed if seed is None else seed
@@ -375,116 +447,13 @@ def run(
     solver = cfg.solver
     if solver is not None and max_iter is not None:
         solver = replace(solver, max_iter=max_iter)
-
-    verdicts: dict = {}
-    counterexamples: list = []
-    result = None
-    code = 0
     fm = FuzzyMetric(cfg.space, cfg.norm)
-    # Admissibility is checked on the range the solvers require.
-    t_max = 2.0 if solver is None else solver.t_max
-
     try:
-        if command == "check-axioms":
-            tnorm_report = verify_tnorm_axioms(cfg.norm, grid=cfg.grid)
-            fm_report = verify_fm_axioms(fm, samples=samples, seed=seed)
-            verdicts["tnorm"] = _report_dict(tnorm_report)
-            verdicts["fm_axioms"] = _report_dict(fm_report)
-            code = 0 if tnorm_report.passed and fm_report.passed else 1
-
-        elif command == "check-phi":
-            report = verify_phi_class(cfg.phi, grid=max(cfg.grid, 2), t_max=t_max)
-            verdicts["phi_class"] = _report_dict(report)
-            code = 0 if report.passed else 1
-
-        elif command == "check-contraction":
-            report = check_g_phi(fm, cfg.f, cfg.g, cfg.phi, samples=samples, seed=seed)
-            verdicts["contraction"] = {k: v for k, v in vars(report).items() if k != "counterexamples"}
-            counterexamples = _counterexample_dicts(report)
-            code = 0 if report.passed else 1
-
-        elif command == "solve":
-            if cfg.setvalued is not None:
-                raise ValidationError("solve takes f, not T; use solve-set")
-            res = solve_coincidence(fm, cfg.f, cfg.g, cfg.phi, solver)
-            # The result's fields but its orbit, which goes to the trace file.
-            result = {k: v for k, v in vars(res).items() if k != "orbit"}
-            if trace_path:  # graded under the metric the orbit ran under
-                _write_trace(trace_path, fm.g_transform(cfg.g), res.orbit, solver.epsilon)
-            code = 0 if res.converged else 1
-
-        elif command == "solve-set":
-            if cfg.f is not None:
-                raise ValidationError("solve-set takes T, not f; use solve")
-            res = solve_inclusion(fm, cfg.setvalued, cfg.g, cfg.phi, solver)
-            result = {
-                "point": res.point,
-                "orbit_length": len(res.orbit),
-                "in_image_of_carried": res.in_image_of_carried,
-                "in_image": res.in_image,
-                "member_check": [
-                    {
-                        "epsilon": e.epsilon,
-                        "lambda": e.lam,
-                        "witness": e.witness,
-                        "grade": e.grade,
-                        "passed": e.passed,
-                    }
-                    for e in res.member_check
-                ],
-                "converged": res.converged,
-            }
-            if trace_path:
-                _write_trace(trace_path, fm, res.orbit, solver.epsilon)
-            code = 0 if res.converged else 1
-
-        elif command == "threshold":
-            x, y = cfg.query
-            tau = threshold(fm, x, y)
-            result = {
-                "x": x,
-                "y": y,
-                "tau": tau,
-                "membership_at_tau": fm.membership(x, y, tau),
-            }
-            code = 0
-
-        elif command == "induce-phi":
-            phi = cfg.phi
-            if not isinstance(phi, InducedPhi):
-                raise ValidationError('induce-phi requires phi of kind "induced"')
-            report = verify_phi_class(phi, grid=max(cfg.grid, 2), t_max=t_max)
-            verdicts["phi_class"] = _report_dict(report)
-            curve = []
-            for i in range(1, _INDUCE_CURVE_STEPS + 1):
-                t = 2.0 * phi.tau_cap * i / _INDUCE_CURVE_STEPS
-                curve.append([t, phi.eval(t)])
-            result = {
-                "k": phi.k,
-                "cap": phi.cap,
-                "tau_cap": phi.tau_cap,
-                "anchor": phi.anchor,
-                "curve": curve,
-            }
-            code = 0 if report.passed else 1
-
-    except (PhiInvalid, NoAdmissibleSuccessor, InverseUndefined, NotDemicompact) as exc:
-        verdicts["hypothesis_failure"] = {
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }
-        code = 1
-
-    report = RunReport(
-        command=command,
-        config_digest=cfg.digest,
-        seed=seed,
-        samples=samples,
-        verdicts=verdicts,
-        counterexamples=counterexamples,
-        result=result,
-    )
-    return report, code
+        verdicts, counterexamples, result, passed = handler(cfg, fm, solver, seed, samples, trace_path)
+    except (PhiInvalid, NoAdmissibleSuccessor, InverseUndefined, NotDemicompact, OverflowError) as exc:
+        verdicts = {"hypothesis_failure": {"error": type(exc).__name__, "message": str(exc)}}
+        counterexamples, result, passed = [], None, False
+    return RunReport(command, cfg.digest, seed, samples, verdicts, counterexamples, result), 0 if passed else 1
 
 
 def render_report(report: RunReport) -> str:

@@ -22,6 +22,12 @@ the closed form for tau(d_f) and the error in d_f, and 4 * 2**-53 the raw
 consequent and distances that underflow. Only the counterexamples a
 report keeps are computed from the float images of their points.
 
+``check_g_phi`` and the set-valued check decide their rows (pairs, or
+pairs and an image point) through the one kernel ``failing_rows``, and
+replay counterexamples through ``replay``; ``check_g_phi`` first asks
+``induced_tie_rule``, and where that exact rule applies no row takes the
+slack path.
+
 No other hypothesis is checked here. A map that passes with phi(t) < t is
 already uniformly continuous from the g-transformed uniformity, and a
 metric k-contraction enters only through ``induce_phi``'s modulus.
@@ -78,12 +84,21 @@ class ContractionReport:
     method: str
 
     @classmethod
-    def of(cls, space: Space, failing: list, checked: int, replay) -> "ContractionReport":
-        """The report of ``checked`` pairs from the failing ones (tuples of
-        points): only the first MAX_COUNTEREXAMPLES by point keys, ties in
-        scan order, are ``replay``ed into CounterExample fields."""
+    def of(cls, space: Space, phi: PhiFunction, failing: list, checked: int, distances) -> "ContractionReport":
+        """The report of ``checked`` pairs from the failing rows: only the
+        first MAX_COUNTEREXAMPLES by point keys, ties in scan order, are
+        ``replay``ed from ``distances(*row)``, their float images' (d_g, d_f)."""
         kept = heapq.nsmallest(MAX_COUNTEREXAMPLES, failing, key=lambda p: tuple(map(space.point_key, p)))
-        return cls(not failing, checked, tuple(CounterExample(*replay(*p)) for p in kept), "threshold-reduction")
+        counterexamples = tuple(replay(phi, row, *distances(*row)) for row in kept)
+        return cls(not failing, checked, counterexamples, "threshold-reduction")
+
+
+def replay(phi: PhiFunction, row: tuple, d_g: float, d_f: float) -> CounterExample:
+    """The CounterExample of a failing row (x, y[, u]) at t = onset(d_g),
+    from the distances d_g and d_f of its float images."""
+    t = onset(d_g)
+    scaled = phi.eval(t)
+    return CounterExample(*row[:2], t, t / (t + d_g), scaled / (scaled + d_f) if scaled != 0.0 else 0.0, *row[2:])
 
 
 def sample_pairs(space: Space, samples: int, seed: int) -> List[Tuple[Point, Point]]:
@@ -159,6 +174,23 @@ def consequent_fails(phi: PhiFunction, t: float, scaled: float, d: float, cap: f
     return not (scaled > 0.0 and scaled >= tau - slack)
 
 
+def failing_rows(phi: PhiFunction, rows: Sequence[tuple], d_gs: Sequence[float], d_fs: Sequence[float]) -> list:
+    """The rows (a pair, or a pair and an image point u) that fail: each is
+    decided at t = crossing_time(d_g), or COINCIDENT_ONSET at d_g = 0,
+    against its image distance d_f."""
+    modulus, cap = phi.eval, slack_cap(phi)
+    failing = []
+    for row, d_g, d_f in zip(rows, d_gs, d_fs):
+        t = crossing_time(d_g) or COINCIDENT_ONSET
+        scaled = modulus(t)
+        # The raw consequent passes almost every passing pair, without tau_f.
+        if scaled != 0.0 and scaled / (scaled + d_f) > 1.0 - scaled:
+            continue
+        if consequent_fails(phi, t, scaled, d_f, cap):
+            failing.append(row)
+    return failing
+
+
 def induced_tie_rule(fm: FuzzyMetric, f: MapSpec, g: BijectionSpec, phi: PhiFunction):
     """fails(pair, d_g), exactly, for an induced modulus on an unnormalized
     continuum space whose ratio r = s_f / s_g is at least k; else None.
@@ -203,29 +235,16 @@ def check_g_phi(
     f.validate(fm.space)
     space = fm.space
     pairs = sample_pairs(space, samples, seed)
-    d_gs, d_fs = image_distances(space, (g, f), fm.transform, pairs)
-    modulus, cap = phi.eval, slack_cap(phi)
-    failing = []
-    for pair, d_g, d_f in zip(pairs, d_gs, d_fs):
-        t = crossing_time(d_g) or COINCIDENT_ONSET
-        scaled = modulus(t)
-        # The raw consequent passes almost every passing pair, without tau_f.
-        if scaled != 0.0 and scaled / (scaled + d_f) > 1.0 - scaled:
-            continue
-        if consequent_fails(phi, t, scaled, d_f, cap):
-            failing.append(pair)
     exact = induced_tie_rule(fm, f, g, phi)
-    if exact is not None:
-        failing = [pair for pair, d_g in zip(pairs, d_gs) if exact(pair, d_g)]
+    if exact is None:
+        failing = failing_rows(phi, pairs, *image_distances(space, (g, f), fm.transform, pairs))
+    else:
+        failing = [p for p, d_g in zip(pairs, image_distances(space, (g,), fm.transform, pairs)[0]) if exact(p, d_g)]
 
-    def replay(x, y):
-        d_g = fm.distance(g.apply(space, x), g.apply(space, y))
-        d_f = fm.distance(f.apply(space, x), f.apply(space, y))
-        t = onset(d_g)
-        scaled = modulus(t)
-        return x, y, t, t / (t + d_g), scaled / (scaled + d_f) if scaled != 0.0 else 0.0
+    def distances(x, y):
+        return (fm.distance(g.apply(space, x), g.apply(space, y)), fm.distance(f.apply(space, x), f.apply(space, y)))
 
-    return ContractionReport.of(space, failing, len(pairs), replay)
+    return ContractionReport.of(space, phi, failing, len(pairs), distances)
 
 
 def induce_phi(k: float, cap: float) -> InducedPhi:

@@ -14,7 +14,7 @@ class NotBijective(FuzzfixError):
 
 
 class HorizonExceeded(FuzzfixError):
-    """Modulus iterates never reach the target, or not within an explicit cap."""
+    """Modulus iterates never reach the target: they cycle above it."""
 
 
 class PhiInvalid(FuzzfixError):

@@ -174,7 +174,3 @@ class InverseComposite:
 
     def apply(self, space: Space, p: Point) -> Point:
         return self.g.invert_apply(space, self.f.apply(space, p))
-
-    def validate(self, space: Space) -> None:
-        self.g.validate_bijection(space)
-        self.f.validate(space)

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .contraction import COINCIDENT_ONSET, ContractionReport, consequent_fails, image_distances, slack_cap
+from .contraction import ContractionReport, failing_rows, image_distances
 from .errors import NoAdmissibleSuccessor, NotDemicompact, UnknownPoint
-from .fmspace import FiniteSpace, FuzzyMetric, Point, Space, onset
+from .fmspace import FiniteSpace, FuzzyMetric, Point, Space
 from .maps import BijectionSpec, identity_for
-from .phi import PhiFunction, crossing_time, ensure_phi_class, horizon
+from .phi import PhiFunction, ensure_phi_class, horizon
 from .solver import SolverConfig, orbit
 from .tnorm import Grade
 
@@ -40,9 +40,6 @@ class SetValuedMap:
             raise ValueError("every image set must be nonempty")
         object.__setattr__(self, "images", table)
 
-    def domain(self) -> Tuple[Point, ...]:
-        return tuple(self.images)
-
     def image(self, p: Point) -> Tuple[Point, ...]:
         try:
             return self.images[p]
@@ -57,27 +54,6 @@ def validate_setvalued(space: Space, T: SetValuedMap) -> None:
         for v in values:
             if not space.contains(v):
                 raise ValueError(f"image point {v!r} lies outside the space")
-
-
-def in_fuzzy_closure(
-    fm: FuzzyMetric,
-    points: Sequence[Point],
-    y: Point,
-    levels: Sequence[Tuple[float, Grade]],
-) -> bool:
-    """True iff at every (epsilon, lam) level some point of the set is
-    within the entourage of y. Exact for finite sets, where it reduces
-    to a zero-distance member."""
-    if not points:
-        raise ValueError("closure membership needs a nonempty set")
-    if not levels:
-        raise ValueError("closure membership needs at least one level")
-    for epsilon, lam in levels:
-        if not any(
-            fm.membership(x, y, epsilon) > 1.0 - lam for x in points
-        ):
-            return False
-    return True
 
 
 def _closest(fm: FuzzyMetric, points: Sequence[Point], u: Point, t: float) -> Tuple[Point, Grade]:
@@ -144,32 +120,23 @@ def check_setvalued_contraction(
             raise ValueError("an explicit pair plan is required on continuum spaces")
         eligible = [x for x in space.labels if g.apply(space, x) in T.images]
         pairs = [(x, y) for x in eligible for y in eligible]
-    images = [(T.image(g.apply(space, x)), T.image(g.apply(space, y))) for x, y in pairs]
     d_gs, = image_distances(space, (g,), fm.transform, pairs)
     points = {p for values in T.images.values() for p in values}
     between = [(u, v) for u in points for v in points]
     near = dict(zip(between, image_distances(space, (identity_for(space),), fm.transform, between)[0]))
-    cap = slack_cap(phi)
-    failing = []
-    for (x, y), (images_u, images_v), d_g in zip(pairs, images, d_gs):
-        t = crossing_time(d_g) or COINCIDENT_ONSET
-        scaled = phi.eval(t)
+    rows, row_d_gs, d_fs = [], [], []
+    for (x, y), d_g in zip(pairs, d_gs):
+        images_u, images_v = T.image(g.apply(space, x)), T.image(g.apply(space, y))
         for u in images_u:
-            d = min(near[u, v] for v in images_v)
-            if scaled != 0.0 and scaled / (scaled + d) > 1.0 - scaled:
-                continue
-            if consequent_fails(phi, t, scaled, d, cap):
-                failing.append((x, y, u))
+            rows.append((x, y, u))
+            row_d_gs.append(d_g)
+            d_fs.append(min(near[u, v] for v in images_v))
 
-    def replay(x, y, u):
-        gx, gy = g.apply(space, x), g.apply(space, y)
-        d_g = fm.distance(gx, gy)
-        t = onset(d_g)
-        scaled = phi.eval(t)
-        d = min(fm.distance(u, v) for v in T.image(gy))
-        return x, y, t, t / (t + d_g), scaled / (scaled + d) if scaled != 0.0 else 0.0, u
+    def distances(x, y, u):
+        gy = g.apply(space, y)
+        return fm.distance(g.apply(space, x), gy), min(fm.distance(u, v) for v in T.image(gy))
 
-    return ContractionReport.of(space, failing, len(pairs), replay)
+    return ContractionReport.of(space, phi, failing_rows(phi, rows, row_d_gs, d_fs), len(pairs), distances)
 
 
 @dataclass(frozen=True)
@@ -243,17 +210,18 @@ def solve_inclusion(
         (cfg.epsilon / 4.0, cfg.lam / 4.0),
         (cfg.epsilon / 16.0, cfg.lam / 16.0),
     )
+    # A set reaches a level iff its best grade does. Grading v against x
+    # equals grading x against v bit for bit, since every space's distance
+    # is exactly symmetric.
     carried_image = T.image(g.apply(space, x))
     evidence = []
     for epsilon, lam in levels:
-        # Grading v against x equals grading x against v bit for bit,
-        # since every space's distance is exactly symmetric.
         best, grade = _closest(fm, carried_image, x, epsilon)
         evidence.append(MemberEvidence(epsilon, lam, best, grade, grade > 1.0 - lam))
     in_carried = all(e.passed for e in evidence)
     in_image = None
     if x in T.images:
-        in_image = in_fuzzy_closure(fm, T.image(x), x, levels)
+        in_image = all(_closest(fm, T.image(x), x, epsilon)[1] > 1.0 - lam for epsilon, lam in levels)
     return OrbitResult(
         point=x,
         orbit=points,

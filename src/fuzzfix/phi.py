@@ -242,13 +242,7 @@ def iterate(phi: PhiFunction, t: float, n: int) -> float:
     return value
 
 
-def horizon(
-    phi: PhiFunction,
-    t0: float,
-    epsilon: float,
-    lam: float,
-    cap: Optional[int] = None,
-) -> int:
+def horizon(phi: PhiFunction, t0: float, epsilon: float, lam: float) -> int:
     """Least N with iterate(phi, t0, N) <= min(epsilon, lam), decided exactly.
 
     Linear, rational and induced moduli count the steps in closed form
@@ -260,7 +254,7 @@ def horizon(
     steps or cycles above it for ever.
 
     Raises HorizonExceeded when the iterates never reach the target (an
-    inadmissible table), or when N exceeds an explicitly passed ``cap``.
+    inadmissible table).
     """
     if t0 <= 0.0:
         raise ValueError("t0 must be positive")
@@ -271,7 +265,7 @@ def horizon(
     target = min(epsilon, lam)
     value = t0
     n = 0
-    while value > target and (cap is None or n <= cap):
+    while value > target:
         steps = phi.steps_to(value, target)
         if steps is not None:
             n += steps
@@ -280,8 +274,6 @@ def horizon(
             raise HorizonExceeded(f"iterates cycle above {target!r}")
         value = phi.eval(value)
         n += 1
-    if cap is not None and n > cap:
-        raise HorizonExceeded(f"iterates still above {target!r} after {cap} steps")
     return n
 
 

@@ -10,6 +10,7 @@ the residual grades at the returned point clear 1 - lam.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -135,7 +136,8 @@ def solve_coincidence(
     converged=False (partial orbit returned either way).
     Residual grades membership(gz, fz, t) are reported for each
     configured time; convergence additionally requires them to reach
-    1 - lambda for every time >= epsilon.
+    1 - lambda for every time >= epsilon. Raises OverflowError when the
+    orbit leaves the finite floats, which only an unbounded space allows.
     """
     space = fm.space
     ensure_phi_class(phi, t_max=cfg.t_max)
@@ -147,6 +149,11 @@ def solve_coincidence(
     points, stopped = orbit(relabeled, cfg, n_horizon, InverseComposite(g, f).apply)
 
     x = points[-1]
+    # Only an unbounded space's orbit can leave the finite floats, and no
+    # map kind brings it back: checked once, off the loop.
+    if type(x) is tuple and not all(map(math.isfinite, x)):
+        n = next(n for n, p in enumerate(points) if not all(map(math.isfinite, p)))
+        raise OverflowError(f"the orbit leaves the finite floats at step {n}")
     gz = g.apply(space, x)
     fz = f.apply(space, x)
     residuals = tuple((t, fm.membership(gz, fz, t)) for t in cfg.times())

@@ -478,6 +478,48 @@ def test_space_whose_diameter_overflows_is_usage_error(tmp_path, capsys, command
     assert err.startswith("config error: space: ")
 
 
+@pytest.mark.parametrize(
+    "space, x, y",
+    [
+        ({"kind": "euclidean", "dim": 2}, [-1e308, 0.0], [1e308, 0.0]),
+        ({"kind": "euclidean", "dim": 2}, [1.5e308, 1.5e308], [0.0, 0.0]),
+        ({"kind": "euclidean", "dim": 1}, 1e308, -1e308),
+    ],
+    ids=["plane", "diagonal", "line"],
+)
+def test_query_whose_distance_overflows_is_usage_error(tmp_path, capsys, space, x, y):
+    # Two finite points of an unbounded space can lie farther apart than
+    # the largest float; the crossing time of an infinite distance is no answer.
+    path = write_config(tmp_path, {"space": space, "query": {"x": x, "y": y}})
+    assert main(["threshold", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: query: the distance of ")
+
+
+def test_query_on_a_normalized_unbounded_space_stays_finite(tmp_path, capsys):
+    # Under normalization the distance of the same points rounds to 1.
+    doc = {"space": {"kind": "euclidean", "dim": 2, "normalize": True}}
+    doc["query"] = {"x": [-1e308, 0.0], "y": [1e308, 0.0]}
+    assert main(["threshold", "--config", str(write_config(tmp_path, doc))]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["tau"] == fx.onset(1.0)
+
+
+@pytest.mark.parametrize("start, max_iter, step", [([1e300, 0.0], 100, 28), ([1.0, -1.0], 2000, 1024)])
+def test_orbit_that_leaves_the_finite_floats_is_a_hypothesis_failure(tmp_path, capsys, start, max_iter, step):
+    # f = 2x doubles the orbit until it overflows to inf: the report says at
+    # which step, exits 1 and writes no trace.
+    doc = dict(BAD_CONTRACTION, space={"kind": "euclidean", "dim": 2}, f={"kind": "affine", "a": 2.0, "b": 0.0})
+    doc["solver"] = dict(doc["solver"], start=start, max_iter=max_iter)
+    trace = tmp_path / "trace.txt"
+    assert main(["solve", "--config", str(write_config(tmp_path, doc)), "--trace", str(trace)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"] is None
+    message = f"the orbit leaves the finite floats at step {step}"
+    assert payload["verdicts"] == {"hypothesis_failure": {"error": "OverflowError", "message": message}}
+    assert not trace.exists()
+
+
 def test_solve_requires_f_not_T(tmp_path, capsys):
     doc = dict(MULTI)
     path = write_config(tmp_path, doc)

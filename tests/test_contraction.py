@@ -6,8 +6,7 @@ import pytest
 
 import fuzzfix as fx
 from corpus import CORPUS
-from fuzzfix import contraction
-from fuzzfix.contraction import consequent_fails, slack_cap
+from fuzzfix.contraction import consequent_fails, failing_rows, image_distances, slack_cap
 from oracles import DIGITS, dense_grid, exact_distance, exhaustive_g_phi, tau
 
 
@@ -171,47 +170,41 @@ def test_rounding_in_the_map_is_no_violation(flagship_fm, seed):
     assert report.passed
 
 
-def _failing_pairs(monkeypatch, a, cap, k=0.5):
-    """(report, number of pairs consequent_fails fails) of f(x) = a x on
+def _failing_pairs(a, cap, k=0.5):
+    """(report, number of pairs the slack path fails) of f(x) = a x on
     [0, cap] under the identity with induced(k, cap), at 2,000 pairs and
-    seed 1."""
-    verdicts = []
-
-    def spy(*args):
-        verdicts.append(consequent_fails(*args))
-        return verdicts[-1]
-
-    monkeypatch.setattr(contraction, "consequent_fails", spy)
+    seed 1. check_g_phi decides these pairs by ``induced_tie_rule``, so the
+    count comes from the pair kernel, run on the pairs the check samples."""
     fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, cap), fx.TNorm("product"))
-    report = fx.check_g_phi(
-        fm, fx.AffineMap(a, 0.0), fx.identity_for(fm.space), fx.induce_phi(k, cap), samples=2000, seed=1,
-    )
-    return report, sum(verdicts)
+    f, g, phi = fx.AffineMap(a, 0.0), fx.identity_for(fm.space), fx.induce_phi(k, cap)
+    report = fx.check_g_phi(fm, f, g, phi, samples=2000, seed=1)
+    pairs = fx.sample_pairs(fm.space, 2000, 1)
+    return report, len(failing_rows(phi, pairs, *image_distances(fm.space, (g, f), fm.transform, pairs)))
 
 
 @pytest.mark.parametrize("cap", [1e2, 1e6, 1e8])
-def test_induced_slack_catches_every_pair_at_large_caps(monkeypatch, cap):
+def test_induced_slack_catches_every_pair_at_large_caps(cap):
     # 0.7 x breaks the implication on every pair of distinct points. A
     # slope bound of 1 / (1 - t)**2 and distance errors carried as
     # e / tau let all but 18 pairs pass at cap 1e6, and all at 1e8.
-    report, failing = _failing_pairs(monkeypatch, 0.7, cap)
+    report, failing = _failing_pairs(0.7, cap)
     assert not report.passed
     assert failing == report.checked_pairs == 2000
 
 
 @pytest.mark.parametrize("cap", [1.0, 1e2, 1e6, 1e8, 1e12, 1e15])
-def test_induced_modulus_is_tight_at_any_cap(monkeypatch, cap):
-    report, failing = _failing_pairs(monkeypatch, 0.5, cap)
+def test_induced_modulus_is_tight_at_any_cap(cap):
+    report, failing = _failing_pairs(0.5, cap)
     assert report.passed and failing == 0
 
 
 @pytest.mark.parametrize("k", [0.05, 0.02])
 @pytest.mark.parametrize("cap", [1e2, 1e4, 1e6])
-def test_steep_induced_modulus_is_tight(monkeypatch, k, cap):
+def test_steep_induced_modulus_is_tight(k, cap):
     # Near tau = 1 induced(k, cap) rises with slope up to 1 / k, so the slack
     # must carry its rise over the error of the crossing time: without it,
     # up to 540 of these pairs fail.
-    report, failing = _failing_pairs(monkeypatch, k, cap, k)
+    report, failing = _failing_pairs(k, cap, k)
     assert report.passed and failing == 0
 
 

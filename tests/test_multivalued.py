@@ -250,20 +250,6 @@ def test_inclusion_determinism(flagship_setting):
     )
 
 
-# ------------------------------------------------------------ fuzzy closure
-
-
-def test_in_fuzzy_closure_examples(flagship_fm):
-    levels = [(0.1, 0.5)]
-    assert fx.in_fuzzy_closure(flagship_fm, [0.2, 1.0], 1.0, levels)
-    assert not fx.in_fuzzy_closure(flagship_fm, [0.0], 1.0, levels)
-    assert fx.in_fuzzy_closure(flagship_fm, [0.0, 0.999999], 1.0, [(0.01, 0.5)])
-    with pytest.raises(ValueError):
-        fx.in_fuzzy_closure(flagship_fm, [], 1.0, levels)
-    with pytest.raises(ValueError):
-        fx.in_fuzzy_closure(flagship_fm, [0.0], 1.0, [])
-
-
 # ------------------------------------------------------------ demicompact
 
 

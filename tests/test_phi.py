@@ -73,12 +73,6 @@ def test_horizon_certificate_and_minimality(phi, t0, epsilon, lam):
         assert fx.iterate(phi, t0, n - 1) > target
 
 
-def test_horizon_cap_raises():
-    # iterates of a high ratio stall above the target within a tiny cap
-    with pytest.raises(fx.HorizonExceeded):
-        fx.horizon(fx.LinearPhi(0.99), 1.0, 1e-6, 0.5, cap=3)
-
-
 @pytest.mark.parametrize("d", [0.0, 5e-324, 1e-300, 1e-30, 1e-5, 1.0, 1e5, 1e10, 1e15, 1e300])
 def test_crossing_time_is_accurate_at_any_gap(d):
     # The closed form cancels at no gap, and 4 / d never overflows.
