@@ -65,7 +65,6 @@ from .contraction import (
     ContractionReport,
     CounterExample,
     check_g_phi,
-    induce_phi,
     sample_pairs,
 )
 from .solver import (

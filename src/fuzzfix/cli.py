@@ -339,7 +339,7 @@ def _write_trace(path: str, fm: FuzzyMetric, orbit: Tuple[Point, ...], epsilon: 
 
 def _phi_class(cfg: ProblemConfig, phi: PhiFunction, solver: Optional[SolverConfig]) -> Tuple[dict, bool]:
     # Admissibility is checked on the range the solvers require.
-    report = verify_phi_class(phi, grid=max(cfg.grid, 2), t_max=2.0 if solver is None else solver.t_max)
+    report = verify_phi_class(phi, grid=cfg.grid, t_max=2.0 if solver is None else solver.t_max)
     return {"phi_class": _report_dict(report)}, report.passed
 
 
@@ -433,8 +433,9 @@ def run(
 
     Returns the report and the process exit code. Flag overrides win
     over config values; hypothesis failures surface as exit code 1 with
-    the report intact. A config without a section the command requires
-    raises ValidationError.
+    the report intact. A config without a section the command requires,
+    or with samples below 1 or a grid below 2 (flags included), raises
+    ValidationError.
     """
     if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
@@ -444,6 +445,8 @@ def run(
             raise ValidationError(f"{section}: section is required by {command}")
     seed = cfg.seed if seed is None else seed
     samples = cfg.samples if samples is None else samples
+    if samples < 1 or cfg.grid < 2:
+        raise ValidationError(f"verification: samples must be >= 1 and grid >= 2, got {samples} and {cfg.grid}")
     solver = cfg.solver
     if solver is not None and max_iter is not None:
         solver = replace(solver, max_iter=max_iter)

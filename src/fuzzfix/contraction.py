@@ -30,7 +30,7 @@ slack path.
 
 No other hypothesis is checked here. A map that passes with phi(t) < t is
 already uniformly continuous from the g-transformed uniformity, and a
-metric k-contraction enters only through ``induce_phi``'s modulus.
+metric k-contraction enters only through the modulus ``InducedPhi``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 # threshold is no longer called here, but stays importable as contraction.threshold:
 # perfbench/tests checks that its tracer rebinds and restores it in this module.
 from .fmspace import FiniteSpace, FuzzyMetric, IntervalSpace, Point, Space, onset, threshold  # noqa: F401
-from .maps import BijectionSpec, ConstantMap, MapSpec
+from .maps import BijectionSpec, MapSpec
 from .phi import InducedPhi, LinearPhi, PhiFunction, RationalPhi, TablePhi, crossing_time, ensure_phi_class
 
 MAX_COUNTEREXAMPLES = 64
@@ -95,7 +95,11 @@ class ContractionReport:
 
 def replay(phi: PhiFunction, row: tuple, d_g: float, d_f: float) -> CounterExample:
     """The CounterExample of a failing row (x, y[, u]) at t = onset(d_g),
-    from the distances d_g and d_f of its float images."""
+    from the distances d_g and d_f of its float images. Raises
+    OverflowError where one is not a number: images at inf on an unbounded
+    space."""
+    if math.isnan(d_g) or math.isnan(d_f):
+        raise OverflowError(f"the images of {row[0]!r} and {row[1]!r} overflow: their distance is not a number")
     t = onset(d_g)
     scaled = phi.eval(t)
     return CounterExample(*row[:2], t, t / (t + d_g), scaled / (scaled + d_f) if scaled != 0.0 else 0.0, *row[2:])
@@ -133,18 +137,18 @@ def image_distances(space: Space, maps: Sequence, h, pairs: Sequence) -> List[Li
     (h the metric's transform, or None), relatively within DISTANCE_ERROR of
     the exact ones: on a finite space the table floats of the mapped labels,
     on a continuum one s delta for one distance delta of x and y, with s =
-    |a| |a_h| (0 for a constant map), and 1 - exp(-s delta) under normalize."""
+    |a| |a_h| (a constant map's a is 0), and 1 - exp(-s delta) under normalize."""
     if isinstance(space, FiniteSpace):
         table, out = space.dist, []
         for m in maps:
-            images = {l: m.apply(space, l) for l in space.labels}
-            rows = {l: space.index(p if h is None else h.apply(space, p)) for l, p in images.items()}
+            images = {l: m.apply(l) for l in space.labels}
+            rows = {l: space.index(p if h is None else h.apply(p)) for l, p in images.items()}
             out.append([table[rows[x]][rows[y]] for x, y in pairs])
     else:
         p, q = [x for x, _ in pairs], [y for _, y in pairs]
         delta = list(map(abs, map(sub, p, q)) if isinstance(space, IntervalSpace) else map(math.dist, p, q))
         a_h = 1.0 if h is None else abs(h.a)
-        slopes = [0.0 if isinstance(m, ConstantMap) else abs(m.a) * a_h for m in maps]
+        slopes = [abs(m.a) * a_h for m in maps]
         out = [[s * d for d in delta] for s in slopes]
     if space.normalize:
         out = [[-math.expm1(-d) for d in ds] for ds in out]
@@ -202,8 +206,7 @@ def induced_tie_rule(fm: FuzzyMetric, f: MapSpec, g: BijectionSpec, phi: PhiFunc
         return None
     from fractions import Fraction  # here, as importing it costs a few ms at startup
 
-    slope_f = 0 if isinstance(f, ConstantMap) else Fraction(abs(f.a))
-    excess = slope_f - Fraction(phi.k) * Fraction(abs(g.a))  # the transform's slope cancels in r
+    excess = Fraction(abs(f.a)) - Fraction(phi.k) * Fraction(abs(g.a))  # the transform's slope cancels in r
     if excess > 0:
         return lambda pair, d_g: pair[0] != pair[1]
     if excess < 0:
@@ -242,19 +245,7 @@ def check_g_phi(
         failing = [p for p, d_g in zip(pairs, image_distances(space, (g,), fm.transform, pairs)[0]) if exact(p, d_g)]
 
     def distances(x, y):
-        return (fm.distance(g.apply(space, x), g.apply(space, y)), fm.distance(f.apply(space, x), f.apply(space, y)))
+        return fm.distance(g.apply(x), g.apply(y)), fm.distance(f.apply(x), f.apply(y))
 
     return ContractionReport.of(space, phi, failing, len(pairs), distances)
 
-
-def induce_phi(k: float, cap: float) -> InducedPhi:
-    """Modulus that turns a metric k-contraction on a space of diameter
-    <= cap into a fuzzy contraction under the standard metric.
-
-    Raises InvalidK for ratios outside (0, 1). The direct metric modulus
-    does not transfer on its own: the antecedent only bounds the metric
-    gap by t for t <= 1/2, so the crossing-time conjugate is used
-    instead. It satisfies eval(crossing_time(d)) == crossing_time(k * d)
-    for every d <= cap.
-    """
-    return InducedPhi(k, cap)

@@ -20,10 +20,6 @@ class HorizonExceeded(FuzzfixError):
 class PhiInvalid(FuzzfixError):
     """A modulus failed the admissibility checks required by an operation."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class InvalidK(FuzzfixError):
     """Contraction ratio outside the open interval (0, 1)."""

@@ -128,9 +128,6 @@ class FiniteSpace:
     def point_key(self, p: Point):
         return self.index(p)
 
-    def extreme_points(self) -> Tuple[Point, ...]:
-        return self.labels
-
     def diameter(self) -> float:
         d = max(max(row) for row in self.dist)
         return _d1(d) if self.normalize else d
@@ -179,8 +176,9 @@ class IntervalSpace:
 class EuclideanSpace:
     """R^dim with the Euclidean metric, optionally boxed to [-bound, bound]^dim.
 
-    Points are tuples of ``dim`` floats, as parsed and sampled; anything
-    else, such as a bare number when dim == 1, goes through ``coords``.
+    A point is a tuple of ``dim`` floats, as parsed and sampled; a config's
+    bare number on a line parses to a 1-tuple. Points are checked where
+    they enter, by ``contains``; ``distance`` takes them as they are.
     """
 
     dim: int
@@ -195,38 +193,22 @@ class EuclideanSpace:
         if self.bound is not None and not math.isfinite(2.0 * self.bound * math.sqrt(self.dim)):
             raise ValueError("box diameter 2 * bound * sqrt(dim) must be a finite float")
 
-    def coords(self, p: Point) -> Tuple[float, ...]:
-        if isinstance(p, (int, float)):
-            if self.dim != 1:
-                raise UnknownPoint(f"scalar point in a {self.dim}-dimensional space")
-            return (float(p),)
-        c = tuple(float(v) for v in p)
-        if len(c) != self.dim:
-            raise UnknownPoint(f"point has {len(c)} coordinates, expected {self.dim}")
-        return c
-
     def parse_point(self, raw) -> Point:
         """A point as written in a config: a list of numbers, or a number
         when dim == 1. The coordinate count is left to ``contains``."""
         if isinstance(raw, list):
             return tuple(map(as_number, raw))
-        return self.coords(as_number(raw))
+        x = as_number(raw)
+        if self.dim != 1:
+            raise UnknownPoint(f"scalar point in a {self.dim}-dimensional space")
+        return (x,)
 
     def contains(self, p: Point) -> bool:
-        try:
-            c = self.coords(p)
-        except (UnknownPoint, TypeError, ValueError):
+        if type(p) is not tuple or len(p) != self.dim or not all(isinstance(v, (int, float)) for v in p):
             return False
-        if self.bound is None:
-            return True
-        return all(-self.bound <= v <= self.bound for v in c)
-
-    def _canonical(self, p: Point) -> bool:
-        return type(p) is tuple and len(p) == self.dim
+        return self.bound is None or all(-self.bound <= v <= self.bound for v in p)
 
     def distance(self, x: Point, y: Point) -> float:
-        if not (self._canonical(x) and self._canonical(y)):
-            x, y = self.coords(x), self.coords(y)
         # math.dist loses an ulp through sqrt((a-b)**2) in one dimension
         d = abs(x[0] - y[0]) if self.dim == 1 else math.dist(x, y)
         return _d1(d) if self.normalize else d
@@ -237,7 +219,7 @@ class EuclideanSpace:
         return tuple(rng.uniform(-self.bound, self.bound) for _ in range(self.dim))
 
     def point_key(self, p: Point):
-        return p if self._canonical(p) else self.coords(p)
+        return p
 
     def extreme_points(self) -> Tuple[Point, ...]:
         if self.bound is None:
@@ -274,16 +256,16 @@ class FuzzyMetric:
         """The distance membership grades: the space's metric on the
         points carried by the transform."""
         if self.transform is not None:
-            x = self.transform.apply(self.space, x)
-            y = self.transform.apply(self.space, y)
+            x = self.transform.apply(x)
+            y = self.transform.apply(y)
         return self.space.distance(x, y)
 
     def membership(self, x: Point, y: Point, t: float) -> Grade:
         if t < 0.0:
             raise ValueError("t must be nonnegative")
         if self.transform is not None:
-            x = self.transform.apply(self.space, x)
-            y = self.transform.apply(self.space, y)
+            x = self.transform.apply(x)
+            y = self.transform.apply(y)
         if t == 0.0:
             return 0.0
         d = self.space.distance(x, y)

@@ -1,15 +1,16 @@
 """Point maps and bijections over the supported spaces.
 
-Maps are validated structurally against a space before use: affine maps
-must send the space into itself, tables must be total on a finite
-space's labels, and bijections must map the space onto itself (affine
-with nonzero slope fixing the endpoints, or a full permutation table).
+A map is validated against a space once, structurally, then applied to
+points alone (labels, numbers or Euclidean dim-tuples): affine maps must
+send the space into itself, tables must be total on a finite space's
+labels, and bijections must map the space onto itself (affine with
+nonzero slope fixing the endpoints, or a full permutation table).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Union
+from typing import ClassVar, Dict, Union
 
 from .errors import InverseUndefined, NotBijective, UnknownPoint
 from .fmspace import FiniteSpace, IntervalSpace, Point, Space
@@ -22,7 +23,7 @@ class AffineMap:
     a: float
     b: float
 
-    def apply(self, space: Space, p: Point) -> Point:
+    def apply(self, p: Point) -> Point:
         if type(p) is tuple:
             return tuple([self.a * c + self.b for c in p])
         return self.a * p + self.b
@@ -44,8 +45,9 @@ class AffineMap:
 @dataclass(frozen=True)
 class ConstantMap:
     c: Point
+    a: ClassVar[float] = 0.0  # the slope by which it scales distances
 
-    def apply(self, space: Space, p: Point) -> Point:
+    def apply(self, p: Point) -> Point:
         return self.c
 
     def validate(self, space: Space) -> None:
@@ -59,7 +61,7 @@ class TableMap:
 
     mapping: Dict[Point, Point]
 
-    def apply(self, space: Space, p: Point) -> Point:
+    def apply(self, p: Point) -> Point:
         try:
             return self.mapping[p]
         except KeyError:
@@ -85,7 +87,7 @@ class AffineBijection:
 
     apply = AffineMap.apply
 
-    def invert_apply(self, space: Space, p: Point) -> Point:
+    def invert_apply(self, p: Point) -> Point:
         if isinstance(p, tuple):
             return tuple((c - self.b) / self.a for c in p)
         return (p - self.b) / self.a
@@ -125,13 +127,13 @@ class PermutationBijection:
         inverse = {value: key for key, value in reversed(self.mapping.items())}
         object.__setattr__(self, "_inverse", inverse)
 
-    def apply(self, space: Space, p: Point) -> Point:
+    def apply(self, p: Point) -> Point:
         try:
             return self.mapping[p]
         except KeyError:
             raise UnknownPoint(f"permutation has no image for {p!r}") from None
 
-    def invert_apply(self, space: Space, p: Point) -> Point:
+    def invert_apply(self, p: Point) -> Point:
         try:
             return self._inverse[p]
         except KeyError:
@@ -172,5 +174,5 @@ class InverseComposite:
     g: BijectionSpec
     f: MapSpec
 
-    def apply(self, space: Space, p: Point) -> Point:
-        return self.g.invert_apply(space, self.f.apply(space, p))
+    def apply(self, p: Point) -> Point:
+        return self.g.invert_apply(self.f.apply(p))

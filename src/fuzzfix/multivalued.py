@@ -86,7 +86,7 @@ def select_successor(
     if t <= 0.0:
         raise ValueError("t must be positive")
     scaled = phi.eval(t)
-    best, best_grade = _closest(fm, T.image(g.apply(fm.space, y)), u, scaled)
+    best, best_grade = _closest(fm, T.image(g.apply(y)), u, scaled)
     if not best_grade > 1.0 - scaled:
         raise NoAdmissibleSuccessor(
             f"no image point of {y!r} is admissible at scale {scaled!r} "
@@ -118,7 +118,7 @@ def check_setvalued_contraction(
     if pairs is None:
         if not isinstance(space, FiniteSpace):
             raise ValueError("an explicit pair plan is required on continuum spaces")
-        eligible = [x for x in space.labels if g.apply(space, x) in T.images]
+        eligible = [x for x in space.labels if g.apply(x) in T.images]
         pairs = [(x, y) for x in eligible for y in eligible]
     d_gs, = image_distances(space, (g,), fm.transform, pairs)
     points = {p for values in T.images.values() for p in values}
@@ -126,15 +126,15 @@ def check_setvalued_contraction(
     near = dict(zip(between, image_distances(space, (identity_for(space),), fm.transform, between)[0]))
     rows, row_d_gs, d_fs = [], [], []
     for (x, y), d_g in zip(pairs, d_gs):
-        images_u, images_v = T.image(g.apply(space, x)), T.image(g.apply(space, y))
+        images_u, images_v = T.image(g.apply(x)), T.image(g.apply(y))
         for u in images_u:
             rows.append((x, y, u))
             row_d_gs.append(d_g)
             d_fs.append(min(near[u, v] for v in images_v))
 
     def distances(x, y, u):
-        gy = g.apply(space, y)
-        return fm.distance(g.apply(space, x), gy), min(fm.distance(u, v) for v in T.image(gy))
+        gy = g.apply(y)
+        return fm.distance(g.apply(x), gy), min(fm.distance(u, v) for v in T.image(gy))
 
     return ContractionReport.of(space, phi, failing_rows(phi, rows, row_d_gs, d_fs), len(pairs), distances)
 
@@ -196,7 +196,7 @@ def solve_inclusion(
 
     t = cfg.t0
 
-    def successor(space: Space, x: Point) -> Point:
+    def successor(x: Point) -> Point:
         nonlocal t
         x_next = select_successor(fm, T, g, phi, u=x, y=x, t=t)
         t = phi.eval(t)
@@ -213,7 +213,7 @@ def solve_inclusion(
     # A set reaches a level iff its best grade does. Grading v against x
     # equals grading x against v bit for bit, since every space's distance
     # is exactly symmetric.
-    carried_image = T.image(g.apply(space, x))
+    carried_image = T.image(g.apply(x))
     evidence = []
     for epsilon, lam in levels:
         best, grade = _closest(fm, carried_image, x, epsilon)

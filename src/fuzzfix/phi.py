@@ -126,7 +126,8 @@ class InducedPhi:
     construction eval(crossing_time(d)) == crossing_time(k * d) for
     d <= cap, so a plain metric k-contraction on a space of diameter
     <= cap satisfies the transformed-contraction implication with this
-    modulus.
+    modulus. The metric modulus k itself does not transfer: the
+    antecedent bounds the metric gap by t only for t <= 1/2.
     """
 
     k: float
@@ -329,7 +330,4 @@ def ensure_phi_class(phi: PhiFunction, t_max: float = 2.0) -> None:
     """Raise PhiInvalid unless ``phi`` passes verify_phi_class."""
     report = verify_phi_class(phi, t_max=t_max)
     if not report.passed:
-        raise PhiInvalid(
-            f"modulus failed admissibility checks: {', '.join(report.failures())}",
-            report=report,
-        )
+        raise PhiInvalid(f"modulus failed admissibility checks: {', '.join(report.failures())}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import UnknownPoint
-from .fmspace import FuzzyMetric, Point, Space, in_uniformity, is_cauchy_window
+from .fmspace import FuzzyMetric, Point, in_uniformity, is_cauchy_window
 from .maps import BijectionSpec, InverseComposite, MapSpec
 from .phi import PhiFunction, ensure_phi_class, horizon
 from .tnorm import Grade
@@ -90,9 +90,9 @@ def orbit(
     fm: FuzzyMetric,
     cfg: SolverConfig,
     n_horizon: int,
-    step: Callable[[Space, Point], Point],
+    step: Callable[[Point], Point],
 ) -> Tuple[Tuple[Point, ...], bool]:
-    """The orbit loop both solvers run: x_n = step(space, x_{n-1}) from cfg.start.
+    """The orbit loop both solvers run: x_n = step(x_{n-1}) from cfg.start.
 
     Raises UnknownPoint for a start outside the space. The loop grades
     nothing before n_horizon: from there it stops at the first n whose
@@ -101,12 +101,11 @@ def orbit(
     points, the start first, and whether the window test stopped the
     loop; ``trace_records`` grades them when a trace is written.
     """
-    space = fm.space
-    if not space.contains(cfg.start):
+    if not fm.space.contains(cfg.start):
         raise UnknownPoint(f"start point {cfg.start!r} lies outside the space")
     points = [cfg.start]
     for n in range(1, cfg.max_iter + 1):
-        points.append(step(space, points[-1]))
+        points.append(step(points[-1]))
         if n >= n_horizon and is_cauchy_window(fm, points[-cfg.window :], cfg.epsilon, cfg.lam):
             return tuple(points), True
     return tuple(points), False
@@ -139,11 +138,10 @@ def solve_coincidence(
     1 - lambda for every time >= epsilon. Raises OverflowError when the
     orbit leaves the finite floats, which only an unbounded space allows.
     """
-    space = fm.space
     ensure_phi_class(phi, t_max=cfg.t_max)
     # g_transform validates g, before f as every entry point does.
     relabeled = fm.g_transform(g)
-    f.validate(space)
+    f.validate(fm.space)
 
     n_horizon = horizon(phi, cfg.t0, cfg.epsilon, cfg.lam)
     points, stopped = orbit(relabeled, cfg, n_horizon, InverseComposite(g, f).apply)
@@ -154,8 +152,8 @@ def solve_coincidence(
     if type(x) is tuple and not all(map(math.isfinite, x)):
         n = next(n for n, p in enumerate(points) if not all(map(math.isfinite, p)))
         raise OverflowError(f"the orbit leaves the finite floats at step {n}")
-    gz = g.apply(space, x)
-    fz = f.apply(space, x)
+    gz = g.apply(x)
+    fz = f.apply(x)
     residuals = tuple((t, fm.membership(gz, fz, t)) for t in cfg.times())
     converged = stopped and all(
         grade >= 1.0 - cfg.lam for t, grade in residuals if t >= cfg.epsilon
@@ -212,7 +210,6 @@ def uniqueness_probe(
     points = tuple(r.point for r in results)
     converged = tuple(r.converged for r in results)
 
-    space = fm.space
     pairwise = []
     curves = []
     # Every run shares the config's horizon; only the start differs.
@@ -222,8 +219,8 @@ def uniqueness_probe(
             pairwise.append(
                 (i, j, in_uniformity(fm, points[i], points[j], cfg.epsilon, cfg.lam))
             )
-            fi = f.apply(space, points[i])
-            fj = f.apply(space, points[j])
+            fi = f.apply(points[i])
+            fj = f.apply(points[j])
             t = cfg.t0
             for n in ns:
                 curves.append(PairGrade(i, j, n, t, fm.membership(fi, fj, t)))

@@ -39,7 +39,7 @@ def flagship_g():
 
 @pytest.fixture
 def flagship_phi():
-    return fx.induce_phi(0.5, 1.0)
+    return fx.InducedPhi(0.5, 1.0)
 
 
 @pytest.fixture

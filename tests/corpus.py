@@ -14,14 +14,14 @@ CORPUS = [
         CORPUS_SPACE,
         fx.TableMap({"0.0": "0.0", "0.1": "0.0", "0.2": "0.0", "0.4": "0.1", "0.8": "0.2"}),
         fx.identity_for(CORPUS_SPACE),
-        fx.induce_phi(0.5, 0.8),
+        fx.InducedPhi(0.5, 0.8),
     ),
     (
         "slow-shift",
         CORPUS_SPACE,
         fx.TableMap({"0.0": "0.0", "0.1": "0.0", "0.2": "0.1", "0.4": "0.2", "0.8": "0.4"}),
         fx.identity_for(CORPUS_SPACE),
-        fx.induce_phi(0.5, 0.8),
+        fx.InducedPhi(0.5, 0.8),
     ),
     (
         "constant-under-cycle",
@@ -39,6 +39,6 @@ CORPUS = [
         fx.PermutationBijection(
             {"0.0": "0.8", "0.1": "0.4", "0.2": "0.2", "0.4": "0.1", "0.8": "0.0"}
         ),
-        fx.induce_phi(0.5, 0.8),
+        fx.InducedPhi(0.5, 0.8),
     ),
 ]

@@ -33,8 +33,8 @@ def exhaustive_g_phi(space, f, g, phi, t_grid):
     scaled = [phi.eval(t) for t in t_grid]
     for x in space.labels:
         for y in space.labels:
-            d_g = space.distance(g.apply(space, x), g.apply(space, y))
-            d_f = space.distance(f.apply(space, x), f.apply(space, y))
+            d_g = space.distance(g.apply(x), g.apply(y))
+            d_f = space.distance(f.apply(x), f.apply(y))
             for t, s in zip(t_grid, scaled):
                 if t / (t + d_g) > 1.0 - t:
                     m_f = s / (s + d_f) if s > 0.0 else 0.0
@@ -49,10 +49,10 @@ def exhaustive_setvalued(space, fm_labels_T, g, phi, t_grid):
     lies in the map's domain. ``fm_labels_T`` is the SetValuedMap."""
     T = fm_labels_T
     scaled = [phi.eval(t) for t in t_grid]
-    eligible = [x for x in space.labels if g.apply(space, x) in T.images]
+    eligible = [x for x in space.labels if g.apply(x) in T.images]
     for x in eligible:
         for y in eligible:
-            gx, gy = g.apply(space, x), g.apply(space, y)
+            gx, gy = g.apply(x), g.apply(y)
             d_g = space.distance(gx, gy)
             for t, s in zip(t_grid, scaled):
                 if t / (t + d_g) > 1.0 - t:
@@ -71,7 +71,7 @@ def inclusion_points(space, T, g):
     """Brute-force set {x : x in T(g(x))} on a finite space."""
     out = []
     for x in space.labels:
-        gx = g.apply(space, x)
+        gx = g.apply(x)
         if gx in T.images and x in T.image(gx):
             out.append(x)
     return out
@@ -244,7 +244,7 @@ def exact_tau(d):
 def exact_image(space, m, p):
     """m(p) without rounding: affine maps in rationals, per coordinate."""
     if not isinstance(m, (fx.AffineMap, fx.AffineBijection)):
-        return m.apply(space, p)
+        return m.apply(p)
     a, b = Fraction(m.a), Fraction(m.b)
     if isinstance(p, tuple):
         return tuple(a * Fraction(c) + b for c in p)
@@ -317,7 +317,7 @@ def metric_distance(fm):
 
     def dist(a, b):
         if fm.transform is not None:
-            a, b = fm.transform.apply(fm.space, a), fm.transform.apply(fm.space, b)
+            a, b = fm.transform.apply(a), fm.transform.apply(b)
         return fm.space.distance(a, b)
 
     return dist
@@ -333,8 +333,8 @@ def reference_check_g_phi(fm, f, g, phi, pairs):
         for x, y in pairs:
             if exact_pass(phi, exact_distance(fm, g, x, y), exact_distance(fm, f, x, y)):
                 continue
-            d_g = dist(g.apply(space, x), g.apply(space, y))
-            d_f = dist(f.apply(space, x), f.apply(space, y))
+            d_g = dist(g.apply(x), g.apply(y))
+            d_f = dist(f.apply(x), f.apply(y))
             t = checked_onset(d_g)
             found.append((x, y, t, raw_grade(t, d_g), raw_grade(phi.eval(t), d_f)))
     found.sort(key=lambda ce: (space.point_key(ce[0]), space.point_key(ce[1])))
@@ -351,7 +351,7 @@ def reference_check_setvalued(fm, T, g, phi, pairs):
     with localcontext() as ctx:
         ctx.prec = DIGITS
         for x, y in pairs:
-            gx, gy = g.apply(space, x), g.apply(space, y)
+            gx, gy = g.apply(x), g.apply(y)
             d_g = exact_distance(fm, g, x, y)
             for u in T.image(gx):
                 d = min(exact_distance(fm, ident, u, v) for v in T.image(gy))

@@ -36,7 +36,7 @@ def flagship():
     fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, 1.0), fx.TNorm("product"))
     f = fx.AffineMap(0.5, 0.0)
     g = fx.AffineBijection(-1.0, 1.0)
-    phi = fx.induce_phi(0.5, 1.0)
+    phi = fx.InducedPhi(0.5, 1.0)
     cfg = fx.SolverConfig(start=0.0, epsilon=1e-3, lam=1e-3, t0=2.0)
     return fm, f, g, phi, cfg
 
@@ -163,7 +163,7 @@ def test_criterion_6():
 
 @criterion(7, "horizon certificate and minimality")
 def test_criterion_7():
-    builtins = (fx.LinearPhi(0.5), fx.RationalPhi(), fx.induce_phi(0.5, 1.0))
+    builtins = (fx.LinearPhi(0.5), fx.RationalPhi(), fx.InducedPhi(0.5, 1.0))
     for phi in builtins:
         for t0 in (0.5, 1.0, 2.0, 5.0):
             for epsilon in (0.01, 0.1, 0.5):
@@ -185,7 +185,7 @@ def test_criterion_8():
     fm = fx.FuzzyMetric(space, fx.TNorm("product"))
     T = fx.SetValuedMap({"0": ("0",), "0.1": ("0",), "1": ("0", "0.1")})
     g = fx.identity_for(space)
-    phi = fx.induce_phi(0.5, 1.0)
+    phi = fx.InducedPhi(0.5, 1.0)
 
     report = fx.check_setvalued_contraction(fm, T, g, phi)
     assert report.passed

@@ -9,7 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import fuzzfix as fx
-from fuzzfix.cli import main, parse_config
+from fuzzfix.cli import COMMANDS, main, parse_config
 
 
 FLAGSHIP = {
@@ -93,7 +93,7 @@ def test_missing_space_rejected():
 
 def test_g_defaults_to_identity():
     cfg = parse_config(json.dumps(BAD_CONTRACTION))
-    assert cfg.g.apply(cfg.space, 0.3) == 0.3
+    assert cfg.g.apply(0.3) == 0.3
 
 
 def test_unknown_tnorm_rejected():
@@ -518,6 +518,83 @@ def test_orbit_that_leaves_the_finite_floats_is_a_hypothesis_failure(tmp_path, c
     message = f"the orbit leaves the finite floats at step {step}"
     assert payload["verdicts"] == {"hypothesis_failure": {"error": "OverflowError", "message": message}}
     assert not trace.exists()
+
+
+def test_replayed_distance_that_is_not_a_number_is_a_hypothesis_failure(tmp_path, capsys):
+    # f = 1e308 x sends the first coordinates of a kept pair both to -inf, so
+    # the distance of their images is inf - inf: the report says so and
+    # stays valid JSON instead of printing a NaN consequent.
+    doc = {
+        "space": {"kind": "euclidean", "dim": 2},
+        "phi": {"kind": "linear", "k": 0.5},
+        "f": {"kind": "affine", "a": 1e308, "b": 0.0},
+    }
+    assert main(["check-contraction", "--config", str(write_config(tmp_path, doc)), "--samples", "2000"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["result"] is None and payload["counterexamples"] == []
+    failure = payload["verdicts"]["hypothesis_failure"]
+    assert failure["error"] == "OverflowError"
+    assert failure["message"].endswith("overflow: their distance is not a number")
+
+
+def _run_json(command, path, capsys):
+    code = main([command, "--config", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    del payload["config_digest"]
+    return code, payload
+
+
+def test_bare_number_on_a_line_is_its_one_tuple(tmp_path, capsys):
+    # On a 1-D Euclidean space a config may write a point as a bare number:
+    # threshold and solve then report what the 1-tuple point gives.
+    line = {"kind": "euclidean", "dim": 1}
+    runs = []
+    for x, y, start in ((0.25, -1.5, 0.75), ([0.25], [-1.5], [0.75])):
+        doc = dict(BAD_CONTRACTION, space=line, query={"x": x, "y": y})
+        doc["solver"] = dict(doc["solver"], start=start)
+        path = write_config(tmp_path, doc)
+        runs.append([_run_json(command, path, capsys) for command in ("threshold", "solve")])
+    assert runs[0] == runs[1]
+    (code, threshold), (solved, solve) = runs[0]
+    assert code == 0 and threshold["result"]["x"] == [0.25] and threshold["result"]["tau"] == fx.onset(1.75)
+    assert solved == 0 and solve["result"]["converged"] is True and len(solve["result"]["point"]) == 1
+
+
+@pytest.mark.parametrize("command, where", [("threshold", "query.x"), ("solve", "solver.start")])
+def test_bare_number_on_a_plane_is_usage_error(tmp_path, capsys, command, where):
+    doc = dict(BAD_CONTRACTION, space={"kind": "euclidean", "dim": 2}, query={"x": [0.0, 0.0], "y": [0.0, 0.0]})
+    doc["solver"] = dict(doc["solver"], start=[0.0, 0.0])
+    section, field = where.split(".")
+    doc[section] = dict(doc[section], **{field: 0.5})
+    assert main([command, "--config", str(write_config(tmp_path, doc))]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: {where}: scalar point in a 2-dimensional space\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "verification, flags",
+    [({"grid": 1}, []), ({"grid": -3}, []), ({"samples": 0}, []), ({}, ["--samples", "-5"])],
+    ids=["grid-1", "grid-minus-3", "samples-0", "samples-flag-minus-5"],
+)
+def test_verification_values_below_their_least_are_usage_errors(tmp_path, capsys, command, verification, flags):
+    # Every command rejects them, from the config or a flag, whether or not
+    # it reads them: none is quietly clamped or echoed.
+    base = MULTI if command == "solve-set" else FLAGSHIP
+    doc = dict(base, verification=dict(base["verification"], **verification))
+    assert main([command, "--config", str(write_config(tmp_path, doc)), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: verification: samples must be >= 1 and grid >= 2")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_least_verification_values_run(tmp_path, capsys, command):
+    base = MULTI if command == "solve-set" else FLAGSHIP
+    doc = dict(base, verification=dict(base["verification"], samples=1, grid=2))
+    assert main([command, "--config", str(write_config(tmp_path, doc))]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["samples"] == 1
 
 
 def test_solve_requires_f_not_T(tmp_path, capsys):

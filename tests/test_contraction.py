@@ -66,8 +66,8 @@ def test_counterexamples_replay(flagship_fm, flagship_f):
     report = fx.check_g_phi(flagship_fm, flagship_f, g, phi, samples=200, seed=1)
     assert not report.passed
     for ce in report.counterexamples:
-        gx, gy = g.apply(space, ce.x), g.apply(space, ce.y)
-        fxp, fyp = flagship_f.apply(space, ce.x), flagship_f.apply(space, ce.y)
+        gx, gy = g.apply(ce.x), g.apply(ce.y)
+        fxp, fyp = flagship_f.apply(ce.x), flagship_f.apply(ce.y)
         antecedent = flagship_fm.membership(gx, gy, ce.t)
         scaled = phi.eval(ce.t)
         consequent = flagship_fm.membership(fxp, fyp, scaled)
@@ -130,7 +130,7 @@ def test_ratio_just_above_the_induced_modulus_fails(flagship_fm, a, passed):
     # larger ratio breaks the implication at the onset of the antecedent.
     report = fx.check_g_phi(
         flagship_fm, fx.AffineMap(a, 0.0), fx.identity_for(flagship_fm.space),
-        fx.induce_phi(0.5, 1.0), samples=10000, seed=0,
+        fx.InducedPhi(0.5, 1.0), samples=10000, seed=0,
     )
     assert report.passed is passed
     for ce in report.counterexamples:
@@ -165,7 +165,7 @@ def test_rounding_in_the_map_is_no_violation(flagship_fm, seed):
     # 0.5 x + 0.25 rounds, so a float image gap can exceed half the float
     # gap by an ulp although the real map halves every gap exactly.
     g = fx.identity_for(flagship_fm.space)
-    phi = fx.induce_phi(0.5, 1.0)
+    phi = fx.InducedPhi(0.5, 1.0)
     report = fx.check_g_phi(flagship_fm, fx.AffineMap(0.5, 0.25), g, phi, samples=10000, seed=seed)
     assert report.passed
 
@@ -176,7 +176,7 @@ def _failing_pairs(a, cap, k=0.5):
     seed 1. check_g_phi decides these pairs by ``induced_tie_rule``, so the
     count comes from the pair kernel, run on the pairs the check samples."""
     fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, cap), fx.TNorm("product"))
-    f, g, phi = fx.AffineMap(a, 0.0), fx.identity_for(fm.space), fx.induce_phi(k, cap)
+    f, g, phi = fx.AffineMap(a, 0.0), fx.identity_for(fm.space), fx.InducedPhi(k, cap)
     report = fx.check_g_phi(fm, f, g, phi, samples=2000, seed=1)
     pairs = fx.sample_pairs(fm.space, 2000, 1)
     return report, len(failing_rows(phi, pairs, *image_distances(fm.space, (g, f), fm.transform, pairs)))
@@ -290,8 +290,8 @@ def _direct_ratio_check(fm, f, g, k, samples, seed):
     force membership(fx, fy, k t) > 1 - k t."""
     space = fm.space
     for x, y in fx.sample_pairs(space, samples, seed):
-        gx, gy = g.apply(space, x), g.apply(space, y)
-        fxp, fyp = f.apply(space, x), f.apply(space, y)
+        gx, gy = g.apply(x), g.apply(y)
+        fxp, fyp = f.apply(x), f.apply(y)
         t_star = fx.threshold(fm, gx, gy)
         for eta in (1e-3, 1e-6, 1e-9):
             t = t_star + eta
@@ -301,18 +301,18 @@ def _direct_ratio_check(fm, f, g, k, samples, seed):
     return True
 
 
-# ----------------------------------------------------------- induce_phi
+# ---------------------------------------------------------- InducedPhi
 
 
 def test_induce_phi_conjugation_identity_on_grid():
-    phi = fx.induce_phi(0.5, 1.0)
+    phi = fx.InducedPhi(0.5, 1.0)
     for i in range(1, 101):
         d = i / 100
         assert abs(phi.eval(tau(d)) - tau(0.5 * d)) <= 1e-9
 
 
 def test_induce_phi_values():
-    phi = fx.induce_phi(0.5, 1.0)
+    phi = fx.InducedPhi(0.5, 1.0)
     assert phi.eval(tau(1.0)) == pytest.approx(0.5, abs=1e-12)
     assert phi.eval(0.0) == 0.0
     assert phi.eval(0.5) == pytest.approx(0.390388, abs=1e-6)
@@ -321,7 +321,7 @@ def test_induce_phi_values():
 def test_induce_phi_rejects_bad_k():
     for k in (0.0, 1.0, 2.0):
         with pytest.raises(fx.InvalidK):
-            fx.induce_phi(k, 1.0)
+            fx.InducedPhi(k, 1.0)
 
 
 def test_induced_modulus_bridges_metric_contraction(flagship_fm):
@@ -337,6 +337,6 @@ def test_induced_modulus_bridges_metric_contraction(flagship_fm):
             d_f, d_g = exact_distance(flagship_fm, f, x, y), exact_distance(flagship_fm, g, x, y)
             assert d_f <= Decimal("0.5") * d_g
     fuzzy_side = fx.check_g_phi(
-        flagship_fm, f, g, fx.induce_phi(0.5, 1.0), samples=400, seed=5
+        flagship_fm, f, g, fx.InducedPhi(0.5, 1.0), samples=400, seed=5
     )
     assert fuzzy_side.passed

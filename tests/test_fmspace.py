@@ -61,7 +61,7 @@ def test_finite_space_validation():
 
 def test_distance_examples():
     euclid = fx.EuclideanSpace(1)
-    assert euclid.distance(0.0, 0.0) == 0.0
+    assert euclid.distance((0.0,), (0.0,)) == 0.0
     normed = fx.IntervalSpace(0.0, 10.0, normalize=True)
     assert normed.distance(0.0, math.log(2.0)) == pytest.approx(0.5)
     finite = fx.FiniteSpace(("a", "b"), ((0.0, 2.0), (2.0, 0.0)))
@@ -75,12 +75,15 @@ def test_unknown_label_raises():
 
 
 def test_euclidean_point_coercion():
+    # A point is a dim-tuple of numbers: contains rejects every other form.
     space = fx.EuclideanSpace(2, bound=1.0)
     assert space.distance((0.0, 0.0), (0.3, 0.4)) == pytest.approx(0.5)
-    with pytest.raises(fx.UnknownPoint):
-        space.distance((0.0,), (0.3, 0.4))
     assert space.contains((0.5, -0.5))
     assert not space.contains((2.0, 0.0))
+    for malformed in ((0.0,), (0.0, 0.0, 0.0), [0.5, 0.5], 0.5, ("0.5", 0.5), (None, 0.5)):
+        assert not space.contains(malformed)
+    assert not fx.EuclideanSpace(1).contains(0.5)
+    assert fx.EuclideanSpace(1).contains((0.5,))
 
 
 def test_interval_requires_order():
@@ -112,7 +115,7 @@ def test_membership_with_transform():
     # scaling both points by 2 doubles the gap: M(2, 4, 2) = 0.5
     fm = fx.FuzzyMetric(fx.EuclideanSpace(1), fx.TNorm("product"))
     fm2 = fm.g_transform(fx.AffineBijection(2.0, 0.0))
-    assert fm2.membership(1.0, 2.0, 2.0) == pytest.approx(0.5)
+    assert fm2.membership((1.0,), (2.0,), 2.0) == pytest.approx(0.5)
 
 
 def test_g_transform_examples(flagship_fm):

@@ -8,7 +8,7 @@ from oracles import dense_grid, exhaustive_setvalued, inclusion_points, referenc
 @pytest.fixture
 def flagship_setting(multivalued_space, multivalued_T):
     fm = fx.FuzzyMetric(multivalued_space, fx.TNorm("product"))
-    return fm, multivalued_T, fx.identity_for(multivalued_space), fx.induce_phi(0.5, 1.0)
+    return fm, multivalued_T, fx.identity_for(multivalued_space), fx.InducedPhi(0.5, 1.0)
 
 
 # ----------------------------------------------------------- SetValuedMap
@@ -71,7 +71,7 @@ def test_setvalued_counterexamples_replay():
     phi = fx.LinearPhi(0.5)
     report = fx.check_setvalued_contraction(fm, T, g, phi)
     for ce in report.counterexamples:
-        gx, gy = g.apply(space, ce.x), g.apply(space, ce.y)
+        gx, gy = g.apply(ce.x), g.apply(ce.y)
         assert fm.membership(gx, gy, ce.t) == ce.antecedent
         assert ce.antecedent > 1.0 - ce.t
         scaled = phi.eval(ce.t)
@@ -107,7 +107,7 @@ def test_continuum_space_needs_pair_plan(unit_interval):
         fm,
         T,
         fx.identity_for(unit_interval),
-        fx.induce_phi(0.5, 1.0),
+        fx.InducedPhi(0.5, 1.0),
         pairs=[(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0)],
     )
     assert report.passed
@@ -130,7 +130,7 @@ def test_select_successor_tie_breaks_canonically(multivalued_space):
     # from u="1": d(1, 0)=1, d(1, 0.1)=0.9 -> prefers "0.1"
     T = fx.SetValuedMap({"1": ("0", "0.1")})
     g = fx.identity_for(multivalued_space)
-    phi = fx.induce_phi(0.5, 1.0)
+    phi = fx.InducedPhi(0.5, 1.0)
     assert fx.select_successor(fm, T, g, phi, u="1", y="1", t=2.0) == "0.1"
 
 
@@ -166,7 +166,7 @@ def test_orbit_steps_stay_in_images(flagship_setting):
     res = fx.solve_inclusion(fm, T, g, phi, cfg)
     space = fm.space
     for prev, cur in zip(res.orbit, res.orbit[1:]):
-        assert cur in T.image(g.apply(space, prev))
+        assert cur in T.image(g.apply(prev))
 
 
 def test_orbit_chain_inequality(flagship_setting):
@@ -188,7 +188,7 @@ def test_orbit_trace_records_each_step(flagship_setting):
 
     def nearest_image(x):
         # The image point of g(x) nearest x, ties to the earlier label.
-        images = sorted(T.image(g.apply(space, x)), key=space.labels.index)
+        images = sorted(T.image(g.apply(x)), key=space.labels.index)
         return min(images, key=lambda v: distance(x, v))
 
     n_horizon = fx.horizon(phi, cfg.t0, cfg.epsilon, cfg.lam)
@@ -218,7 +218,7 @@ def test_two_point_full_map(flagship_setting):
     T = fx.SetValuedMap({"0.0": ("0.0", "1.0"), "1.0": ("0.0", "1.0")})
     cfg = fx.SolverConfig(start="1.0", epsilon=0.3, lam=0.3, t0=2.0)
     res = fx.solve_inclusion(
-        fm, T, fx.identity_for(space), fx.induce_phi(0.5, 1.0), cfg
+        fm, T, fx.identity_for(space), fx.InducedPhi(0.5, 1.0), cfg
     )
     assert res.converged
     assert res.point in ("0.0", "1.0")

@@ -47,8 +47,8 @@ def test_trace_recurrence(flagship_fm, flagship_f, flagship_g, flagship_phi, fla
     assert res.orbit[0] == flagship_cfg.start
     assert len(res.orbit) == res.iterations + 1
     for prev, point in zip(res.orbit, res.orbit[1:]):
-        lhs = flagship_g.apply(space, point)
-        rhs = flagship_f.apply(space, prev)
+        lhs = flagship_g.apply(point)
+        rhs = flagship_f.apply(prev)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -119,7 +119,7 @@ def _coincidence_case(fm, f, g, g_point, step, start, epsilon, lam, k):
         return fx.solve_coincidence(fm, f, g, fx.LinearPhi(k), cfg)
 
     def residuals_pass(z):
-        d = relabeled_distance(space, lambda p: p)(g_point(z), f.apply(space, z))
+        d = relabeled_distance(space, lambda p: p)(g_point(z), f.apply(z))
         return all(t / (t + d) >= 1.0 - lam for t in cfg.times() if t >= epsilon)
 
     return cfg, solve, fm.g_transform(g), step, relabeled_distance(space, g_point), k, residuals_pass
@@ -241,9 +241,9 @@ def test_untraced_solve_grades_only_for_the_stop_rule(monkeypatch):
         events.append("grade")
         return membership(self, x, y, t)
 
-    def counted_apply(self, space, p):
+    def counted_apply(self, p):
         events.append("step")
-        return apply(self, space, p)
+        return apply(self, p)
 
     monkeypatch.setattr(fx.FuzzyMetric, "membership", counted_membership)
     monkeypatch.setattr(fx.InverseComposite, "apply", counted_apply)
@@ -304,10 +304,10 @@ def test_finite_space_matches_brute_force():
     assert res.converged
     brute = min(
         space.labels,
-        key=lambda x: space.distance(g.apply(space, x), f.apply(space, x)),
+        key=lambda x: space.distance(g.apply(x), f.apply(x)),
     )
     assert space.distance(
-        g.apply(space, brute), f.apply(space, brute)
+        g.apply(brute), f.apply(brute)
     ) == 0.0
     assert res.point == brute == "0.0"
 
