@@ -1,4 +1,4 @@
-"""Checkers for the contraction implications, and the induced modulus.
+"""Checkers for the contraction implications.
 
 The single-valued condition under test is an implication over all t > 0:
 
@@ -9,24 +9,12 @@ For the standard fuzzy metric the antecedent holds iff t > tau(d_g) and
 the consequent iff phi(t) > tau(d_f), with d_g = d(gx, gy) and d_f =
 d(fx, fy). As phi does not decrease, the consequent is hardest where the
 antecedent first holds, so one comparison per pair decides the whole
-t-quantifier; only the pair sampling is approximate. The distances come
-from ``image_distances``, relatively within DISTANCE_ERROR of the exact
-ones. A pair passes iff phi(t) > 0 and phi(t) >= tau(d_f) - slack at t =
-crossing_time(d_g) (``COINCIDENT_ONSET`` at d_g = 0); the raw consequent
-is tried first. The slack is derived, for maps and moduli taken as exact
-real functions. t lies relatively within 4 * 2**-53 of tau(d_g), and tau
-rises like d**(1/2) at most, so the exact crossing lies at most dt = 4 *
-2**-53 + DISTANCE_ERROR * t above t; ``phi.slack`` covers the rounding in
-eval and the rise of phi over dt, (5 * 2**-53 + DISTANCE_ERROR) * tau(d_f)
-the closed form for tau(d_f) and the error in d_f, and 4 * 2**-53 the raw
-consequent and distances that underflow. Only the counterexamples a
-report keeps are computed from the float images of their points.
-
-``check_g_phi`` and the set-valued check decide their rows (pairs, or
-pairs and an image point) through the one kernel ``failing_rows``, and
-replay counterexamples through ``replay``; ``check_g_phi`` first asks
-``induced_tie_rule``, and where that exact rule applies no row takes the
-slack path.
+t-quantifier, exactly for the maps and moduli their parameters define:
+only the pair sampling is approximate. ``check_g_phi`` and the set-valued
+check decide their rows in the one kernel ``failing_rows``: a float test
+where a certified margin covers the rounding, else the exact rule
+``phi.pair_passes`` in rationals, as adaptive predicates do (Shewchuk,
+1997). Only the counterexamples a report keeps map points, in ``replay``.
 
 No other hypothesis is checked here. A map that passes with phi(t) < t is
 already uniformly continuous from the g-transformed uniformity, and a
@@ -46,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 # perfbench/tests checks that its tracer rebinds and restores it in this module.
 from .fmspace import FiniteSpace, FuzzyMetric, IntervalSpace, Point, Space, onset, threshold  # noqa: F401
 from .maps import BijectionSpec, MapSpec
-from .phi import InducedPhi, LinearPhi, PhiFunction, RationalPhi, TablePhi, crossing_time, ensure_phi_class
+from .phi import InducedPhi, LinearPhi, PhiFunction, RationalPhi, TablePhi, crossing_time, ensure_phi_class, pair_passes
 
 MAX_COUNTEREXAMPLES = 64
 
@@ -57,16 +45,19 @@ _ONSET_ERROR = 4 * _U
 # an ulp), s and s * delta once each, and normalization's expm1 within an
 # ulp more.
 DISTANCE_ERROR = 8 * _U
-# Coincident points, whose crossing is 0, are judged at the first float t
-# at which their antecedent holds: phi must be positive past 0.
-COINCIDENT_ONSET = onset(0.0)
+# Below this a float distance may have underflowed, so its error is absolute.
+_TINY = 2.0 ** -1000
 
 
 @dataclass(frozen=True)
 class CounterExample:
-    """A violation at t = onset(d(gx, gy)) of the float images: recomputing
-    both sides reproduces antecedent > 1 - t with the consequent failing,
-    unless the violation is below the rounding of those images."""
+    """A failing row, replayed at t = onset(d(gx, gy)) of the float images
+    of its points: the antecedent, membership at t, exceeds 1 - t, and the
+    consequent is membership of the f-images (or of u and its nearest
+    image point) at phi(t). It fails 1 - phi(t) in floats unless the
+    violation lies below float resolution: a row that fails only for the
+    exact maps and moduli, within rounding of a tie, still reports these
+    float values, in which the consequent may hold."""
 
     x: Point
     y: Point
@@ -134,93 +125,95 @@ def sample_pairs(space: Space, samples: int, seed: int) -> List[Tuple[Point, Poi
 
 def image_distances(space: Space, maps: Sequence, h, pairs: Sequence) -> List[List[float]]:
     """For each map m, the distances of h(m(x)) and h(m(y)) over ``pairs``
-    (h the metric's transform, or None), relatively within DISTANCE_ERROR of
-    the exact ones: on a finite space the table floats of the mapped labels,
-    on a continuum one s delta for one distance delta of x and y, with s =
-    |a| |a_h| (a constant map's a is 0), and 1 - exp(-s delta) under normalize."""
+    (h the metric's transform, or None) before normalization, relatively
+    within DISTANCE_ERROR of the exact ones: on a finite space the table
+    floats of the mapped labels, on a continuum one s delta for one
+    distance delta of x and y, with s = |a| |a_h| (a constant map's a is 0)."""
     if isinstance(space, FiniteSpace):
         table, out = space.dist, []
         for m in maps:
             images = {l: m.apply(l) for l in space.labels}
             rows = {l: space.index(p if h is None else h.apply(p)) for l, p in images.items()}
             out.append([table[rows[x]][rows[y]] for x, y in pairs])
-    else:
-        p, q = [x for x, _ in pairs], [y for _, y in pairs]
-        delta = list(map(abs, map(sub, p, q)) if isinstance(space, IntervalSpace) else map(math.dist, p, q))
-        a_h = 1.0 if h is None else abs(h.a)
-        slopes = [abs(m.a) * a_h for m in maps]
-        out = [[s * d for d in delta] for s in slopes]
-    if space.normalize:
-        out = [[-math.expm1(-d) for d in ds] for ds in out]
-    return out
+        return out
+    p, q = [x for x, _ in pairs], [y for _, y in pairs]
+    delta = list(map(abs, map(sub, p, q)) if isinstance(space, IntervalSpace) else map(math.dist, p, q))
+    a_h = 1.0 if h is None else abs(h.a)
+    return [[abs(m.a) * a_h * d for d in delta] for m in maps]
 
 
-def slack_cap(phi: PhiFunction) -> float:
-    """Twice the largest slack ``consequent_fails`` allows a pair (t, phi(t)
-    and tau lie in [0, 1]), from each modulus's steepest slope: k, 1 or 1/k
-    for the linear, rational and induced forms; inf for a step function."""
-    if isinstance(phi, TablePhi):
-        return math.inf
-    slope = phi.k if isinstance(phi, LinearPhi) else 1.0 if isinstance(phi, RationalPhi) else 1.0 / phi.k
-    return 2.0 * (17 * _U + DISTANCE_ERROR + slope * (_ONSET_ERROR + DISTANCE_ERROR))
+def _float_test(phi: PhiFunction, rho=None):
+    """test(d_g, d_f): a row's verdict from its float distances where a
+    certified margin covers their error, else None. The closed-form
+    crossing t of d_g is off by (4 * 2**-53 + DISTANCE_ERROR) t, plus 1e-160
+    where a distance underflowed, so phi.eval(t) errs by 8 * 2**-53 plus
+    that error times phi's steepest slope (k, 1 or 1 / k); the crossing of
+    d_f errs by 4 * 2**-53 + DISTANCE_ERROR, and the raw consequent at c =
+    phi - margin by 5 * 2**-53. The margin is twice their sum. A table's
+    value is exact where it does not step within the crossing's error.
+    Below its cap an induced modulus passes iff d_f <= k d_g, which is
+    compared within the distances' error instead, or decided once per
+    check where the ratio ``rho`` = d_f / d_g is one rational for all rows."""
+    modulus, step = phi.eval, isinstance(phi, TablePhi)
+    slope = 0.0 if step else phi.k if isinstance(phi, LinearPhi) else 1.0 if isinstance(phi, RationalPhi) else 1 / phi.k
+    error = _ONSET_ERROR + DISTANCE_ERROR
+    margin, band = 2.0 * (17 * _U + DISTANCE_ERROR + slope * error), 2.0 * error
+
+    def by_crossing(d_g, d_f):
+        t = crossing_time(d_g)
+        scaled = modulus(max(t * (1.0 - band) - 1e-160, 0.0) if step else t)
+        if step and modulus(t * (1.0 + band) + 1e-160) != scaled:
+            return None
+        c = scaled - margin
+        if c > 0.0 and c / (c + d_f) > 1.0 - c:
+            return True
+        return False if crossing_time(d_f) - scaled > margin else None
+
+    if not isinstance(phi, InducedPhi):
+        return by_crossing
+    k_lo, k_hi, cap_lo, cap_hi = (x * (1.0 + e * DISTANCE_ERROR) for x in (phi.k, phi.cap) for e in (-4, 4))
+    fits = None if rho is None else rho <= phi.k  # exact: a Fraction compares with a float exactly
+
+    def induced(d_g, d_f):
+        if d_g > cap_lo - _TINY:
+            return by_crossing(d_g, d_f) if d_g > cap_hi + _TINY else None
+        if fits is not None and d_g > 0.0:
+            return fits
+        if d_f < k_lo * d_g - _TINY:
+            return True
+        return False if d_f > k_hi * d_g + _TINY else None
+
+    return induced
 
 
-def consequent_fails(phi: PhiFunction, t: float, scaled: float, d: float, cap: float) -> bool:
-    """Whether scaled = phi.eval(t) at t = crossing_time(d_g), where the raw
-    consequent failed, fails it for image distance d beyond the slack. A
-    deficit above cap = slack_cap(phi) fails without the slack. At scaled
-    == 0 it fails: membership is 0."""
-    tau = crossing_time(d)
-    if tau - scaled > cap:
-        return True
-    dt = _ONSET_ERROR + DISTANCE_ERROR * t
-    slack = phi.slack(t, scaled, dt) + _ONSET_ERROR + (5 * _U + DISTANCE_ERROR) * tau
-    return not (scaled > 0.0 and scaled >= tau - slack)
+def exact_square(space: Space, h, m, x: Point, y: Point):
+    """The square of the exact distance of h(m(x)) and h(m(y)) before
+    normalization, a rational (h the metric's transform, or None): the
+    table float on a finite space, (|a| |a_h|)**2 |x - y|**2 on a continuum."""
+    from fractions import Fraction
+
+    if isinstance(space, FiniteSpace):
+        x, y = (m.apply(p) if h is None else h.apply(m.apply(p)) for p in (x, y))
+        d = space.dist[space.index(x)][space.index(y)]
+        return Fraction(d) ** 2 if d else 0
+    x, y = (p if type(p) is tuple else (p,) for p in (x, y))
+    s = Fraction(m.a) * Fraction(1.0 if h is None else h.a)
+    return s * s * sum((Fraction(p) - Fraction(q)) ** 2 for p, q in zip(x, y))
 
 
-def failing_rows(phi: PhiFunction, rows: Sequence[tuple], d_gs: Sequence[float], d_fs: Sequence[float]) -> list:
-    """The rows (a pair, or a pair and an image point u) that fail: each is
-    decided at t = crossing_time(d_g), or COINCIDENT_ONSET at d_g = 0,
-    against its image distance d_f."""
-    modulus, cap = phi.eval, slack_cap(phi)
-    failing = []
+def failing_rows(phi: PhiFunction, rows: Sequence[tuple], d_gs, d_fs, normalize: bool, squares, rho=None) -> list:
+    """The rows (a pair, or a pair and an image point u) that fail, by the
+    float test on their ``image_distances``, else by ``pair_passes`` on
+    ``squares(row)``, the squares of their exact image distances. ``rho``
+    is d_f / d_g where it is one rational for every row."""
+    test, failing, expm1 = _float_test(phi, rho), [], math.expm1
     for row, d_g, d_f in zip(rows, d_gs, d_fs):
-        t = crossing_time(d_g) or COINCIDENT_ONSET
-        scaled = modulus(t)
-        # The raw consequent passes almost every passing pair, without tau_f.
-        if scaled != 0.0 and scaled / (scaled + d_f) > 1.0 - scaled:
-            continue
-        if consequent_fails(phi, t, scaled, d_f, cap):
+        verdict = test(-expm1(-d_g), -expm1(-d_f)) if normalize else test(d_g, d_f)
+        if verdict is None:
+            verdict = pair_passes(phi, *squares(row), normalize)
+        if not verdict:
             failing.append(row)
     return failing
-
-
-def induced_tie_rule(fm: FuzzyMetric, f: MapSpec, g: BijectionSpec, phi: PhiFunction):
-    """fails(pair, d_g), exactly, for an induced modulus on an unnormalized
-    continuum space whose ratio r = s_f / s_g is at least k; else None.
-    Up to the cap phi(tau(d)) = tau(k d), and past it tau(r d) outgrows
-    phi(tau(d)): at r > k every pair of distinct points fails, at r == k
-    those past the cap, by violations that may lie far inside the slack."""
-    space, h = fm.space, fm.transform
-    if not isinstance(phi, InducedPhi) or isinstance(space, FiniteSpace) or space.normalize:
-        return None
-    from fractions import Fraction  # here, as importing it costs a few ms at startup
-
-    excess = Fraction(abs(f.a)) - Fraction(phi.k) * Fraction(abs(g.a))  # the transform's slope cancels in r
-    if excess > 0:
-        return lambda pair, d_g: pair[0] != pair[1]
-    if excess < 0:
-        return None
-    s_g = Fraction(abs(g.a)) * Fraction(1.0 if h is None else abs(h.a))
-    cap, room, squared_cap = phi.cap, 2 * DISTANCE_ERROR * phi.cap, (Fraction(phi.cap) / s_g) ** 2
-
-    def fails(pair, d_g):
-        if abs(d_g - cap) > room:  # d_g tells the pair's side of the cap
-            return d_g > cap
-        x, y = (p if type(p) is tuple else (p,) for p in pair)
-        return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x, y)) > squared_cap
-
-    return fails
 
 
 def check_g_phi(
@@ -233,19 +226,21 @@ def check_g_phi(
     identity bijection gives the plain (untransformed) form. f is affine
     or constant on a continuum space.
     """
+    from fractions import Fraction  # here, as importing it costs a few ms at startup
+
     ensure_phi_class(phi)
     g.validate_bijection(fm.space)
     f.validate(fm.space)
-    space = fm.space
+    space, h = fm.space, fm.transform
     pairs = sample_pairs(space, samples, seed)
-    exact = induced_tie_rule(fm, f, g, phi)
-    if exact is None:
-        failing = failing_rows(phi, pairs, *image_distances(space, (g, f), fm.transform, pairs))
-    else:
-        failing = [p for p, d_g in zip(pairs, image_distances(space, (g,), fm.transform, pairs)[0]) if exact(p, d_g)]
+
+    def squares(pair):
+        return [exact_square(space, h, m, *pair) for m in (g, f)]
 
     def distances(x, y):
         return fm.distance(g.apply(x), g.apply(y)), fm.distance(f.apply(x), f.apply(y))
 
+    # On an unnormalized continuum d_f / d_g is |a_f| / |a_g| for every pair.
+    rho = None if isinstance(space, FiniteSpace) or space.normalize else abs(Fraction(f.a) / Fraction(g.a))
+    failing = failing_rows(phi, pairs, *image_distances(space, (g, f), h, pairs), space.normalize, squares, rho)
     return ContractionReport.of(space, phi, failing, len(pairs), distances)
-

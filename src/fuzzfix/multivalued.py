@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .contraction import ContractionReport, failing_rows, image_distances
+from .contraction import ContractionReport, exact_square, failing_rows, image_distances
 from .errors import NoAdmissibleSuccessor, NotDemicompact, UnknownPoint
 from .fmspace import FiniteSpace, FuzzyMetric, Point, Space
 from .maps import BijectionSpec, identity_for
@@ -123,7 +123,8 @@ def check_setvalued_contraction(
     d_gs, = image_distances(space, (g,), fm.transform, pairs)
     points = {p for values in T.images.values() for p in values}
     between = [(u, v) for u in points for v in points]
-    near = dict(zip(between, image_distances(space, (identity_for(space),), fm.transform, between)[0]))
+    identity, h = identity_for(space), fm.transform
+    near = dict(zip(between, image_distances(space, (identity,), h, between)[0]))
     rows, row_d_gs, d_fs = [], [], []
     for (x, y), d_g in zip(pairs, d_gs):
         images_u, images_v = T.image(g.apply(x)), T.image(g.apply(y))
@@ -136,7 +137,12 @@ def check_setvalued_contraction(
         gy = g.apply(y)
         return fm.distance(g.apply(x), gy), min(fm.distance(u, v) for v in T.image(gy))
 
-    return ContractionReport.of(space, phi, failing_rows(phi, rows, row_d_gs, d_fs), len(pairs), distances)
+    def squares(row):
+        x, y, u = row
+        return exact_square(space, h, g, x, y), min(exact_square(space, h, identity, u, v) for v in T.image(g.apply(y)))
+
+    failing = failing_rows(phi, rows, row_d_gs, d_fs, space.normalize, squares)
+    return ContractionReport.of(space, phi, failing, len(pairs), distances)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,82 @@ def crossing_time(d: float) -> float:
     return math.sqrt(d)
 
 
+# The exact pair rules: a pair whose g-images lie d > 0 apart and whose
+# f-images lie rho d apart passes iff phi(t) > tau(rho d) for all t > tau(d).
+# Each modulus decides this on the rationals rho and d2 = d**2 through
+# tau(d) <= c <=> d (1 - c) <= c**2 (0 <= c < 1), for the real modulus its
+# parameters define. Roots left over are enclosed at these bit precisions.
+_PRECISIONS = tuple(64 << i for i in range(7))
+
+
+def _versus(d2, c) -> int:
+    """The sign of tau(d) - c for rationals d2 = d**2 >= 0 and c."""
+    if not 0 < c < 1:
+        return -1 if c >= 1 else int(d2 > 0 or c < 0)
+    lhs, rhs = d2 * (1 - c) ** 2, c ** 4
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _root_bounds(q, bits: int):
+    """Rationals lo <= sqrt(q) <= hi, equal where sqrt(q) is rational and
+    else about 2**-bits of it apart, for a rational q > 0."""
+    from fractions import Fraction
+
+    n, m = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if n * n == q.numerator and m * m == q.denominator:
+        return Fraction(n, m), Fraction(n, m)
+    s = max(bits - (q.numerator.bit_length() - q.denominator.bit_length()) // 2, 0)
+    r = math.isqrt((q.numerator << 2 * s) // q.denominator)
+    return Fraction(r, 1 << s), Fraction(r + 1, 1 << s)
+
+
+def _tau_bounds(d, bits: int):
+    """Rationals enclosing tau over the rational interval d = (lo, hi), lo >= 0."""
+    return tuple(2 / (1 + _root_bounds(1 + 4 / x, bits)[i]) if x else x for x, i in zip(d, (1, 0)))
+
+
+def _distance_bounds(d2, bits: int, normalize: bool):
+    """Rationals enclosing d = sqrt(d2) for a rational d2 > 0, or under
+    normalize 1 - exp(-d), from decimal exponentials rounded outward at
+    about ``bits`` of precision."""
+    from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context
+    from fractions import Fraction
+
+    lo, hi = _root_bounds(d2, bits)
+    if not normalize:
+        return lo, hi
+    digits = (bits + max(lo.denominator.bit_length() - lo.numerator.bit_length(), 0)) * 3 // 10
+    down, up = (Context(digits, rounding, MIN_EMIN, MAX_EMAX, traps=[]) for rounding in (ROUND_FLOOR, ROUND_CEILING))
+    # exp rounds to nearest in every context, so one step outward bounds it.
+    e_hi = up.next_plus(up.exp(up.divide(-lo.numerator, lo.denominator)))
+    e_lo = down.next_minus(down.exp(down.divide(-hi.numerator, hi.denominator)))
+    return Fraction(down.subtract(1, e_hi)), Fraction(up.subtract(1, e_lo))
+
+
+def pair_passes(phi: PhiFunction, dg2, df2, normalize: bool) -> bool:
+    """Whether a pair passes exactly, from the squares dg2 and df2 of its
+    exact image distances before normalization, rationals. Coincident
+    g-images pass iff the f-images coincide and phi is positive right of 0,
+    which a table is not. Where rho = d_f / d_g is rational too, the
+    modulus's rule decides. Else each distance is enclosed at doubling
+    precision: a verdict rises with d_g and falls with d_f, so a pass at
+    (d_g low, d_f high) passes, and a failure at (d_g high, d_f low) fails.
+    A pair that no precision decides passes, as a tie does for a rising
+    modulus."""
+    if not dg2:
+        return not df2 and not isinstance(phi, TablePhi)
+    rho, high = _root_bounds(df2 / dg2, 0) if df2 else (0, 0)
+    if not normalize and rho == high:  # rho = d_f / d_g is rational
+        return phi.passes(rho, dg2)
+    for bits in _PRECISIONS:
+        (g_lo, g_hi), (f_lo, f_hi) = (_distance_bounds(q, bits, normalize) if q else (q, q) for q in (dg2, df2))
+        if g_lo > 0 and phi.passes(f_hi / g_lo, g_lo * g_lo):
+            return True
+        if not phi.passes(f_lo / g_hi, g_hi * g_hi):
+            return False
+    return True
+
+
 def _check_nonneg(t: float) -> None:
     if t < 0.0:
         raise ValueError("modulus argument must be nonnegative")
@@ -82,9 +158,14 @@ class LinearPhi:
         slack = 4 * _U * (x + 2.0 + abs(log_t) + abs(log_target)) * (1.0 - 1.0 / log_k)
         return None if _tie(x, slack) else math.ceil(x)
 
-    def slack(self, t: float, value: float, dt: float) -> float:
-        """Bound on phi(s) - value over real s <= t + dt, value = eval(t)."""
-        return 2 * _U * value + self.k * dt
+    def passes(self, rho, d2) -> bool:
+        """The exact pair rule at distances d = sqrt(d2) > 0 and rho d, for
+        rationals rho and d2: k tau(d) >= tau(rho d) iff rho < k and tau(d)
+        <= (k**2 - rho) / (k (k - rho))."""
+        from fractions import Fraction
+
+        k = Fraction(self.k)
+        return rho < k and _versus(d2, (k * k - rho) / (k * (k - rho))) <= 0
 
 
 @dataclass(frozen=True)
@@ -111,9 +192,10 @@ class RationalPhi:
         a, b = t.as_integer_ratio()
         return -((b * p - q * a) // (p * a))
 
-    def slack(self, t: float, value: float, dt: float) -> float:
-        """As ``LinearPhi.slack``: two roundings, slope at most 1."""
-        return 3 * _U * value + dt
+    def passes(self, rho, d2) -> bool:
+        """As ``LinearPhi.passes``: tau(d) / (1 + tau(d)) >= tau(rho d) iff
+        rho < 1 and tau(d) <= (1 - rho) / (1 + rho)."""
+        return rho < 1 and _versus(d2, (1 - rho) / (1 + rho)) <= 0
 
 
 @dataclass(frozen=True)
@@ -175,15 +257,25 @@ class InducedPhi:
         )
         return None if _tie(x, slack) else math.ceil(x)
 
-    def slack(self, t: float, value: float, dt: float) -> float:
-        """As ``LinearPhi.slack``: eval rounds within 8 units of 2**-53 of
-        the value. The slope is k on the tail; below tau_cap, at t with s =
-        phi(t) < t, it is s**3 (2 - t) / (k t**3 (2 - s)), below 1 / k and,
-        while 1 - t - dt > 0, below 1 / (1 - t - dt)**2 on all of [t, t + dt]."""
-        if t > self.tau_cap:
-            return 8 * _U * value + self.k * dt
-        room = 1.0 - t - dt
-        return 8 * _U * value + dt / (room * room if room > 0.0 and room * room > self.k else self.k)
+    def passes(self, rho, d2) -> bool:
+        """As ``LinearPhi.passes``: up to the cap phi(tau(d)) = tau(k d), so
+        iff rho <= k; past it iff tau(rho d) <= tau(k cap) + k (tau(d) -
+        tau(cap)), on enclosures at doubling precision, where a tie that no
+        precision resolves passes, as for any strictly rising modulus."""
+        from fractions import Fraction
+
+        k, cap = Fraction(self.k), Fraction(self.cap)
+        if d2 <= cap * cap:
+            return rho <= k
+        for bits in _PRECISIONS:
+            d = _root_bounds(d2, bits)
+            (g_lo, g_hi), (c_lo, c_hi), (kc_lo, kc_hi) = (_tau_bounds(x, bits) for x in (d, (cap, cap), (k * cap,) * 2))
+            f_lo, f_hi = _tau_bounds((rho * d[0], rho * d[1]), bits)
+            if f_hi <= kc_lo + k * (g_lo - c_hi):
+                return True
+            if f_lo > kc_hi + k * (g_hi - c_lo):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -224,9 +316,14 @@ class TablePhi:
         """None: a step function has no closed form, so horizon steps its orbit."""
         return None
 
-    def slack(self, t: float, value: float, dt: float) -> float:
-        """As ``LinearPhi.slack``: values are exact, so only steps count."""
-        return self.eval(t + dt) - value
+    def passes(self, rho, d2) -> bool:
+        """As ``LinearPhi.passes``: right of tau(d) phi stays at the value v
+        of the last breakpoint at or below tau(d), and a pair passes iff
+        tau(rho d) < v, strictly."""
+        from fractions import Fraction
+
+        values = [v for t, v in self.points if _versus(d2, Fraction(t)) >= 0]
+        return _versus(rho * rho * d2, Fraction(values[-1] if values else 0.0)) < 0
 
 
 PhiFunction = Union[LinearPhi, RationalPhi, InducedPhi, TablePhi]

@@ -188,8 +188,8 @@ def table_laws_dense(points, t_max, lattice=256):
 # as the real functions their parameters define. A pair passes iff
 # phi(tau(d_g)) >= tau(d_f) for the exact distances of the exact images,
 # evaluated in 60-digit decimals; a tie (within TIE) passes unless phi is
-# a step function, which stays flat past it. Nothing here reads the
-# library's slack. Each failing pair is reported as the checker replays
+# a step function, which stays flat past it. Nothing here uses the
+# library's exact pair rules. Each failing pair is reported as the checker replays
 # it: at the float t* where the antecedent switches on (fuzzfix.onset),
 # which the oracle confirms in floats at t* and one ulp below, and in
 # rationals within 4 units of 2**-53 of the exact crossing.
@@ -285,31 +285,21 @@ def exact_phi(phi, t):
 
 
 def exact_pass(phi, d_g, d_f):
-    """Whether phi(t) > tau(d_f) for every t > tau(d_g), for Decimal distances."""
-    margin = exact_phi(phi, exact_tau(d_g)) - exact_tau(d_f)
+    """Whether phi(t) > tau(d_f) for every t > tau(d_g), for Decimal distances.
+    A table takes the value of its last breakpoint bt <= tau(d_g), found as
+    d_g (1 - bt) >= bt**2 on the distance itself, so that a crossing that
+    lies exactly on a breakpoint does not hang on the rounding of tau."""
+    if isinstance(phi, fx.TablePhi):
+        value = Decimal(0)
+        for bt, bv in phi.points:
+            if bt < 1 and d_g * (1 - dec(bt)) >= dec(bt) ** 2:
+                value = dec(bv)
+        margin = value - exact_tau(d_f)
+    else:
+        margin = exact_phi(phi, exact_tau(d_g)) - exact_tau(d_f)
     if abs(margin) <= TIE:
         return not isinstance(phi, fx.TablePhi)
     return margin > 0
-
-
-def slack_bound(phi, t, value, dt):
-    """An upper bound on phi.slack(t, value, dt) from each modulus's
-    formula: 4 units of 2**-53 of the value for the linear and rational
-    forms and 8 for the induced one, plus the steepest slope on
-    [t, t + dt] times dt; for a step function its rise alone.
-    Below tau_cap the induced slope s**3 (2 - t) / (k t**3 (2 - s)), with
-    s = phi(t) < t, stays below 1 / k as well as 1 / (1 - t)**2."""
-    if isinstance(phi, fx.LinearPhi):
-        return 4 * U * value + phi.k * dt
-    if isinstance(phi, fx.RationalPhi):
-        return 4 * U * value + dt
-    if isinstance(phi, fx.InducedPhi):
-        slope = phi.k if t > phi.tau_cap else min(1.0 / phi.k, 1.0 / (1.0 - t - dt) ** 2)
-        # Written another way, the slope term may round a few ulps apart.
-        return 8 * U * value + (1.0 + 4 * U) * slope * dt
-    with localcontext() as ctx:
-        ctx.prec = DIGITS
-        return float(exact_phi(phi, dec(t) + dec(dt)) - dec(value))
 
 
 def metric_distance(fm):

@@ -6,8 +6,8 @@ import pytest
 
 import fuzzfix as fx
 from corpus import CORPUS
-from fuzzfix.contraction import consequent_fails, failing_rows, image_distances, slack_cap
-from oracles import DIGITS, dense_grid, exact_distance, exhaustive_g_phi, tau
+from fuzzfix.contraction import exact_square, failing_rows, image_distances
+from oracles import DIGITS, dense_grid, exact_distance, exact_pass, exhaustive_g_phi, tau
 
 
 # ----------------------------------------------------------- sample_pairs
@@ -139,16 +139,16 @@ def test_ratio_just_above_the_induced_modulus_fails(flagship_fm, a, passed):
 
 # On [0, 1] under the identity, f(x) = x / 4 is exact in floats and the
 # extreme pair (0, 1) alone is checked: its crossing tau(1) must carry to
-# at least tau(1 / 4). At share 1 the modulus reaches it to the float,
-# which must pass; at a share of 1e-14 less it falls short by about 70
-# ulps, 2.2 times the derived slack of the linear modulus and 4.1 times
-# that of the step, which must fail.
+# at least tau(1 / 4). At share 1 the modulus reaches it, by about 2e-17
+# for the next float above the linear ratio tau(1 / 4) / tau(1) and 4e-18
+# for the step (the ratio itself falls 5e-17 short), which must pass; at
+# a share of 1e-14 less it falls short by about 70 ulps, which must fail.
 QUARTER = fx.crossing_time(0.25)
 
 
 @pytest.mark.parametrize(
     "make_phi",
-    [lambda v: fx.LinearPhi(v / fx.onset(1.0)), lambda v: fx.TablePhi(((0.0, 0.0), (0.5, v)))],
+    [lambda v: fx.LinearPhi(math.nextafter(v / fx.onset(1.0), 1.0)), lambda v: fx.TablePhi(((0.0, 0.0), (0.5, v)))],
     ids=["linear", "table"],
 )
 @pytest.mark.parametrize("share,passed", [(1.0, True), (1.0 - 1e-14, False)])
@@ -171,22 +171,25 @@ def test_rounding_in_the_map_is_no_violation(flagship_fm, seed):
 
 
 def _failing_pairs(a, cap, k=0.5):
-    """(report, number of pairs the slack path fails) of f(x) = a x on
-    [0, cap] under the identity with induced(k, cap), at 2,000 pairs and
-    seed 1. check_g_phi decides these pairs by ``induced_tie_rule``, so the
-    count comes from the pair kernel, run on the pairs the check samples."""
+    """(report, number of failing pairs) of f(x) = a x on [0, cap] under
+    the identity with induced(k, cap), at 2,000 pairs and seed 1. The
+    report keeps at most 64 counterexamples, so the count comes from the
+    pair kernel, run on the pairs the check samples."""
     fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, cap), fx.TNorm("product"))
     f, g, phi = fx.AffineMap(a, 0.0), fx.identity_for(fm.space), fx.InducedPhi(k, cap)
     report = fx.check_g_phi(fm, f, g, phi, samples=2000, seed=1)
     pairs = fx.sample_pairs(fm.space, 2000, 1)
-    return report, len(failing_rows(phi, pairs, *image_distances(fm.space, (g, f), fm.transform, pairs)))
+    distances = image_distances(fm.space, (g, f), fm.transform, pairs)
+    squares = lambda pair: [exact_square(fm.space, None, m, *pair) for m in (g, f)]  # noqa: E731
+    return report, len(failing_rows(phi, pairs, *distances, False, squares))
 
 
 @pytest.mark.parametrize("cap", [1e2, 1e6, 1e8])
 def test_induced_slack_catches_every_pair_at_large_caps(cap):
-    # 0.7 x breaks the implication on every pair of distinct points. A
-    # slope bound of 1 / (1 - t)**2 and distance errors carried as
-    # e / tau let all but 18 pairs pass at cap 1e6, and all at 1e8.
+    # 0.7 x breaks the implication on every pair of distinct points, near
+    # tau = 1 by violations that a tolerance as wide as the rounding there
+    # would miss: a slope bound of 1 / (1 - t)**2 and distance errors
+    # carried as e / tau once let all but 18 pairs pass at cap 1e6.
     report, failing = _failing_pairs(0.7, cap)
     assert not report.passed
     assert failing == report.checked_pairs == 2000
@@ -201,42 +204,18 @@ def test_induced_modulus_is_tight_at_any_cap(cap):
 @pytest.mark.parametrize("k", [0.05, 0.02])
 @pytest.mark.parametrize("cap", [1e2, 1e4, 1e6])
 def test_steep_induced_modulus_is_tight(k, cap):
-    # Near tau = 1 induced(k, cap) rises with slope up to 1 / k, so the slack
-    # must carry its rise over the error of the crossing time: without it,
-    # up to 540 of these pairs fail.
+    # Near tau = 1 induced(k, cap) rises with slope up to 1 / k, so the
+    # float test's margin must carry its rise over the error of the crossing
+    # time: without it, up to 540 of these pairs fail.
     report, failing = _failing_pairs(k, cap, k)
     assert report.passed and failing == 0
-
-
-@pytest.mark.parametrize(
-    "phi",
-    [fx.LinearPhi(0.3), fx.RationalPhi(), fx.InducedPhi(0.2, 1.0), fx.InducedPhi(0.9, 1e6)],
-    ids=["linear", "rational", "induced", "induced-wide"],
-)
-def test_slack_cap_only_skips_the_slack(phi):
-    # A deficit above the cap fails exactly where the full slack fails it.
-    cap = slack_cap(phi)
-    assert 0.0 < cap < 1e-13
-    rng = random.Random(0)
-    for _ in range(5000):
-        t = fx.crossing_time(math.exp(rng.uniform(-40.0, 15.0)))
-        scaled = phi.eval(t)
-        tau_f = scaled + rng.choice([-1.0, 1.0]) * cap * rng.uniform(0.0, 3.0)
-        if tau_f <= 0.0:
-            continue
-        d = tau_f * tau_f / (1.0 - tau_f) if tau_f < 1.0 else 1e300
-        assert consequent_fails(phi, t, scaled, d, cap) == consequent_fails(phi, t, scaled, d, math.inf)
-
-
-def test_slack_cap_of_a_step_function_is_infinite():
-    assert slack_cap(fx.TablePhi(((0.0, 0.0), (0.5, 0.25)))) == math.inf
 
 
 def test_tie_just_past_the_induced_cap_fails():
     # f(x) = x / 2 with induced(0.5, cap) ties every pair up to the cap. The
     # extreme pair of the cube [-1/2, 1/2]^3 lies sqrt(3) apart, just past
     # the float cap fl(sqrt(3)), where the implication fails by about 5e-18,
-    # far inside the slack.
+    # far below float resolution.
     fm = fx.FuzzyMetric(fx.EuclideanSpace(3, 0.5), fx.TNorm("product"))
     g, phi = fx.identity_for(fm.space), fx.InducedPhi(0.5, math.sqrt(3.0))
     report = fx.check_g_phi(fm, fx.AffineMap(0.5, 0.0), g, phi, samples=200, seed=0)
@@ -244,6 +223,28 @@ def test_tie_just_past_the_induced_cap_fails():
     assert {(ce.x, ce.y) for ce in report.counterexamples} == set(fx.sample_pairs(fm.space, 2, 0))
     inside = fx.check_g_phi(fm, fx.AffineMap(0.5, 0.0), g, fx.InducedPhi(0.5, 2.0), samples=200, seed=0)
     assert inside.passed
+
+
+def test_every_pair_just_past_the_critical_distance_fails():
+    # f(x) = 0.2 x with linear(0.5) passes the pair (0, y) iff y <= delta*,
+    # just below 1 / 6 (fl(0.2) exceeds 1 / 5). Each of the 4,000 floats y
+    # above fl(1/6) is checked as the extreme pair of [0, y]: a tolerance
+    # as wide as the rounding near delta* once passed 721 of them, up to
+    # 728 ulps past it.
+    f, phi, y = fx.AffineMap(0.2, 0.0), fx.LinearPhi(0.5), 1.0 / 6.0
+    passed = []
+    for _ in range(4000):
+        y = math.nextafter(y, 1.0)
+        fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, y), fx.TNorm("product"))
+        report = fx.check_g_phi(fm, f, fx.identity_for(fm.space), phi, samples=2, seed=0)
+        passed += [y] if report.passed else []
+    assert passed == []
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, 1.0), fx.TNorm("product"))
+        g = fx.identity_for(fm.space)
+        for y in (math.nextafter(1.0 / 6.0, 1.0), y):
+            assert not exact_pass(phi, exact_distance(fm, g, 0.0, y), exact_distance(fm, f, 0.0, y))
 
 
 def test_one_counterexample_per_failing_pair(flagship_fm, flagship_f):

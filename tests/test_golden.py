@@ -6,6 +6,11 @@ distance per pair, so they pin the verdicts. The three failing
 ``check-contraction`` reports were regenerated when the check came to
 decide each pair at the onset of its antecedent: they pin one
 counterexample per failing pair, at that onset, in point order. The
+``interval_delta_star`` report was captured when the check came to
+decide every pair exactly: f = 0.2 x with linear(0.5) passes the pair
+(0, y) iff y <= delta*, just below 1/6, and its extreme pair lies one
+float above fl(1/6). It pins that pair's failure and the counterexample
+of a violation below float resolution, whose float consequent holds. The
 ``threshold`` and ``induce`` outputs were regenerated when the crossing
 time came to be computed one way, in the stable closed form: they pin
 the threshold as the onset and the induced curve. The other outputs and
@@ -25,6 +30,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = (
     ("check-contraction", "interval_pass", 0),
     ("check-contraction", "interval_fail", 1),
+    ("check-contraction", "interval_delta_star", 1),
     ("check-contraction", "box3_reflection_fail", 1),
     ("check-contraction", "finite_permutation", 1),
     ("threshold", "threshold", 0),
