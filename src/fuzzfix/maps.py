@@ -10,7 +10,7 @@ nonzero slope fixing the endpoints, or a full permutation table).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, Union
+from typing import Callable, ClassVar, Dict, Union
 
 from .errors import InverseUndefined, NotBijective, UnknownPoint
 from .fmspace import FiniteSpace, IntervalSpace, Point, Space
@@ -176,3 +176,15 @@ class InverseComposite:
 
     def apply(self, p: Point) -> Point:
         return self.g.invert_apply(self.f.apply(p))
+
+    def apply_on(self, space: Space) -> Callable[[Point], Point]:
+        """``apply`` for the points of ``space``: an affine f and g step
+        in one expression, (a_f * x + b_f - b_g) / a_g per coordinate,
+        the float operations of ``apply`` in its order."""
+        f, g = self.f, self.g
+        if type(f) is not AffineMap or type(g) is not AffineBijection:
+            return self.apply
+        a_f, b_f, a_g, b_g = f.a, f.b, g.a, g.b
+        if isinstance(space, IntervalSpace):
+            return lambda x: (a_f * x + b_f - b_g) / a_g
+        return lambda p: tuple([(a_f * c + b_f - b_g) / a_g for c in p])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .errors import UnknownPoint
 from .fmspace import FuzzyMetric, Point, in_uniformity, is_cauchy_window
@@ -90,7 +90,7 @@ def orbit(
     fm: FuzzyMetric,
     cfg: SolverConfig,
     n_horizon: int,
-    step: Callable[[Point], Point],
+    step: Union[InverseComposite, Callable[[Point], Point]],
 ) -> Tuple[Tuple[Point, ...], bool]:
     """The orbit loop both solvers run: x_n = step(x_{n-1}) from cfg.start.
 
@@ -100,15 +100,64 @@ def orbit(
     under ``fm``, and otherwise after max_iter steps. Returns the orbit's
     points, the start first, and whether the window test stopped the
     loop; ``trace_records`` grades them when a trace is written.
+
+    The single-valued solver's step is its map x -> g^{-1}(f(x)), an
+    ``InverseComposite``, a pure function of the point. So once x_n
+    repeats x_{n-p} bit for bit, for p = 1 or 2 (0.0 and -0.0 differ,
+    and NaN repeats nothing), the rest of the orbit is that cycle: the
+    loop stops stepping, fills the orbit by repeating the cycle, and
+    grades only the windows that still hold points from before the
+    cycle and the first p that lie wholly inside it, since the later
+    ones repeat those. Points, stop and trace are those of stepping on.
+    The set-valued solver's step is a bare function and is stepped every
+    time: its successor depends on the shrinking scale t_n as well as
+    on the point.
     """
     if not fm.space.contains(cfg.start):
         raise UnknownPoint(f"start point {cfg.start!r} lies outside the space")
+    pure = isinstance(step, InverseComposite)
+    if pure:
+        step = step.apply_on(fm.space)
+    window, max_iter = cfg.window, cfg.max_iter
     points = [cfg.start]
-    for n in range(1, cfg.max_iter + 1):
-        points.append(step(points[-1]))
-        if n >= n_horizon and is_cauchy_window(fm, points[-cfg.window :], cfg.epsilon, cfg.lam):
+    for n in range(1, max_iter + 1):
+        x = step(points[-1])
+        points.append(x)
+        if n >= n_horizon and is_cauchy_window(fm, points[-window:], cfg.epsilon, cfg.lam):
             return tuple(points), True
-    return tuple(points), False
+        if pure and (x == points[-2] or n > 1 and x == points[-3]):
+            period = _period(points)
+            if period:
+                break
+    else:
+        return tuple(points), False
+
+    # From the last point on, x_n = x_{n-period}: the window ending at n
+    # lies wholly in the cycle from n = last - period + window - 1 on.
+    last = len(points) - 1
+    cycle = points[-period:]
+
+    def filled(length):
+        extra = length - len(points)
+        return points + (cycle * (extra // period + 1))[:extra]
+
+    n0 = max(last + 1, n_horizon)
+    known = filled(min(max_iter, max(n0, last - period + window - 1) + period - 1) + 1)
+    for n in range(n0, len(known)):
+        if is_cauchy_window(fm, known[max(0, n + 1 - window) : n + 1], cfg.epsilon, cfg.lam):
+            return tuple(known[: n + 1]), True
+    return tuple(filled(max_iter + 1)), False
+
+
+def _period(points: Sequence[Point]) -> int:
+    """1 or 2 when the last point repeats the point 1 or 2 steps before it
+    bit for bit, else 0: equal in value and in repr, which tells 0.0 from
+    -0.0 and from 0."""
+    x = points[-1]
+    for p in (1, 2):
+        if len(points) > p and x == points[-1 - p] and repr(x) == repr(points[-1 - p]):
+            return p
+    return 0
 
 
 def trace_records(fm: FuzzyMetric, points: Sequence[Point], epsilon: float) -> Tuple[IterationRecord, ...]:
@@ -144,7 +193,7 @@ def solve_coincidence(
     f.validate(fm.space)
 
     n_horizon = horizon(phi, cfg.t0, cfg.epsilon, cfg.lam)
-    points, stopped = orbit(relabeled, cfg, n_horizon, InverseComposite(g, f).apply)
+    points, stopped = orbit(relabeled, cfg, n_horizon, InverseComposite(g, f))
 
     x = points[-1]
     # Only an unbounded space's orbit can leave the finite floats, and no

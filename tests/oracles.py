@@ -128,10 +128,14 @@ def orbit_count(step, t0, target, limit):
 
 def relabeled_distance(space, g):
     """d(g(a), g(b)) by hand for a point function g: |g(a) - g(b)| on an
-    interval, the table's entry on a finite space."""
+    interval, the table's entry on a finite space, the Euclidean distance
+    of two tuples on a box of two or more dimensions."""
     if isinstance(space, fx.FiniteSpace):
         index = {label: i for i, label in enumerate(space.labels)}
         return lambda a, b: space.dist[index[g(a)]][index[g(b)]]
+    if isinstance(space, fx.EuclideanSpace):
+        assert space.dim >= 2, "a 1-D box point's distance is |a[0] - b[0]|"
+        return lambda a, b: math.dist(g(a), g(b))
     return lambda a, b: abs(g(a) - g(b))
 
 

@@ -13,10 +13,14 @@ float above fl(1/6). It pins that pair's failure and the counterexample
 of a violation below float resolution, whose float consequent holds. The
 ``threshold`` and ``induce`` outputs were regenerated when the crossing
 time came to be computed one way, in the stable closed form: they pin
-the threshold as the onset and the induced curve. The other outputs and
-every ``.trace`` file were captured before the config parser and the
-command dispatch became table-driven, so they pin every report section
-and the trace format of both solvers.
+the threshold as the onset and the induced curve. The ``solve_foregone``
+output and trace were captured before the solver stopped stepping an
+orbit that repeats a float: the orbit sits on the fixed point 0.0 from
+its start, and its horizon, 10^7, lies beyond max_iter, so they pin the
+repeated orbit and its stop. The other outputs and the other ``.trace``
+files were captured before the config parser and the command dispatch
+became table-driven, so they pin every report section and the trace
+format of both solvers.
 """
 
 from pathlib import Path
@@ -42,6 +46,7 @@ CASES = (
     ("induce-phi", "induce", 0),
     ("solve", "solve_flagship", 0),
     ("solve", "solve_box", 0),
+    ("solve", "solve_foregone", 1),
 )
 
 

@@ -194,6 +194,56 @@ STOP_CASES = {
         {L[i]: L[(i + 1) % 16] for i in range(16)}.get,
         L[3], 0.1, 0.2, 0.5,
     ),
+    # -0.681 x + 0.834 on [0, 1]: the orbit repeats a float at step 97
+    # (x_97 = x_95, a 2-cycle of adjacent floats), before the horizon 138.
+    "solve-interval-two-cycle": lambda: _coincidence_case(
+        fx.FuzzyMetric(fx.IntervalSpace(0.0, 1.0), fx.TNorm("product")),
+        fx.AffineMap(-0.681, 0.834),
+        fx.AffineBijection(1.0, 0.0),
+        lambda p: 1.0 * p + 0.0,
+        lambda x: (-0.681 * x + 0.834 - 0.0) / 1.0,
+        0.0, 1e-6, 1e-6, 0.9,
+    ),
+    # A table that swaps the end labels, 3.75 apart: a 2-cycle from the
+    # start that no window of two or more passes, so it runs to max_iter.
+    "solve-finite-two-cycle": lambda: _coincidence_case(
+        fx.FuzzyMetric(STEPS, fx.TNorm("product")),
+        fx.TableMap(_swapping(L[0], L[15])),
+        fx.identity_for(STEPS),
+        lambda p: p,
+        _swapping(L[0], L[15]).get,
+        L[0], 0.1, 0.2, 0.5,
+    ),
+    # 0.5 x + 0.25 on a 2-D box: the orbit reaches the tuple (0.5, 0.5) at
+    # step 56 and repeats it at step 57, before the horizon 138.
+    "solve-box-fixed": lambda: _coincidence_case(
+        fx.FuzzyMetric(fx.EuclideanSpace(2, 1.0), fx.TNorm("product")),
+        fx.AffineMap(0.5, 0.25),
+        fx.AffineBijection(1.0, 0.0),
+        lambda p: tuple([1.0 * c + 0.0 for c in p]),
+        lambda p: tuple([(0.5 * c + 0.25 - 0.0) / 1.0 for c in p]),
+        (1.0, -1.0), 1e-6, 1e-6, 0.9,
+    ),
+    # f = x and g = -x on [-1, 1]: 0.0, -0.0, -0.0, ..., which repeats a
+    # float from step 2 on, not from step 1, though 0.0 == -0.0.
+    "solve-signed-zero": lambda: _coincidence_case(
+        fx.FuzzyMetric(fx.IntervalSpace(-1.0, 1.0), fx.TNorm("product")),
+        fx.AffineMap(1.0, 0.0),
+        fx.AffineBijection(-1.0, 0.0),
+        lambda p: -1.0 * p + 0.0,
+        lambda x: (1.0 * x + 0.0 - 0.0) / -1.0,
+        0.0, 1e-2, 1e-3, 0.5,
+    ),
+    # f = x - 0.0 and g = -x: 0.0, -0.0, 0.0, ..., a 2-cycle of signs that
+    # == takes for a fixed point.
+    "solve-signed-zero-cycle": lambda: _coincidence_case(
+        fx.FuzzyMetric(fx.IntervalSpace(-1.0, 1.0), fx.TNorm("product")),
+        fx.AffineMap(1.0, -0.0),
+        fx.AffineBijection(-1.0, 0.0),
+        lambda p: -1.0 * p + 0.0,
+        lambda x: (1.0 * x + -0.0 - 0.0) / -1.0,
+        0.0, 1e-2, 1e-3, 0.5,
+    ),
     # Up the chain one label a step while the scales allow it, then fixed.
     "solve-set-chain": lambda: _inclusion_case(CHAIN, _swapping(L[0], L[0]), L[0], 0.5, 0.5, 0.9),
     # The same chain entered through g, which swaps the first two labels.
@@ -214,13 +264,46 @@ def test_stop_rule_matches_reference_loop(case, window, max_iter):
         step, distance, cfg.start, cfg.epsilon, cfg.lam, window, limit, n_horizon
     )
     records = fx.trace_records(metric, res.orbit, cfg.epsilon)
-    assert [(r.index, r.point, r.successive_grade) for r in records] == trace
-    assert res.orbit == (cfg.start,) + tuple(point for _, point, _ in trace)
+    # By repr, which tells -0.0 from 0.0 where == cannot.
+    assert repr([(r.index, r.point, r.successive_grade) for r in records]) == repr(trace)
+    assert repr(res.orbit) == repr((cfg.start,) + tuple(point for _, point, _ in trace))
     assert res.point == trace[-1][1]
     assert res.converged == (stopped and residuals_pass(res.point))
     if isinstance(res, fx.SolveResult):
         assert res.horizon_used == n_horizon
         assert res.iterations == len(trace)
+
+
+def _count_steps(monkeypatch, events):
+    """Append "step" to events at each step a coincidence orbit takes: a
+    call of the function InverseComposite.apply_on gives the orbit."""
+    apply_on = fx.InverseComposite.apply_on
+
+    def counted_apply_on(self, space):
+        step = apply_on(self, space)
+        return lambda p: events.append("step") or step(p)
+
+    monkeypatch.setattr(fx.InverseComposite, "apply_on", counted_apply_on)
+
+
+@pytest.mark.parametrize("case,steps", [("solve-interval-two-cycle", 97), ("solve-finite-two-cycle", 2), ("solve-box-fixed", 57)])
+def test_single_valued_orbit_stops_stepping_at_a_repeat(monkeypatch, case, steps):
+    events = []
+    _count_steps(monkeypatch, events)
+    cfg, solve, *_ = STOP_CASES[case]()
+    res = solve(cfg)
+    assert len(events) == steps < res.iterations
+
+
+def test_set_valued_orbit_steps_every_time(monkeypatch):
+    # Its successor depends on the scale t_n, so a repeated point is no cycle.
+    calls = []
+    select = fx.multivalued.select_successor
+    monkeypatch.setattr(fx.multivalued, "select_successor", lambda *a, **k: calls.append(a) or select(*a, **k))
+    cfg, solve, *_ = STOP_CASES["solve-set-chain"]()
+    res = solve(replace(cfg, lam=0.1))  # past the horizon at L[15], a fixed label
+    assert res.orbit[-10:] == (L[15],) * 10
+    assert len(calls) == len(res.orbit) - 1
 
 
 def test_max_iter_returns_partial_trace(flagship_fm, flagship_f, flagship_g, flagship_phi):
@@ -235,18 +318,14 @@ def test_untraced_solve_grades_only_for_the_stop_rule(monkeypatch):
     # No grade before the horizon, then one per step at window 2 (the
     # window's one pair); the residuals grade once per time after the loop.
     events = []
-    membership, apply = fx.FuzzyMetric.membership, fx.InverseComposite.apply
+    membership = fx.FuzzyMetric.membership
 
     def counted_membership(self, x, y, t):
         events.append("grade")
         return membership(self, x, y, t)
 
-    def counted_apply(self, p):
-        events.append("step")
-        return apply(self, p)
-
     monkeypatch.setattr(fx.FuzzyMetric, "membership", counted_membership)
-    monkeypatch.setattr(fx.InverseComposite, "apply", counted_apply)
+    _count_steps(monkeypatch, events)
     fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, 1.0), fx.TNorm("product"))
     f, g, phi = fx.AffineMap(0.5, 0.0), fx.AffineBijection(-1.0, 1.0), fx.LinearPhi(0.5)
     cfg = fx.SolverConfig(start=0.0, epsilon=1e-2, lam=1e-3)
