@@ -27,7 +27,8 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from operator import sub
+from itertools import repeat, starmap
+from operator import mul, sub
 from typing import List, Optional, Sequence, Tuple
 
 # threshold is no longer called here, but stays importable as contraction.threshold:
@@ -77,9 +78,12 @@ class ContractionReport:
     @classmethod
     def of(cls, space: Space, phi: PhiFunction, failing: list, checked: int, distances) -> "ContractionReport":
         """The report of ``checked`` pairs from the failing rows: only the
-        first MAX_COUNTEREXAMPLES by point keys, ties in scan order, are
-        ``replay``ed from ``distances(*row)``, their float images' (d_g, d_f)."""
-        kept = heapq.nsmallest(MAX_COUNTEREXAMPLES, failing, key=lambda p: tuple(map(space.point_key, p)))
+        first MAX_COUNTEREXAMPLES in point order, ties in scan order, are
+        ``replay``ed from ``distances(*row)``, their float images' (d_g, d_f).
+        A finite space ranks rows by label index; on an interval or a box a
+        point is its own key, so rows rank by themselves."""
+        key = (lambda row: tuple(map(space.point_key, row))) if isinstance(space, FiniteSpace) else None
+        kept = heapq.nsmallest(MAX_COUNTEREXAMPLES, failing, key=key)
         counterexamples = tuple(replay(phi, row, *distances(*row)) for row in kept)
         return cls(not failing, checked, counterexamples, "threshold-reduction")
 
@@ -99,8 +103,9 @@ def replay(phi: PhiFunction, row: tuple, d_g: float, d_f: float) -> CounterExamp
 def sample_pairs(space: Space, samples: int, seed: int) -> List[Tuple[Point, Point]]:
     """Deterministic pair plan: all ordered pairs on small finite spaces,
     otherwise seeded draws with the space's extremes prepended. Interval
-    and box coordinates are drawn as lo + w * random(), random.uniform's
-    own formula, so they are the floats of space.sample."""
+    and bounded box coordinates are drawn in one pass as lo + w * random(),
+    random.uniform's own formula in its call order, so they are the floats
+    of space.sample."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
@@ -111,15 +116,17 @@ def sample_pairs(space: Space, samples: int, seed: int) -> List[Tuple[Point, Poi
         return [pairs[rng.randrange(len(pairs))] for _ in range(samples)]
     ext = space.extreme_points()
     pairs = [(ext[0], ext[1]), (ext[1], ext[0])] if ext else []
-    draws, rnd = range(samples - len(pairs)), rng.random
+    count, rnd = samples - len(pairs), rng.random
     if isinstance(space, IntervalSpace):
         lo, w = space.lo, space.hi - space.lo
-        pairs += [(lo + w * rnd(), lo + w * rnd()) for _ in draws]
+        points = iter([lo + w * rnd() for _ in range(2 * count)])
     elif space.bound is not None:
-        lo, w, n = -space.bound, 2.0 * space.bound, range(space.dim)
-        pairs += [(tuple([lo + w * rnd() for _ in n]), tuple([lo + w * rnd() for _ in n])) for _ in draws]
+        lo, w = -space.bound, 2.0 * space.bound
+        coords = iter([lo + w * rnd() for _ in range(2 * space.dim * count)])
+        points = zip(*[coords] * space.dim)
     else:
-        pairs += [(space.sample(rng), space.sample(rng)) for _ in draws]
+        return pairs + [(space.sample(rng), space.sample(rng)) for _ in range(count)]
+    pairs += zip(points, points)
     return pairs
 
 
@@ -136,10 +143,9 @@ def image_distances(space: Space, maps: Sequence, h, pairs: Sequence) -> List[Li
             rows = {l: space.index(p if h is None else h.apply(p)) for l, p in images.items()}
             out.append([table[rows[x]][rows[y]] for x, y in pairs])
         return out
-    p, q = [x for x, _ in pairs], [y for _, y in pairs]
-    delta = list(map(abs, map(sub, p, q)) if isinstance(space, IntervalSpace) else map(math.dist, p, q))
+    delta = list(map(abs, starmap(sub, pairs)) if isinstance(space, IntervalSpace) else starmap(math.dist, pairs))
     a_h = 1.0 if h is None else abs(h.a)
-    return [[abs(m.a) * a_h * d for d in delta] for m in maps]
+    return [list(map(mul, repeat(abs(m.a) * a_h), delta)) for m in maps]
 
 
 def _float_test(phi: PhiFunction, rho=None):
@@ -207,8 +213,9 @@ def failing_rows(phi: PhiFunction, rows: Sequence[tuple], d_gs, d_fs, normalize:
     ``squares(row)``, the squares of their exact image distances. ``rho``
     is d_f / d_g where it is one rational for every row."""
     test, failing, expm1 = _float_test(phi, rho), [], math.expm1
-    for row, d_g, d_f in zip(rows, d_gs, d_fs):
-        verdict = test(-expm1(-d_g), -expm1(-d_f)) if normalize else test(d_g, d_f)
+    if normalize:
+        d_gs, d_fs = ([-expm1(-d) for d in column] for column in (d_gs, d_fs))
+    for row, verdict in zip(rows, map(test, d_gs, d_fs)):
         if verdict is None:
             verdict = pair_passes(phi, *squares(row), normalize)
         if not verdict:

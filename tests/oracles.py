@@ -423,3 +423,44 @@ def largest_margin(variant, lam, depth):
         else:
             hi = mid
     return margin(lo)
+
+
+# The t-norm laws with a combine call for every operand, kept apart from
+# the grade table that verify_tnorm_axioms reads.
+
+ASSOC_TOL = 1e-15
+WITNESS_CAP = 8
+
+
+def reference_tnorm_laws(combine, grid, cap=WITNESS_CAP):
+    """The t-norm law report of ``combine`` on the grid i / (grid - 1):
+    commutativity, associativity within ASSOC_TOL, the unit law,
+    monotonicity over ascending pairs and the diagonal sup on 1 - 2**-k,
+    each with its check count and its first ``cap`` failures (all of them
+    for None) in scan order."""
+    levels = [i / (grid - 1) for i in range(grid)]
+
+    def law(name, checks, failures):
+        return fx.LawCheck(name, not failures, checks, tuple(failures[:cap]))
+
+    comm = [(a, b) for a in levels for b in levels if combine(a, b) != combine(b, a)]
+    assoc = [
+        (a, b, c)
+        for a in levels
+        for b in levels
+        for c in levels
+        if abs(combine(combine(a, b), c) - combine(a, combine(b, c))) > ASSOC_TOL
+    ]
+    unit = [(a,) for a in levels if combine(a, 1.0) != a]
+    ascending = [(levels[i], levels[k]) for i in range(grid) for k in range(i, grid)]
+    mono = [(a, b, c, d) for a, c in ascending for b, d in ascending if combine(a, b) > combine(c, d)]
+    best = max(combine(1.0 - 2.0 ** -k, 1.0 - 2.0 ** -k) for k in range(1, 41))
+    return fx.Report(
+        laws=(
+            law("commutativity", grid * grid, comm),
+            law("associativity", grid ** 3, assoc),
+            law("unit", grid, unit),
+            law("monotonicity", len(ascending) ** 2, mono),
+            law("sup_diagonal", 40, [] if best >= 1.0 - 1e-6 else [(best,)]),
+        )
+    )

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from decimal import Decimal, Inexact, localcontext
@@ -13,19 +14,56 @@ from oracles import DIGITS, dense_grid, exact_distance, exact_pass, exhaustive_g
 # ----------------------------------------------------------- sample_pairs
 
 
-@pytest.mark.parametrize(
-    "space",
-    [fx.IntervalSpace(-0.75, 2.5), fx.EuclideanSpace(2, 1.0), fx.EuclideanSpace(3, 0.5), fx.EuclideanSpace(2)],
-    ids=["interval", "box2", "box3", "plane"],
-)
-@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
-def test_sample_pairs_are_the_space_s_own_draws(space, seed):
+SAMPLED_SPACES = [
+    fx.IntervalSpace(-0.75, 2.5),
+    fx.EuclideanSpace(2, 1.0),
+    fx.EuclideanSpace(3, 0.5),
+    fx.EuclideanSpace(2),
+    fx.EuclideanSpace(1, 2.0),
+]
+SAMPLED_IDS = ["interval", "box2", "box3", "plane", "box1"]
+
+
+def assert_sample_pairs_are_the_space_s_own_draws(space, samples, seed):
     # The extremes first, then pairs of space.sample draws from one generator.
     rng = random.Random(seed)
     ext = space.extreme_points()
     expected = [(ext[0], ext[1]), (ext[1], ext[0])] if ext else []
-    expected += [(space.sample(rng), space.sample(rng)) for _ in range(50 - len(expected))]
-    assert fx.sample_pairs(space, 50, seed) == expected
+    expected += [(space.sample(rng), space.sample(rng)) for _ in range(samples - len(expected))]
+    assert fx.sample_pairs(space, samples, seed) == expected
+
+
+@pytest.mark.parametrize("space", SAMPLED_SPACES, ids=SAMPLED_IDS)
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_sample_pairs_are_the_space_s_own_draws(space, seed):
+    assert_sample_pairs_are_the_space_s_own_draws(space, 50, seed)
+
+
+@pytest.mark.parametrize("space", SAMPLED_SPACES, ids=SAMPLED_IDS)
+@pytest.mark.parametrize("samples", [1, 2, 3])
+def test_sample_pairs_at_a_few_samples(space, samples):
+    # At 1 and 2 samples the extremes of a bounded space take every slot.
+    assert_sample_pairs_are_the_space_s_own_draws(space, samples, 7)
+
+
+# --------------------------------------------------- ContractionReport.of
+
+
+@pytest.mark.parametrize(
+    "space", [fx.IntervalSpace(-1.0, 1.0), fx.EuclideanSpace(2, 1.0), fx.EuclideanSpace(3)], ids=["interval", "box2", "plane"]
+)
+@pytest.mark.parametrize("count", [3, 64, 65, 300])
+def test_report_keeps_the_rows_a_point_key_ranking_keeps(space, count):
+    # A continuum row ranks by itself, and equal rows keep their scan
+    # order. Each point is a fresh object, so identity tells equal rows apart.
+    def fresh(p):
+        return tuple(list(p)) if type(p) is tuple else float(repr(p))
+
+    drawn = fx.sample_pairs(space, count, 4)
+    rows = [(fresh(x), fresh(y)) for x, y in drawn + drawn[::3] + [drawn[0]] * 5]
+    expected = heapq.nsmallest(64, rows, key=lambda row: tuple(map(space.point_key, row)))
+    report = fx.ContractionReport.of(space, fx.LinearPhi(0.5), rows, len(rows), lambda x, y: (0.5, 0.5))
+    assert [(id(ce.x), id(ce.y)) for ce in report.counterexamples] == [(id(x), id(y)) for x, y in expected]
 
 
 # ------------------------------------------------------------ check_g_phi

@@ -17,10 +17,13 @@ the threshold as the onset and the induced curve. The ``solve_foregone``
 output and trace were captured before the solver stopped stepping an
 orbit that repeats a float: the orbit sits on the fixed point 0.0 from
 its start, and its horizon, 10^7, lies beyond max_iter, so they pin the
-repeated orbit and its stop. The other outputs and the other ``.trace``
-files were captured before the config parser and the command dispatch
-became table-driven, so they pin every report section and the trace
-format of both solvers.
+repeated orbit and its stop. The ``axioms_interval`` output was captured
+before the t-norm laws came to be read from one grade table: it pins
+each law's check count at grid 21 and the fuzzy-metric laws on 3,000
+interval samples. The other outputs and the other ``.trace`` files were
+captured before the config parser and the command dispatch became
+table-driven, so they pin every report section and the trace format of
+both solvers.
 """
 
 from pathlib import Path
@@ -41,6 +44,7 @@ CASES = (
     ("solve-set", "solve_set", 0),
     ("solve-set", "solve_set_permuted", 0),
     ("check-axioms", "axioms_box", 0),
+    ("check-axioms", "axioms_interval", 0),
     ("check-phi", "phi_rational", 0),
     ("check-phi", "phi_table_fail", 1),
     ("induce-phi", "induce", 0),

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import fuzzfix as fx
+from oracles import WITNESS_CAP, reference_tnorm_laws
 
 NORMS = [fx.TNorm(v) for v in ("product", "minimum", "lukasiewicz")]
 LEVELS = [i / 10 for i in range(11)]
@@ -114,3 +115,84 @@ def test_diagonal_sup_approaches_one():
     for norm in NORMS:
         a = 1.0 - 2.0 ** -40
         assert norm.combine(a, a) >= 1.0 - 1e-6
+
+
+class LeftProjection:
+    """a * b = a: associative, monotone, with 1 a right unit, and not
+    commutative at any a != b."""
+
+    def combine(self, a, b):
+        return a
+
+
+class RightSquaredProduct:
+    """a b**2: 1 is a right unit, and the order of operands matters inside
+    associativity, whose sides a b**2 c**2 and a b**2 c**4 differ."""
+
+    def combine(self, a, b):
+        return a * b * b
+
+
+class SquaredProduct:
+    """(a b)**2 off the unit: commutative and monotone, and not
+    associative, as a**4 b**4 c**2 != a**2 b**4 c**4 for a != c."""
+
+    def combine(self, a, b):
+        return a if b == 1.0 else b if a == 1.0 else (a * b) ** 2
+
+
+class ShrunkProduct:
+    """(1 - 2**-30) (a b): 1 is no unit, yet the diagonal still climbs
+    within 1e-6 of 1 and the constant factor reassociates within rounding."""
+
+    def combine(self, a, b):
+        return (1.0 - 2.0 ** -30) * (a * b)
+
+
+class ReversedMinimum:
+    """The minimum in an order that keeps 1 on top and reverses [0, 1):
+    associative and commutative with unit 1, and not monotone, as
+    combine(0.8, 0.9) = 0.9 > combine(0.8, 1) = 0.8."""
+
+    def combine(self, a, b):
+        return a if b == 1.0 else b if a == 1.0 else max(a, b)
+
+
+BROKEN = {
+    "commutativity": LeftProjection(),
+    "associativity": SquaredProduct(),
+    "unit": ShrunkProduct(),
+    "monotonicity": ReversedMinimum(),
+}
+
+
+COMPARED = NORMS + list(BROKEN.values()) + [RightSquaredProduct()]
+
+
+@pytest.mark.parametrize("norm", COMPARED, ids=lambda n: getattr(n, "variant", type(n).__name__))
+@pytest.mark.parametrize("grid", [2, 3, 11, 17])
+def test_axiom_report_matches_the_per_law_loops(norm, grid):
+    # Whole reports: verdicts, check counts, witnesses and their order.
+    assert fx.verify_tnorm_axioms(norm, grid) == reference_tnorm_laws(norm.combine, grid)
+
+
+@pytest.mark.parametrize("law", sorted(BROKEN))
+def test_broken_norms_fail_their_law_past_the_witness_cap(law):
+    # More failures than witnesses, so the cap and the scan order are pinned.
+    norm = BROKEN[law]
+    assert fx.verify_tnorm_axioms(norm, grid=11).failures() == (law,)
+    assert len(reference_tnorm_laws(norm.combine, 11, cap=None).law(law).witnesses) > WITNESS_CAP
+
+
+def test_axiom_report_reads_one_grade_table():
+    # grid**2 table entries, 2 grid**3 associativity sides, grid unit
+    # checks and 40 diagonal probes: 2,834 calls at grid 11.
+    calls = []
+
+    class Counted:
+        def combine(self, a, b):
+            calls.append((a, b))
+            return a * b
+
+    fx.verify_tnorm_axioms(Counted(), grid=11)
+    assert len(calls) == 11 ** 2 + 2 * 11 ** 3 + 11 + 40 == 2834
