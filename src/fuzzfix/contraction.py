@@ -31,16 +31,15 @@ from itertools import repeat, starmap
 from operator import mul, sub
 from typing import List, Optional, Sequence, Tuple
 
-# threshold is no longer called here, but stays importable as contraction.threshold:
-# perfbench/tests checks that its tracer rebinds and restores it in this module.
+# threshold stays importable here: perfbench/tests checks that its tracer rebinds and restores it in this module.
 from .fmspace import FiniteSpace, FuzzyMetric, IntervalSpace, Point, Space, onset, threshold  # noqa: F401
 from .maps import BijectionSpec, MapSpec
-from .phi import InducedPhi, LinearPhi, PhiFunction, RationalPhi, TablePhi, crossing_time, ensure_phi_class, pair_passes
+from .phi import InducedPhi, PhiFunction, crossing_time, ensure_phi_class, pair_passes
 
 MAX_COUNTEREXAMPLES = 64
 
 _U = 2.0 ** -53
-_ONSET_ERROR = 4 * _U
+_CROSSING_ERROR = 4 * _U
 # Relative error of a distance from image_distances: delta rounds once
 # (abs) or thrice (math.dist rounds each difference, then the norm within
 # an ulp), s and s * delta once each, and normalization's expm1 within an
@@ -150,39 +149,40 @@ def image_distances(space: Space, maps: Sequence, h, pairs: Sequence) -> List[Li
 
 def _float_test(phi: PhiFunction, rho=None):
     """test(d_g, d_f): a row's verdict from its float distances where a
-    certified margin covers their error, else None. The closed-form
-    crossing t of d_g is off by (4 * 2**-53 + DISTANCE_ERROR) t, plus 1e-160
-    where a distance underflowed, so phi.eval(t) errs by 8 * 2**-53 plus
-    that error times phi's steepest slope (k, 1 or 1 / k); the crossing of
-    d_f errs by 4 * 2**-53 + DISTANCE_ERROR, and the raw consequent at c =
-    phi - margin by 5 * 2**-53. The margin is twice their sum. A table's
-    value is exact where it does not step within the crossing's error.
-    Below its cap an induced modulus passes iff d_f <= k d_g, which is
-    compared within the distances' error instead, or decided once per
-    check where the ratio ``rho`` = d_f / d_g is one rational for all rows."""
-    modulus, step = phi.eval, isinstance(phi, TablePhi)
-    slope = 0.0 if step else phi.k if isinstance(phi, LinearPhi) else 1.0 if isinstance(phi, RationalPhi) else 1 / phi.k
-    error = _ONSET_ERROR + DISTANCE_ERROR
-    margin, band = 2.0 * (17 * _U + DISTANCE_ERROR + slope * error), 2.0 * error
+    certified margin covers their error, else None. tau(d_g) lies within e =
+    4 * 2**-53 + DISTANCE_ERROR of the closed-form crossing t, relatively
+    (plus 1e-160 where a distance underflowed), so in [t_lo, t_hi], t
+    widened by 2 e. As phi does not decrease, the row passes if phi(t_lo) -
+    margin passes the raw consequent against d_f, and fails if phi(t_hi) +
+    margin does not; a table stepping inside the bracket is decided where
+    both ends agree. The margin doubles the sum of eval's error against the
+    real modulus (units of 2**-53: linear 1, rational 2, table 0, induced 6,
+    its tail 12 with ``anchor``'s and ``tau_cap``'s), d_f's DISTANCE_ERROR,
+    the raw consequent's 5 units, and for an induced eval e / k, as it turns
+    to its tail at the float ``tau_cap``, within 4 units of tau(cap), where
+    its slopes 1 / k and k part. Below its cap an induced modulus passes iff
+    d_f <= k d_g, compared within the distances' error, or decided once per
+    check where ``rho`` = d_f / d_g is one rational for all rows."""
+    modulus, error = phi.eval, _CROSSING_ERROR + DISTANCE_ERROR
+    below, above = 1.0 - 2.0 * error, 1.0 + 2.0 * error
+    margin = 2.0 * (17 * _U + DISTANCE_ERROR + (error / phi.k if isinstance(phi, InducedPhi) else 0.0))
 
-    def by_crossing(d_g, d_f):
+    def bracketed(d_g, d_f):
         t = crossing_time(d_g)
-        scaled = modulus(max(t * (1.0 - band) - 1e-160, 0.0) if step else t)
-        if step and modulus(t * (1.0 + band) + 1e-160) != scaled:
-            return None
-        c = scaled - margin
+        c = modulus(max(t * below - 1e-160, 0.0)) - margin
         if c > 0.0 and c / (c + d_f) > 1.0 - c:
             return True
-        return False if crossing_time(d_f) - scaled > margin else None
+        c = modulus(t * above + 1e-160) + margin
+        return None if c / (c + d_f) > 1.0 - c else False
 
     if not isinstance(phi, InducedPhi):
-        return by_crossing
-    k_lo, k_hi, cap_lo, cap_hi = (x * (1.0 + e * DISTANCE_ERROR) for x in (phi.k, phi.cap) for e in (-4, 4))
+        return bracketed
+    k_lo, k_hi, cap_lo = (x * (1.0 + e * DISTANCE_ERROR) for x, e in ((phi.k, -4), (phi.k, 4), (phi.cap, -4)))
     fits = None if rho is None else rho <= phi.k  # exact: a Fraction compares with a float exactly
 
     def induced(d_g, d_f):
         if d_g > cap_lo - _TINY:
-            return by_crossing(d_g, d_f) if d_g > cap_hi + _TINY else None
+            return bracketed(d_g, d_f)
         if fits is not None and d_g > 0.0:
             return fits
         if d_f < k_lo * d_g - _TINY:

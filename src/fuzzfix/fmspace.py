@@ -309,13 +309,16 @@ def threshold(fm: FuzzyMetric, x: Point, y: Point) -> float:
 
 
 def onset(d: float) -> float:
-    """t*: the float at which t / (t + d) > 1 - t holds while it fails one
+    """t*: a float at which t / (t + d) > 1 - t holds while it fails one
     float below. The sides round by at most 2 and 1 units of 2**-53 and
     their difference rises with slope >= 1, so t* lies at most 3.0001 *
     2**-53 below the exact crossing and one float more above it. From the
-    closed form the search doubles its step until the predicate changes,
-    then bisects down to adjacent floats.
-    """
+    closed form the search doubles its step, down where the predicate holds
+    and up where it fails, until it changes, then bisects to adjacent
+    floats. The predicate can flip more than once within those ulps; t* is
+    the flip the search brackets, not always the least. At d =
+    0.033970078490917474 it holds at 0.16810566837944405, fails at the
+    closed form one float above, and t* is the next float up."""
     t = max(crossing_time(d), 2.0 ** -54)  # up to 2**-54, 1 - t rounds to 1: the predicate fails
     step = math.ulp(t)
     if t / (t + d) > 1.0 - t:
@@ -400,13 +403,9 @@ def verify_fm_axioms(fm: FuzzyMetric, samples: int = 10000, seed: int = 0) -> Re
             fails["FM5"].append((x, y, z, t, s, lhs, rhs))
 
         delta = _FM6_DELTA_START
-        continuous = False
-        while delta >= _FM6_DELTA_FLOOR:
-            if abs(mem(x, y, t + delta) - m_xy) <= _FM6_TOL:
-                continuous = True
-                break
+        while delta >= _FM6_DELTA_FLOOR and abs(mem(x, y, t + delta) - m_xy) > _FM6_TOL:
             delta *= 0.1
-        if not continuous:
+        if delta < _FM6_DELTA_FLOOR:
             fails["FM6"].append((x, y, t))
 
         prev = mem(x, y, _MONO_TS[0])

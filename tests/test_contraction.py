@@ -7,7 +7,8 @@ import pytest
 
 import fuzzfix as fx
 from corpus import CORPUS
-from fuzzfix.contraction import exact_square, failing_rows, image_distances
+from fuzzfix.contraction import _float_test, exact_square, failing_rows, image_distances
+from fuzzfix.phi import pair_passes
 from oracles import DIGITS, dense_grid, exact_distance, exact_pass, exhaustive_g_phi, tau
 
 
@@ -283,6 +284,26 @@ def test_every_pair_just_past_the_critical_distance_fails():
         g = fx.identity_for(fm.space)
         for y in (math.nextafter(1.0 / 6.0, 1.0), y):
             assert not exact_pass(phi, exact_distance(fm, g, 0.0, y), exact_distance(fm, f, 0.0, y))
+
+
+def test_crossing_on_a_table_breakpoint_goes_to_the_exact_rule():
+    # The extreme pair of [0, 2.25] crosses at tau(2.25) = 0.75, the last
+    # breakpoint, where the table steps from 0 to 0.5. The float crossing
+    # rounds just below it, so the ends of the float test's bracket
+    # disagree and it leaves the pair undecided; exactly, phi(0.75) = 0.5
+    # exceeds tau(0.225), about 0.37, and the pair passes.
+    space = fx.IntervalSpace(0.0, 2.25)
+    fm = fx.FuzzyMetric(space, fx.TNorm("product"))
+    phi, f, g = fx.TablePhi(((0.0, 0.0), (0.5, 0.0), (0.75, 0.5))), fx.AffineMap(0.1, 0.0), fx.identity_for(space)
+    pair = (0.0, 2.25)
+    (d_g,), (d_f,) = image_distances(space, (g, f), None, [pair])
+    assert fx.crossing_time(d_g) < 0.75
+    assert _float_test(phi)(d_g, d_f) is None
+    assert pair_passes(phi, *(exact_square(space, None, m, *pair) for m in (g, f)), False)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        assert exact_pass(phi, exact_distance(fm, g, *pair), exact_distance(fm, f, *pair))
+    assert fx.check_g_phi(fm, f, g, phi, samples=2, seed=0).passed
 
 
 def test_one_counterexample_per_failing_pair(flagship_fm, flagship_f):

@@ -264,6 +264,75 @@ def test_corrupted_metric_fails_fm3(unit_interval, product_norm):
     assert report.law("FM3").witnesses
 
 
+LAWS = ("FM1", "FM2", "FM3", "FM4", "FM5", "FM6", "monotone_in_t")
+SAMPLES, SEED = 40, 5
+
+
+def standard(x, y, t):
+    return t / (t + abs(x - y))
+
+
+def draws(samples, seed):
+    """The verifier's draws on the unit interval: x, y, z, then t and s."""
+    rng = random.Random(seed)
+    return [tuple(rng.uniform(lo, hi) for lo, hi in [(0.0, 1.0)] * 3 + [(1e-3, 2.0)] * 2) for _ in range(samples)]
+
+
+class Corrupted:
+    """The standard metric on the unit interval at t > 0, except where
+    ``grade(x, y, t)`` says otherwise, under ``norm``."""
+
+    def __init__(self, grade, norm=fx.TNorm("product")):
+        self.space, self.norm, self.grade = fx.IntervalSpace(0.0, 1.0), norm, grade
+
+    def membership(self, x, y, t):
+        return 0.0 if t == 0.0 else self.grade(x, y, t)
+
+
+class MaxNorm:
+    """Not a t-norm: max(a, b) exceeds the product."""
+
+    combine = staticmethod(max)
+
+
+SAMPLED_TIMES = {t for _, _, _, t, _ in draws(SAMPLES, SEED)}
+# Each metric breaks one law; its witnesses, from the draws, in sample order.
+CORRUPTED = {
+    "FM2": (Corrupted(lambda x, y, t: float(x == y)), lambda x, y, z, t, s: (x, y, t, 0.0)),
+    "FM3": (Corrupted(lambda x, y, t: 1.0), lambda x, y, z, t, s: (x, y, t, 1.0)),
+    "FM4": (
+        Corrupted(lambda x, y, t: math.nextafter(standard(x, y, t), 0.0) if x > y else standard(x, y, t)),
+        lambda x, y, z, t, s: (x, y, t),
+    ),
+    "FM5": (
+        Corrupted(standard, MaxNorm()),
+        lambda x, y, z, t, s: (x, y, z, t, s, standard(x, z, t + s), max(standard(x, y, t), standard(y, z, s)))
+        if standard(x, z, t + s) < max(standard(x, y, t), standard(y, z, s))
+        else None,
+    ),
+    # A dip at exactly the sampled times: nothing right of t comes near it.
+    "FM6": (
+        Corrupted(lambda x, y, t: 0.9 * standard(x, y, t) if t in SAMPLED_TIMES and x != y else standard(x, y, t)),
+        lambda x, y, z, t, s: (x, y, t),
+    ),
+    "monotone_in_t": (
+        Corrupted(lambda x, y, t: 0.0 if t == 1.0 else standard(x, y, t)),
+        lambda x, y, z, t, s: (x, y, 1.0, standard(x, y, 0.5), 0.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("law", list(CORRUPTED))
+def test_corrupted_metric_fails_only_its_law(law):
+    metric, witness = CORRUPTED[law]
+    report = fx.verify_fm_axioms(metric, samples=SAMPLES, seed=SEED)
+    assert [(l.name, l.checks) for l in report.laws] == [(name, SAMPLES) for name in LAWS]
+    assert report.failures() == (law,)
+    expected = [w for w in (witness(*d) for d in draws(SAMPLES, SEED)) if w is not None]
+    assert len(expected) > 16
+    assert report.law(law).witnesses == tuple(expected[:16])
+
+
 def test_axiom_report_is_deterministic(flagship_fm):
     a = fx.verify_fm_axioms(flagship_fm, samples=500, seed=9)
     b = fx.verify_fm_axioms(flagship_fm, samples=500, seed=9)

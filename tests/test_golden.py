@@ -11,6 +11,10 @@ decide every pair exactly: f = 0.2 x with linear(0.5) passes the pair
 (0, y) iff y <= delta*, just below 1/6, and its extreme pair lies one
 float above fl(1/6). It pins that pair's failure and the counterexample
 of a violation below float resolution, whose float consequent holds. The
+``table_breakpoint`` report was captured before the float test came to
+bracket every modulus by its monotonicity: its extreme pair crosses at
+tau(2.25) = 0.75, on the table's step from 0 to 0.5, which the float
+crossing rounds below, and it passes only by the exact rule. The
 ``threshold`` and ``induce`` outputs were regenerated when the crossing
 time came to be computed one way, in the stable closed form: they pin
 the threshold as the onset and the induced curve. The ``solve_foregone``
@@ -40,6 +44,7 @@ CASES = (
     ("check-contraction", "interval_delta_star", 1),
     ("check-contraction", "box3_reflection_fail", 1),
     ("check-contraction", "finite_permutation", 1),
+    ("check-contraction", "table_breakpoint", 0),
     ("threshold", "threshold", 0),
     ("solve-set", "solve_set", 0),
     ("solve-set", "solve_set_permuted", 0),

@@ -1,9 +1,12 @@
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
 import fuzzfix as fx
+from fuzzfix.phi import pair_passes
+from oracles import DIGITS, dec, exact_pass
 
 
 def tau(d):
@@ -170,3 +173,30 @@ def test_ensure_phi_class():
     fx.ensure_phi_class(fx.LinearPhi(0.3))
     with pytest.raises(fx.PhiInvalid):
         fx.ensure_phi_class(fx.TablePhi(((0.0, 0.0), (1.0, 1.5))))
+
+
+# ------------------------------------------------------ exact pair rules
+
+
+@pytest.mark.parametrize("df2,passed", [(Fraction(1, 100), True), (Fraction(3, 100), False)])
+def test_pair_passes_encloses_an_irrational_ratio(df2, passed):
+    # Unnormalized distances sqrt(2) and sqrt(df2): their ratio is
+    # irrational, so both are enclosed and linear(0.5) decides a pass at
+    # (d_g low, d_f high), a failure at (d_g high, d_f low). At 3/100 the
+    # pair fails by about 3e-4.
+    phi = fx.LinearPhi(0.5)
+    assert pair_passes(phi, Fraction(2), df2, False) is passed
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        assert exact_pass(phi, Decimal(2).sqrt(), dec(df2).sqrt()) is passed
+
+
+@pytest.mark.parametrize("rho,passed", [(Fraction(1, 4), True), (Fraction(1, 2), False)])
+def test_induced_rule_past_the_cap(rho, passed):
+    # d = 2 lies past cap 1, where the modulus runs on its linear tail, and
+    # d_f = rho d: the tail's enclosures decide either way.
+    phi = fx.InducedPhi(0.5, 1.0)
+    assert phi.passes(rho, Fraction(4)) is passed
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        assert exact_pass(phi, Decimal(2), 2 * dec(rho)) is passed

@@ -6,7 +6,8 @@ t-norms' formulas, table admissibility with a dense time check, the threshold
 with the float switch of the crossing predicate, checked in floats and
 rationals, and the contraction checks with an oracle that
 decides each pair exactly for the real maps and moduli in 60-digit
-decimals, without the library's exact pair rules.
+decimals, without the library's exact pair rules. The checks' float filter
+must agree with those exact rules wherever it decides a pair.
 Every test runs on a fixed seed, so the suite stays deterministic.
 """
 
@@ -19,6 +20,8 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import fuzzfix as fx
+from fuzzfix.contraction import _float_test
+from fuzzfix.phi import pair_passes
 from oracles import (
     ONSET_ERROR,
     U,
@@ -191,6 +194,17 @@ def test_threshold_is_the_onset_of_the_distance(d, normalize):
 @example(d=1e-40)
 def test_onset_switches_on_within_four_units_of_the_crossing(d):
     checked_onset(d)
+
+
+def test_onset_returns_the_flip_its_search_brackets():
+    # Within ulps of the crossing the predicate flips three times here: it
+    # holds at t0, fails at the closed form one float above, and holds again
+    # from the float after. The search goes up from the closed form.
+    d, t0 = 0.033970078490917474, 0.16810566837944405
+    closed = fx.crossing_time(d)
+    assert closed == math.nextafter(t0, 1.0)
+    assert [t / (t + d) > 1.0 - t for t in (t0, closed)] == [True, False]
+    assert checked_onset(d) == math.nextafter(closed, 1.0) == 0.1681056683794441
 
 
 def test_onset_of_coincident_points():
@@ -429,6 +443,83 @@ def test_pairs_within_ulps_of_the_critical_distance_match_reference(linear, k, s
             verdicts.add(assert_matches_reference((fm, f, fx.identity_for(fm.space), phi), 2, 0))
         y = math.nextafter(y, math.inf)
     assert verdicts == {True, False}
+
+
+def _nudge(x, ulps):
+    """x moved ``ulps`` floats up, or down for ulps < 0."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else 0.0)
+    return x
+
+
+def _distance_at(t):
+    """About the distance whose crossing time is t, for 0 < t < 1."""
+    return t * t / (1.0 - t)
+
+
+@st.composite
+def near_ties(draw):
+    """(phi, d_g, d_f, normalize) with d_g crossing within 64 units of
+    2**-53 of some time, a table's breakpoint or an induced modulus's
+    crossing of its cap, and d_f within a few ulps of a tie with phi within
+    64 units of that crossing, moved by 1 to 2**14 units. Induced ratios go
+    down to 0.01 and caps up to 1e8, where the curve below the cap is
+    steepest."""
+    kind = draw(st.sampled_from(["linear", "rational", "induced", "table"]))
+    times = [draw(st.floats(1e-6, 0.999))]
+    if kind == "linear":
+        phi = fx.LinearPhi(draw(st.floats(0.01, 0.99)))
+    elif kind == "rational":
+        phi = fx.RationalPhi()
+    elif kind == "induced":
+        phi = fx.InducedPhi(draw(st.floats(0.01, 0.95)), math.exp(draw(st.floats(math.log(0.05), math.log(1e8)))))
+        times.append(phi.tau_cap)
+    else:
+        t1, t2 = sorted(draw(st.lists(st.integers(1, 31), min_size=2, max_size=2, unique=True)))
+        v1 = draw(st.integers(0, t1 - 1))
+        phi = fx.TablePhi(((0.0, 0.0), (t1 / 32.0, v1 / 32.0), (t2 / 32.0, draw(st.integers(v1, t2 - 1)) / 32.0)))
+        times += [t1 / 32.0, t2 / 32.0]
+    t = draw(st.sampled_from(times)) * (1.0 + draw(st.integers(-64, 64)) * U)
+    d_g = _nudge(_distance_at(min(t, 0.999)), draw(st.integers(-4, 4)))
+    c = phi.eval(fx.crossing_time(d_g) * (1.0 + draw(st.integers(-64, 64)) * U))
+    c *= 1.0 + draw(st.sampled_from([-1, 1])) * 2 ** draw(st.integers(0, 14)) * U
+    d_f = _nudge(_distance_at(c) if c > 0.0 else 0.0, draw(st.integers(0 if c == 0.0 else -4, 4)))
+    return phi, d_g, d_f, draw(st.booleans()) and d_g < 1.0 and d_f < 1.0
+
+
+# tau(2.25) = 0.75 on a breakpoint: the float test leaves it undecided.
+BREAKPOINT_CROSSING = (fx.TablePhi(((0.0, 0.0), (0.5, 0.0), (0.75, 0.5))), 2.25, 0.225, False)
+# The float crossing of d_g rounds up onto the breakpoint 1/16 while the
+# exact one lies below it, where phi is 0: phi at t would pass this failing pair.
+ROUNDED_ONTO_A_BREAKPOINT = (
+    fx.TablePhi(((0.0, 0.0), (1 / 32, 0.0), (1 / 16, 1 / 32))),
+    0.004166666666666666,
+    0.000248015873015873,
+    False,
+)
+# The bracket's lower end lies between tau(cap) and the float tau_cap,
+# where eval runs on the steep curve while the modulus has turned to its
+# tail: without the margin's e / k term the test passes this failing pair.
+BETWEEN_CAP_CROSSINGS = (
+    fx.InducedPhi(0.03185548209621867, 3381819.9306882466),
+    3381819.9623955595,
+    107729.50426796735,
+    False,
+)
+
+
+@seed(SEED)
+@settings(max_examples=500, deadline=None, database=None)
+@given(case=near_ties())
+@example(case=BREAKPOINT_CROSSING)
+@example(case=ROUNDED_ONTO_A_BREAKPOINT)
+@example(case=BETWEEN_CAP_CROSSINGS)
+def test_float_filter_agrees_with_the_exact_rule_near_ties(case):
+    # Under normalize the distances are those of raw distances r, 1 - exp(-r).
+    phi, d_g, d_f, normalize = case
+    raw = [-math.log1p(-d) for d in (d_g, d_f)] if normalize else [d_g, d_f]
+    verdict = _float_test(phi)(*([-math.expm1(-r) for r in raw] if normalize else raw))
+    assert verdict in (None, pair_passes(phi, *(Fraction(r) ** 2 for r in raw), normalize))
 
 
 @st.composite

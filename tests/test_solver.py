@@ -29,6 +29,18 @@ def test_constant_map_converges_fast(flagship_fm, flagship_g):
     assert res.iterations <= 2
 
 
+def test_constant_map_on_a_box_inverts_g_per_coordinate():
+    # A constant f is no affine map, so each step is g^-1(f(x)) through
+    # AffineBijection.invert_apply on the box point: g z = -z = (0.25, -0.5).
+    fm = fx.FuzzyMetric(fx.EuclideanSpace(2, 1.0), fx.TNorm("product"))
+    cfg = fx.SolverConfig(start=(0.5, 0.5), epsilon=1e-3, lam=1e-3, t0=2.0)
+    g = fx.AffineBijection(-1.0, 0.0)
+    res = fx.solve_coincidence(fm, fx.ConstantMap((0.25, -0.5)), g, fx.LinearPhi(0.5), cfg)
+    assert res.converged
+    assert res.orbit[1] == res.point == (-0.25, 0.5)
+    assert g.invert_apply((0.25, -0.5)) == (-0.25, 0.5)
+
+
 def test_start_at_solution_runs_to_horizon(flagship_fm, flagship_g):
     cfg = fx.SolverConfig(start=0.75, epsilon=1e-3, lam=1e-3, t0=2.0)
     res = fx.solve_coincidence(

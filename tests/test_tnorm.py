@@ -3,7 +3,7 @@ import math
 import pytest
 
 import fuzzfix as fx
-from oracles import WITNESS_CAP, reference_tnorm_laws
+from oracles import WITNESS_CAP, largest_margin, reference_tnorm_laws
 
 NORMS = [fx.TNorm(v) for v in ("product", "minimum", "lukasiewicz")]
 LEVELS = [i / 10 for i in range(11)]
@@ -79,6 +79,19 @@ def test_delta_for_lambda_is_maximal_witness(norm, lam, depth):
     if level > 0.5:
         assert below == math.nextafter(level, 0.0)
     assert fx.fold(norm, below, depth) <= 1.0 - lam
+
+
+@pytest.mark.parametrize("variant,lam,depth", [("product", 0.9867133823858587, 3), ("lukasiewicz", 0.65, 10)])
+def test_delta_for_lambda_steps_down_to_the_least_level(variant, lam, depth):
+    # Here the closed-form level lies above the least one that passes (the
+    # float below it still folds above 1 - lam), so the search walks down.
+    norm = fx.TNorm(variant)
+    closed = (1.0 - lam) ** (1.0 / depth) if variant == "product" else 1.0 - lam / depth
+    assert fx.fold(norm, math.nextafter(closed, 0.0), depth) > 1.0 - lam
+    delta = fx.delta_for_lambda(norm, lam, depth)
+    widest = largest_margin(variant, lam, depth)
+    assert 1.0 - delta == 1.0 - widest < closed
+    assert delta <= widest
 
 
 def test_delta_for_lambda_rejects_bad_arguments():
