@@ -337,48 +337,48 @@ def _write_trace(path: str, fm: FuzzyMetric, orbit: Tuple[Point, ...], epsilon: 
             handle.write(f"{r.index} {_point_token(r.point)} {format17(r.successive_grade)}\n")
 
 
-def _phi_class(cfg: ProblemConfig, phi: PhiFunction, solver: Optional[SolverConfig]) -> Tuple[dict, bool]:
+def _phi_class(cfg: ProblemConfig, phi: PhiFunction) -> Tuple[dict, bool]:
     # Admissibility is checked on the range the solvers require.
-    report = verify_phi_class(phi, grid=cfg.grid, t_max=2.0 if solver is None else solver.t_max)
+    report = verify_phi_class(phi, grid=cfg.grid, t_max=2.0 if cfg.solver is None else cfg.solver.t_max)
     return {"phi_class": _report_dict(report)}, report.passed
 
 
-# Command handlers: each takes (cfg, fm, solver, seed, samples, trace_path),
-# overrides applied, and returns (verdicts, counterexamples, result, passed).
-def _check_axioms(cfg, fm, solver, seed, samples, trace_path):
+# Command handlers: each takes (cfg, fm, trace_path), the config with the
+# flag overrides applied, and returns (verdicts, counterexamples, result, passed).
+def _check_axioms(cfg, fm, trace_path):
     tnorm_report = verify_tnorm_axioms(cfg.norm, grid=cfg.grid)
-    fm_report = verify_fm_axioms(fm, samples=samples, seed=seed)
+    fm_report = verify_fm_axioms(fm, samples=cfg.samples, seed=cfg.seed)
     verdicts = {"tnorm": _report_dict(tnorm_report), "fm_axioms": _report_dict(fm_report)}
     return verdicts, [], None, tnorm_report.passed and fm_report.passed
 
 
-def _check_phi(cfg, fm, solver, seed, samples, trace_path):
-    verdicts, passed = _phi_class(cfg, cfg.phi, solver)
+def _check_phi(cfg, fm, trace_path):
+    verdicts, passed = _phi_class(cfg, cfg.phi)
     return verdicts, [], None, passed
 
 
-def _check_contraction(cfg, fm, solver, seed, samples, trace_path):
-    report = check_g_phi(fm, cfg.f, cfg.g, cfg.phi, samples=samples, seed=seed)
+def _check_contraction(cfg, fm, trace_path):
+    report = check_g_phi(fm, cfg.f, cfg.g, cfg.phi, samples=cfg.samples, seed=cfg.seed)
     verdicts = {"contraction": {k: v for k, v in vars(report).items() if k != "counterexamples"}}
     return verdicts, _counterexample_dicts(report), None, report.passed
 
 
-def _solve(cfg, fm, solver, seed, samples, trace_path):
+def _solve(cfg, fm, trace_path):
     if cfg.setvalued is not None:
         raise ValidationError("solve takes f, not T; use solve-set")
-    res = solve_coincidence(fm, cfg.f, cfg.g, cfg.phi, solver)
+    res = solve_coincidence(fm, cfg.f, cfg.g, cfg.phi, cfg.solver)
     if trace_path:  # graded under the metric the orbit ran under
-        _write_trace(trace_path, fm.g_transform(cfg.g), res.orbit, solver.epsilon)
+        _write_trace(trace_path, fm.g_transform(cfg.g), res.orbit, cfg.solver.epsilon)
     # The result's fields but its orbit, which goes to the trace file.
     return {}, [], {k: v for k, v in vars(res).items() if k != "orbit"}, res.converged
 
 
-def _solve_set(cfg, fm, solver, seed, samples, trace_path):
+def _solve_set(cfg, fm, trace_path):
     if cfg.f is not None:
         raise ValidationError("solve-set takes T, not f; use solve")
-    res = solve_inclusion(fm, cfg.setvalued, cfg.g, cfg.phi, solver)
+    res = solve_inclusion(fm, cfg.setvalued, cfg.g, cfg.phi, cfg.solver)
     if trace_path:
-        _write_trace(trace_path, fm, res.orbit, solver.epsilon)
+        _write_trace(trace_path, fm, res.orbit, cfg.solver.epsilon)
     result = {
         "point": res.point,
         "orbit_length": len(res.orbit),
@@ -390,17 +390,17 @@ def _solve_set(cfg, fm, solver, seed, samples, trace_path):
     return {}, [], result, res.converged
 
 
-def _threshold(cfg, fm, solver, seed, samples, trace_path):
+def _threshold(cfg, fm, trace_path):
     x, y = cfg.query
     tau = threshold(fm, x, y)
     return {}, [], {"x": x, "y": y, "tau": tau, "membership_at_tau": fm.membership(x, y, tau)}, True
 
 
-def _induce_phi(cfg, fm, solver, seed, samples, trace_path):
+def _induce_phi(cfg, fm, trace_path):
     phi = cfg.phi
     if not isinstance(phi, InducedPhi):
         raise ValidationError('induce-phi requires phi of kind "induced"')
-    verdicts, passed = _phi_class(cfg, phi, solver)
+    verdicts, passed = _phi_class(cfg, phi)
     times = [2.0 * phi.tau_cap * i / _INDUCE_CURVE_STEPS for i in range(1, _INDUCE_CURVE_STEPS + 1)]
     curve = [[t, phi.eval(t)] for t in times]
     result = {"k": phi.k, "cap": phi.cap, "tau_cap": phi.tau_cap, "anchor": phi.anchor, "curve": curve}
@@ -431,11 +431,11 @@ def run(
 ) -> Tuple[RunReport, int]:
     """Dispatch a command against a parsed config.
 
-    Returns the report and the process exit code. Flag overrides win
-    over config values; hypothesis failures surface as exit code 1 with
-    the report intact. A config without a section the command requires,
-    or with samples below 1 or a grid below 2 (flags included), raises
-    ValidationError.
+    Returns the report and the process exit code. Flag overrides replace
+    the config's values once, and the handler reads that config.
+    Hypothesis failures surface as exit code 1 with the report intact. A
+    config without a section the command requires, or with samples below
+    1 or a grid below 2 (flags included), raises ValidationError.
     """
     if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
@@ -443,20 +443,19 @@ def run(
     for section in sections:
         if getattr(cfg, "setvalued" if section == "T" else section) is None:
             raise ValidationError(f"{section}: section is required by {command}")
-    seed = cfg.seed if seed is None else seed
-    samples = cfg.samples if samples is None else samples
-    if samples < 1 or cfg.grid < 2:
-        raise ValidationError(f"verification: samples must be >= 1 and grid >= 2, got {samples} and {cfg.grid}")
-    solver = cfg.solver
-    if solver is not None and max_iter is not None:
-        solver = replace(solver, max_iter=max_iter)
+    if (seed, samples, max_iter) != (None, None, None):  # replace costs about 4 us, half a check-phi run
+        seed, samples = cfg.seed if seed is None else seed, cfg.samples if samples is None else samples
+        solver = cfg.solver if cfg.solver is None or max_iter is None else replace(cfg.solver, max_iter=max_iter)
+        cfg = replace(cfg, seed=seed, samples=samples, solver=solver)
+    if cfg.samples < 1 or cfg.grid < 2:
+        raise ValidationError(f"verification: samples must be >= 1 and grid >= 2, got {cfg.samples} and {cfg.grid}")
     fm = FuzzyMetric(cfg.space, cfg.norm)
     try:
-        verdicts, counterexamples, result, passed = handler(cfg, fm, solver, seed, samples, trace_path)
+        verdicts, counterexamples, result, passed = handler(cfg, fm, trace_path)
     except (PhiInvalid, NoAdmissibleSuccessor, InverseUndefined, NotDemicompact, OverflowError) as exc:
         verdicts = {"hypothesis_failure": {"error": type(exc).__name__, "message": str(exc)}}
         counterexamples, result, passed = [], None, False
-    return RunReport(command, cfg.digest, seed, samples, verdicts, counterexamples, result), 0 if passed else 1
+    return RunReport(command, cfg.digest, cfg.seed, cfg.samples, verdicts, counterexamples, result), 0 if passed else 1
 
 
 def render_report(report: RunReport) -> str:

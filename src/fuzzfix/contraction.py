@@ -34,12 +34,10 @@ from typing import List, Optional, Sequence, Tuple
 # threshold stays importable here: perfbench/tests checks that its tracer rebinds and restores it in this module.
 from .fmspace import FiniteSpace, FuzzyMetric, IntervalSpace, Point, Space, onset, threshold  # noqa: F401
 from .maps import BijectionSpec, MapSpec
-from .phi import InducedPhi, PhiFunction, crossing_time, ensure_phi_class, pair_passes
+from .phi import CROSSING_ERROR, InducedPhi, PhiFunction, _U, crossing_time, ensure_phi_class, pair_passes
 
 MAX_COUNTEREXAMPLES = 64
 
-_U = 2.0 ** -53
-_CROSSING_ERROR = 4 * _U
 # Relative error of a distance from image_distances: delta rounds once
 # (abs) or thrice (math.dist rounds each difference, then the norm within
 # an ulp), s and s * delta once each, and normalization's expm1 within an
@@ -101,10 +99,9 @@ def replay(phi: PhiFunction, row: tuple, d_g: float, d_f: float) -> CounterExamp
 
 def sample_pairs(space: Space, samples: int, seed: int) -> List[Tuple[Point, Point]]:
     """Deterministic pair plan: all ordered pairs on small finite spaces,
-    otherwise seeded draws with the space's extremes prepended. Interval
-    and bounded box coordinates are drawn in one pass as lo + w * random(),
-    random.uniform's own formula in its call order, so they are the floats
-    of space.sample."""
+    else ``samples`` seeded draws of the pair list. On a continuum the
+    space's extreme pair leads, both ways, and the rest pair up consecutive
+    points of one ``space.sample`` call."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
@@ -115,16 +112,7 @@ def sample_pairs(space: Space, samples: int, seed: int) -> List[Tuple[Point, Poi
         return [pairs[rng.randrange(len(pairs))] for _ in range(samples)]
     ext = space.extreme_points()
     pairs = [(ext[0], ext[1]), (ext[1], ext[0])] if ext else []
-    count, rnd = samples - len(pairs), rng.random
-    if isinstance(space, IntervalSpace):
-        lo, w = space.lo, space.hi - space.lo
-        points = iter([lo + w * rnd() for _ in range(2 * count)])
-    elif space.bound is not None:
-        lo, w = -space.bound, 2.0 * space.bound
-        coords = iter([lo + w * rnd() for _ in range(2 * space.dim * count)])
-        points = zip(*[coords] * space.dim)
-    else:
-        return pairs + [(space.sample(rng), space.sample(rng)) for _ in range(count)]
+    points = iter(space.sample(rng, 2 * (samples - len(pairs))))
     pairs += zip(points, points)
     return pairs
 
@@ -163,7 +151,7 @@ def _float_test(phi: PhiFunction, rho=None):
     its slopes 1 / k and k part. Below its cap an induced modulus passes iff
     d_f <= k d_g, compared within the distances' error, or decided once per
     check where ``rho`` = d_f / d_g is one rational for all rows."""
-    modulus, error = phi.eval, _CROSSING_ERROR + DISTANCE_ERROR
+    modulus, error = phi.eval, CROSSING_ERROR + DISTANCE_ERROR
     below, above = 1.0 - 2.0 * error, 1.0 + 2.0 * error
     margin = 2.0 * (17 * _U + DISTANCE_ERROR + (error / phi.k if isinstance(phi, InducedPhi) else 0.0))
 

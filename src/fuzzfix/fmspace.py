@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from operator import add
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import UnknownPoint
 from .phi import crossing_time
@@ -122,8 +122,9 @@ class FiniteSpace:
             d = self.dist[self.index(x)][self.index(y)]  # raises UnknownPoint for the first unknown point
         return _d1(d) if self.normalize else d
 
-    def sample(self, rng: random.Random) -> Point:
-        return self.labels[rng.randrange(len(self.labels))]
+    def sample(self, rng: random.Random, n: int) -> List[Point]:
+        """n labels drawn from rng, one ``randrange`` each."""
+        return [self.labels[rng.randrange(len(self.labels))] for _ in range(n)]
 
     def point_key(self, p: Point):
         return self.index(p)
@@ -158,8 +159,11 @@ class IntervalSpace:
         d = abs(x - y)
         return _d1(d) if self.normalize else d
 
-    def sample(self, rng: random.Random) -> Point:
-        return rng.uniform(self.lo, self.hi)
+    def sample(self, rng: random.Random, n: int) -> List[Point]:
+        """n points drawn from rng as lo + (hi - lo) * random(), the
+        expression ``random.uniform`` evaluates."""
+        lo, w, rnd = self.lo, self.hi - self.lo, rng.random
+        return [lo + w * rnd() for _ in range(n)]
 
     def point_key(self, p: Point):
         return float(p)
@@ -209,14 +213,19 @@ class EuclideanSpace:
         return self.bound is None or all(-self.bound <= v <= self.bound for v in p)
 
     def distance(self, x: Point, y: Point) -> float:
-        # math.dist loses an ulp through sqrt((a-b)**2) in one dimension
-        d = abs(x[0] - y[0]) if self.dim == 1 else math.dist(x, y)
+        d = math.dist(x, y)
         return _d1(d) if self.normalize else d
 
-    def sample(self, rng: random.Random) -> Point:
+    def sample(self, rng: random.Random, n: int) -> List[Point]:
+        """n points drawn from rng, ``dim`` coordinates each in turn: -bound
+        + (2 * bound) * random(), as ``random.uniform`` draws them, or
+        ``gauss(0, 1)`` when the box is unbounded."""
         if self.bound is None:
-            return tuple(rng.gauss(0.0, 1.0) for _ in range(self.dim))
-        return tuple(rng.uniform(-self.bound, self.bound) for _ in range(self.dim))
+            coords = [rng.gauss(0.0, 1.0) for _ in range(n * self.dim)]
+        else:
+            lo, w, rnd = -self.bound, 2.0 * self.bound, rng.random
+            coords = [lo + w * rnd() for _ in range(n * self.dim)]
+        return list(zip(*[iter(coords)] * self.dim))
 
     def point_key(self, p: Point):
         return p
@@ -288,7 +297,7 @@ def in_uniformity(
     fm: FuzzyMetric, x: Point, y: Point, epsilon: float, lam: Grade
 ) -> bool:
     """True iff membership(x, y, epsilon) > 1 - lam, strictly."""
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie strictly between 0 and 1")
@@ -380,9 +389,7 @@ def verify_fm_axioms(fm: FuzzyMetric, samples: int = 10000, seed: int = 0) -> Re
     fails = {name: [] for name in ("FM1", "FM2", "FM3", "FM4", "FM5", "FM6", "monotone_in_t")}
 
     for _ in range(samples):
-        x = space.sample(rng)
-        y = space.sample(rng)
-        z = space.sample(rng)
+        x, y, z = space.sample(rng, 3)
         t = rng.uniform(_T_LO, _T_HI)
         s = rng.uniform(_T_LO, _T_HI)
 

@@ -83,7 +83,7 @@ def select_successor(
     maximizer misses the strict bound, i.e. the contraction condition
     fails at this step.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be positive")
     scaled = phi.eval(t)
     best, best_grade = _closest(fm, T.image(g.apply(y)), u, scaled)

@@ -22,6 +22,8 @@ _WITNESS_CAP = 8
 # Unit roundoff of a float: one rounding moves a value by at most this
 # share of it.
 _U = 2.0 ** -53
+# Relative error of crossing_time against the exact crossing.
+CROSSING_ERROR = 4 * _U
 
 
 def crossing_time(d: float) -> float:
@@ -220,7 +222,7 @@ class InducedPhi:
     def __post_init__(self):
         if not 0.0 < self.k < 1.0:
             raise InvalidK(f"ratio must lie in (0, 1), got {self.k!r}")
-        if self.cap <= 0.0:
+        if not self.cap > 0.0:
             raise ValueError("cap must be positive")
         tau_cap = crossing_time(self.cap)
         if not tau_cap < 1.0:
@@ -297,11 +299,11 @@ class TablePhi:
         if not pts:
             raise ValueError("table modulus needs at least one breakpoint")
         ts = tuple(t for t, _ in pts)
-        if any(t < 0.0 for t in ts):
+        if any(not t >= 0.0 for t in ts):
             raise ValueError("breakpoint times must be nonnegative")
         if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)):
             raise ValueError("breakpoint times must be strictly increasing")
-        if any(v < 0.0 for _, v in pts):
+        if any(not v >= 0.0 for _, v in pts):
             raise ValueError("breakpoint values must be nonnegative")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_ts", ts)
@@ -354,9 +356,9 @@ def horizon(phi: PhiFunction, t0: float, epsilon: float, lam: float) -> int:
     Raises HorizonExceeded when the iterates never reach the target (an
     inadmissible table).
     """
-    if t0 <= 0.0:
+    if not t0 > 0.0:
         raise ValueError("t0 must be positive")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie strictly between 0 and 1")
@@ -396,7 +398,7 @@ def verify_phi_class(phi: PhiFunction, grid: int = 16, t_max: float = 2.0) -> Re
     """
     if grid < 2:
         raise ValueError("grid must be >= 2")
-    if t_max <= 0.0:
+    if not t_max > 0.0:
         raise ValueError("t_max must be positive")
     drops, above, stalled = [], [], []
     if isinstance(phi, TablePhi):

@@ -41,7 +41,7 @@ class SolverConfig:
     window: int = 2
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lambda must lie strictly between 0 and 1")
@@ -53,7 +53,7 @@ class SolverConfig:
             raise ValueError("window must be >= 1")
         if self.residual_times is not None:
             times = tuple(float(t) for t in self.residual_times)
-            if any(t <= 0.0 for t in times):
+            if any(not t > 0.0 for t in times):
                 raise ValueError("residual times must be positive")
             object.__setattr__(self, "residual_times", times)
 

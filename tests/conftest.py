@@ -5,6 +5,13 @@ import fuzzfix as fx
 LINE5 = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
+def raises_exactly(call, error, message):
+    """call() raises ``error`` itself, not a subclass, with ``message``."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
 def line_space(coords, normalize=False):
     """Finite space whose points sit on a line; labels are the coordinates."""
     labels = tuple(str(c) for c in coords)

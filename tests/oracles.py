@@ -306,6 +306,23 @@ def exact_pass(phi, d_g, d_f):
     return margin > 0
 
 
+def reference_draws(space, rng, n):
+    """n points of ``space`` drawn one at a time with random's own methods:
+    randrange over the labels, uniform per coordinate, or gauss per
+    coordinate on an unbounded box. Independent of the spaces' samplers."""
+
+    def one():
+        if isinstance(space, fx.FiniteSpace):
+            return space.labels[rng.randrange(len(space.labels))]
+        if isinstance(space, fx.IntervalSpace):
+            return rng.uniform(space.lo, space.hi)
+        if space.bound is None:
+            return tuple(rng.gauss(0.0, 1.0) for _ in range(space.dim))
+        return tuple(rng.uniform(-space.bound, space.bound) for _ in range(space.dim))
+
+    return [one() for _ in range(n)]
+
+
 def metric_distance(fm):
     """The distance fm grades with, its transform applied to both points."""
 

@@ -9,7 +9,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import fuzzfix as fx
-from fuzzfix.cli import COMMANDS, main, parse_config
+from conftest import raises_exactly
+from fuzzfix.cli import COMMANDS, main, parse_config, run
+from fuzzfix.errors import ValidationError
 
 
 FLAGSHIP = {
@@ -601,6 +603,32 @@ def test_solve_requires_f_not_T(tmp_path, capsys):
     doc = dict(MULTI)
     path = write_config(tmp_path, doc)
     assert main(["solve", "--config", str(path)]) == 2
+
+
+WITH_F_AND_T = {**MULTI, "f": {"kind": "table", "map": {"0": "0", "0.1": "0", "1": "0.1"}}}
+# (id, command, config text, message): a usage error raised past parsing.
+USAGE_ERRORS = (
+    ("top-level-array", "check-axioms", "[]", "top level: must be an object"),
+    ("solve-given-T", "solve", json.dumps(WITH_F_AND_T), "solve takes f, not T; use solve-set"),
+    ("solve-set-given-f", "solve-set", json.dumps(WITH_F_AND_T), "solve-set takes T, not f; use solve"),
+    ("induce-phi-on-linear", "induce-phi", json.dumps(BAD_CONTRACTION), 'induce-phi requires phi of kind "induced"'),
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, message", [row[1:] for row in USAGE_ERRORS], ids=[row[0] for row in USAGE_ERRORS]
+)
+def test_usage_error_exits_2_with_its_message(tmp_path, capsys, command, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+def test_run_rejects_an_unknown_command():
+    # The parser's choices keep it from main, so run is called directly.
+    cfg = parse_config(json.dumps(FLAGSHIP))
+    raises_exactly(lambda: run("solve-all", cfg), ValidationError, "unknown command 'solve-all'")
 
 
 def test_missing_config_file_is_usage_error(capsys):

@@ -6,10 +6,11 @@ from decimal import Decimal, Inexact, localcontext
 import pytest
 
 import fuzzfix as fx
+from conftest import line_space, raises_exactly
 from corpus import CORPUS
 from fuzzfix.contraction import _float_test, exact_square, failing_rows, image_distances
 from fuzzfix.phi import pair_passes
-from oracles import DIGITS, dense_grid, exact_distance, exact_pass, exhaustive_g_phi, tau
+from oracles import DIGITS, dense_grid, exact_distance, exact_pass, exhaustive_g_phi, reference_draws, tau
 
 
 # ----------------------------------------------------------- sample_pairs
@@ -26,11 +27,12 @@ SAMPLED_IDS = ["interval", "box2", "box3", "plane", "box1"]
 
 
 def assert_sample_pairs_are_the_space_s_own_draws(space, samples, seed):
-    # The extremes first, then pairs of space.sample draws from one generator.
+    # The extremes first, then pairs of points drawn one at a time from one
+    # generator by random.uniform or gauss, not by space.sample.
     rng = random.Random(seed)
     ext = space.extreme_points()
     expected = [(ext[0], ext[1]), (ext[1], ext[0])] if ext else []
-    expected += [(space.sample(rng), space.sample(rng)) for _ in range(samples - len(expected))]
+    expected += [tuple(reference_draws(space, rng, 2)) for _ in range(samples - len(expected))]
     assert fx.sample_pairs(space, samples, seed) == expected
 
 
@@ -400,3 +402,11 @@ def test_induced_modulus_bridges_metric_contraction(flagship_fm):
         flagship_fm, f, g, fx.InducedPhi(0.5, 1.0), samples=400, seed=5
     )
     assert fuzzy_side.passed
+
+
+# ---------------------------------------------------------- raise paths
+
+
+@pytest.mark.parametrize("space", [fx.IntervalSpace(0.0, 1.0), line_space((0.0, 1.0))], ids=["interval", "finite"])
+def test_sample_pairs_needs_a_sample(space):
+    raises_exactly(lambda: fx.sample_pairs(space, 0, 0), ValueError, "samples must be >= 1")

@@ -4,6 +4,8 @@ import random
 import pytest
 
 import fuzzfix as fx
+from conftest import raises_exactly
+from oracles import reference_draws
 
 
 def tau(d):
@@ -11,6 +13,27 @@ def tau(d):
 
 
 # ---------------------------------------------------------------- spaces
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        fx.FiniteSpace(("a", "b", "c"), ((0.0, 1.0, 2.0), (1.0, 0.0, 1.0), (2.0, 1.0, 0.0))),
+        fx.IntervalSpace(-0.75, 2.5),
+        fx.EuclideanSpace(1, 2.0),
+        fx.EuclideanSpace(3, 0.5),
+        fx.EuclideanSpace(2),
+    ],
+    ids=["finite", "interval", "box1", "box3", "plane"],
+)
+def test_sample_draws_what_one_point_draws_would(space):
+    # n points are the draws of n one-point draws, in order, and a second
+    # call goes on with the same generator.
+    rng, reference = random.Random(5), random.Random(5)
+    assert space.sample(rng, 0) == []
+    drawn = space.sample(rng, 4) + space.sample(rng, 3)
+    assert drawn == reference_draws(space, reference, 7)
+    assert all(space.contains(p) for p in drawn)
 
 
 NAN = float("nan")
@@ -345,3 +368,33 @@ def test_membership_monotone_in_t(flagship_fm):
         x, y = rng.random(), rng.random()
         grades = [flagship_fm.membership(x, y, t) for t in (0.0, 0.1, 0.5, 1.0, 2.0)]
         assert grades == sorted(grades)
+
+
+# ---------------------------------------------------------- raise paths
+
+UNIT = fx.FuzzyMetric(fx.IntervalSpace(0.0, 1.0), fx.TNorm("product"))
+# (id, call, error, message). A NaN argument fails its bound with the bound's own message.
+RAISES = (
+    ("empty-finite", lambda: fx.FiniteSpace((), ()), ValueError, "finite space needs at least one point"),
+    (
+        "finite-point-not-a-string",
+        lambda: fx.FiniteSpace(("a",), ((0.0,),)).parse_point(1.0),
+        ValueError,
+        "finite-space points are label strings",
+    ),
+    ("dim-0", lambda: fx.EuclideanSpace(0), ValueError, "dim must be >= 1"),
+    ("bound-0", lambda: fx.EuclideanSpace(2, 0.0), ValueError, "bound must be positive when given"),
+    ("membership-negative-t", lambda: UNIT.membership(0.0, 1.0, -1.0), ValueError, "t must be nonnegative"),
+    ("axioms-samples-0", lambda: fx.verify_fm_axioms(UNIT, samples=0), ValueError, "samples must be >= 1"),
+    (
+        "in-uniformity-nan-epsilon",
+        lambda: fx.in_uniformity(UNIT, 0.0, 0.5, NAN, 0.1),
+        ValueError,
+        "epsilon must be positive",
+    ),
+)
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in RAISES], ids=[row[0] for row in RAISES])
+def test_invalid_arguments_raise(call, error, message):
+    raises_exactly(call, error, message)

@@ -1,6 +1,7 @@
 import pytest
 
 import fuzzfix as fx
+from conftest import raises_exactly
 
 
 @pytest.fixture
@@ -120,3 +121,51 @@ def test_compose_inner_permutation(finite3):
     composed = outer.compose_inner(inner)
     for label in finite3.labels:
         assert composed.apply(label) == outer.apply(inner.apply(label))
+
+
+# ---------------------------------------------------------- raise paths
+
+AB = fx.FiniteSpace(("a", "b"), ((0.0, 1.0), (1.0, 0.0)))
+RAISES = (
+    (
+        "affine-on-finite",
+        lambda: fx.AffineMap(0.5, 0.0).validate(AB),
+        ValueError,
+        "affine maps are undefined on finite spaces",
+    ),
+    (
+        "affine-leaves-box",
+        lambda: fx.AffineMap(0.5, 0.6).validate(fx.EuclideanSpace(2, 1.0)),
+        ValueError,
+        "affine map leaves the bounded Euclidean box",
+    ),
+    (
+        "table-image-outside",
+        lambda: fx.TableMap({"a": "z", "b": "a"}).validate(AB),
+        ValueError,
+        "table image 'z' lies outside the space",
+    ),
+    (
+        "affine-bijection-on-finite",
+        lambda: fx.AffineBijection(1.0, 0.0).validate_bijection(AB),
+        fx.NotBijective,
+        "affine bijections are undefined on finite spaces",
+    ),
+    (
+        "permutation-no-image",
+        lambda: fx.PermutationBijection({"a": "b", "b": "a"}).apply("c"),
+        fx.UnknownPoint,
+        "permutation has no image for 'c'",
+    ),
+    (
+        "permutation-on-interval",
+        lambda: fx.PermutationBijection({"a": "a"}).validate_bijection(fx.IntervalSpace(0.0, 1.0)),
+        fx.NotBijective,
+        "permutations are only defined on finite spaces",
+    ),
+)
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in RAISES], ids=[row[0] for row in RAISES])
+def test_invalid_arguments_raise(call, error, message):
+    raises_exactly(call, error, message)

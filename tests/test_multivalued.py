@@ -1,7 +1,7 @@
 import pytest
 
 import fuzzfix as fx
-from conftest import line_space
+from conftest import line_space, raises_exactly
 from oracles import dense_grid, exhaustive_setvalued, inclusion_points, reference_orbit, relabeled_distance
 
 
@@ -299,3 +299,32 @@ def test_delta_chain_two_stage_construction(norm_name):
     delta2 = min(delta, delta1)
     v = 1.0 - delta2
     assert norm.combine(v, norm.combine(v, v)) >= 1.0 - lam
+
+
+# ---------------------------------------------------------- raise paths
+
+NAN = float("nan")
+LINE = line_space((0.0, 1.0))
+LINE_T = fx.SetValuedMap({"0.0": ("0.0",), "1.0": ("0.0",)})
+
+
+def successor_at(t):
+    fm = fx.FuzzyMetric(LINE, fx.TNorm("product"))
+    return fx.select_successor(fm, LINE_T, fx.identity_for(LINE), fx.InducedPhi(0.5, 1.0), "0.0", "1.0", t)
+
+
+RAISES = (
+    (
+        "image-outside",
+        lambda: fx.validate_setvalued(LINE, fx.SetValuedMap({"0.0": ("0.0", "2.0")})),
+        ValueError,
+        "image point '2.0' lies outside the space",
+    ),
+    ("successor-t-0", lambda: successor_at(0.0), ValueError, "t must be positive"),
+    ("successor-nan-t", lambda: successor_at(NAN), ValueError, "t must be positive"),
+)
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in RAISES], ids=[row[0] for row in RAISES])
+def test_invalid_arguments_raise(call, error, message):
+    raises_exactly(call, error, message)

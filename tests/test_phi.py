@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import fuzzfix as fx
+from conftest import raises_exactly
 from fuzzfix.phi import pair_passes
 from oracles import DIGITS, dec, exact_pass
 
@@ -200,3 +201,36 @@ def test_induced_rule_past_the_cap(rho, passed):
     with localcontext() as ctx:
         ctx.prec = DIGITS
         assert exact_pass(phi, Decimal(2), 2 * dec(rho)) is passed
+
+
+# ---------------------------------------------------------- raise paths
+
+NAN = float("nan")
+HALF = fx.LinearPhi(0.5)
+# A table that drops at 0.5: a NaN t_max must not skip its breakpoints.
+DROPPING = fx.TablePhi(((0.0, 0.0), (0.2, 0.3), (0.5, 0.1)))
+NONNEGATIVE_TIMES, NONNEGATIVE_VALUES = "breakpoint times must be nonnegative", "breakpoint values must be nonnegative"
+# (id, call, error, message). A NaN argument fails its bound with the bound's own message.
+RAISES = (
+    ("crossing-time-negative", lambda: fx.crossing_time(-1.0), ValueError, "d must be nonnegative"),
+    ("eval-negative", lambda: HALF.eval(-1.0), ValueError, "modulus argument must be nonnegative"),
+    ("table-negative-value", lambda: fx.TablePhi(((0.0, 0.0), (1.0, -0.5))), ValueError, NONNEGATIVE_VALUES),
+    ("iterate-negative-n", lambda: fx.iterate(HALF, 1.0, -1), ValueError, "iteration count must be nonnegative"),
+    ("horizon-t0-0", lambda: fx.horizon(HALF, 0.0, 0.1, 0.1), ValueError, "t0 must be positive"),
+    ("horizon-epsilon-0", lambda: fx.horizon(HALF, 2.0, 0.0, 0.1), ValueError, "epsilon must be positive"),
+    ("horizon-lam-1", lambda: fx.horizon(HALF, 2.0, 0.1, 1.0), ValueError, "lam must lie strictly between 0 and 1"),
+    ("phi-class-grid-1", lambda: fx.verify_phi_class(HALF, grid=1), ValueError, "grid must be >= 2"),
+    ("phi-class-t-max-0", lambda: fx.verify_phi_class(HALF, t_max=0.0), ValueError, "t_max must be positive"),
+    ("horizon-nan-t0", lambda: fx.horizon(HALF, NAN, 0.1, 0.1), ValueError, "t0 must be positive"),
+    ("horizon-nan-epsilon", lambda: fx.horizon(HALF, 2.0, NAN, 0.1), ValueError, "epsilon must be positive"),
+    ("phi-class-nan-t-max", lambda: fx.verify_phi_class(HALF, t_max=NAN), ValueError, "t_max must be positive"),
+    ("ensure-nan-t-max", lambda: fx.ensure_phi_class(DROPPING, t_max=NAN), ValueError, "t_max must be positive"),
+    ("table-nan-time", lambda: fx.TablePhi(((0.0, 0.0), (NAN, 0.1))), ValueError, NONNEGATIVE_TIMES),
+    ("table-nan-value", lambda: fx.TablePhi(((0.0, 0.0), (1.0, NAN))), ValueError, NONNEGATIVE_VALUES),
+    ("induced-nan-cap", lambda: fx.InducedPhi(0.5, NAN), ValueError, "cap must be positive"),
+)
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in RAISES], ids=[row[0] for row in RAISES])
+def test_invalid_arguments_raise(call, error, message):
+    raises_exactly(call, error, message)

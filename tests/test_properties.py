@@ -7,12 +7,15 @@ with the float switch of the crossing predicate, checked in floats and
 rationals, and the contraction checks with an oracle that
 decides each pair exactly for the real maps and moduli in 60-digit
 decimals, without the library's exact pair rules. The checks' float filter
-must agree with those exact rules wherever it decides a pair.
+must agree with those exact rules wherever it decides a pair. A
+one-dimensional box distance must be abs of the difference, to the bit.
 Every test runs on a fixed seed, so the suite stays deterministic.
 """
 
+import itertools
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -196,6 +199,32 @@ def test_onset_switches_on_within_four_units_of_the_crossing(d):
     checked_onset(d)
 
 
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, DMAX, -DMAX, math.inf, -math.inf, math.nan)
+
+
+def assert_one_dimensional_distance_is_abs_difference(a, b):
+    # math.dist returns the single |a - b| of a one-coordinate point, to the
+    # bit. A NaN result comes back as the canonical NaN, whatever the
+    # payload of a NaN coordinate, so NaN results are compared as NaN.
+    d, expected = fx.EuclideanSpace(1).distance((a,), (b,)), abs(a - b)
+    if math.isnan(expected):
+        assert math.isnan(d)
+    else:
+        assert struct.pack("<d", d) == struct.pack("<d", expected), (a, b)
+
+
+def test_one_dimensional_distance_is_abs_difference_on_edge_floats():
+    for a, b in itertools.product(EDGE_FLOATS, repeat=2):
+        assert_one_dimensional_distance_is_abs_difference(a, b)
+
+
+@seed(SEED)
+@settings(max_examples=1000, deadline=None, database=None)
+@given(a=st.floats(), b=st.floats())
+def test_one_dimensional_distance_is_abs_difference(a, b):
+    assert_one_dimensional_distance_is_abs_difference(a, b)
+
+
 def test_onset_returns_the_flip_its_search_brackets():
     # Within ulps of the crossing the predicate flips three times here: it
     # holds at t0, fails at the closed form one float above, and holds again
@@ -264,7 +293,7 @@ def _image(draw, space, f):
     every distance by 0."""
     if not draw(st.booleans()):
         return f
-    return fx.ConstantMap(space.sample(random.Random(draw(st.integers(0, 99)))))
+    return fx.ConstantMap(space.sample(random.Random(draw(st.integers(0, 99))), 1)[0])
 
 
 @st.composite

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 import fuzzfix as fx
-from conftest import line_space
+from conftest import line_space, raises_exactly
 from oracles import linear_step, orbit_count, reference_orbit, relabeled_distance
 
 
@@ -481,3 +481,19 @@ def test_uniqueness_probe_needs_two_starts(
         fx.uniqueness_probe(
             flagship_fm, flagship_f, flagship_g, flagship_phi, flagship_cfg, [0.0]
         )
+
+
+# ---------------------------------------------------------- raise paths
+
+NAN = float("nan")
+RAISES = (
+    ("max-iter-0", dict(max_iter=0), "max_iter must be >= 1"),
+    ("window-0", dict(window=0), "window must be >= 1"),
+    ("nan-epsilon", dict(epsilon=NAN), "epsilon must be positive"),
+    ("nan-residual-time", dict(residual_times=(NAN,)), "residual times must be positive"),
+)
+
+
+@pytest.mark.parametrize("fields, message", [row[1:] for row in RAISES], ids=[row[0] for row in RAISES])
+def test_invalid_solver_config_raises(fields, message):
+    raises_exactly(lambda: fx.SolverConfig(**{"start": 0.0, "epsilon": 0.1, "lam": 0.1, **fields}), ValueError, message)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import fuzzfix as fx
+from conftest import raises_exactly
 from oracles import WITNESS_CAP, largest_margin, reference_tnorm_laws
 
 NORMS = [fx.TNorm(v) for v in ("product", "minimum", "lukasiewicz")]
@@ -209,3 +210,18 @@ def test_axiom_report_reads_one_grade_table():
 
     fx.verify_tnorm_axioms(Counted(), grid=11)
     assert len(calls) == 11 ** 2 + 2 * 11 ** 3 + 11 + 40 == 2834
+
+
+# ---------------------------------------------------------- raise paths
+
+PRODUCT = fx.TNorm("product")
+RAISES = (
+    ("fold-depth-0", lambda: fx.fold(PRODUCT, 0.5, 0), ValueError, "depth must be >= 1"),
+    ("laws-grid-1", lambda: fx.verify_tnorm_axioms(PRODUCT, grid=1), ValueError, "grid must be >= 2"),
+    ("report-unknown-law", lambda: fx.verify_tnorm_axioms(PRODUCT, grid=2).law("FM1"), KeyError, "'FM1'"),
+)
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in RAISES], ids=[row[0] for row in RAISES])
+def test_invalid_arguments_raise(call, error, message):
+    raises_exactly(call, error, message)
