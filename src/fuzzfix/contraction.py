@@ -10,11 +10,12 @@ the consequent iff phi(t) > tau(d_f), with d_g = d(gx, gy) and d_f =
 d(fx, fy). As phi does not decrease, the consequent is hardest where the
 antecedent first holds, so one comparison per pair decides the whole
 t-quantifier, exactly for the maps and moduli their parameters define:
-only the pair sampling is approximate. ``check_g_phi`` and the set-valued
-check decide their rows in the one kernel ``failing_rows``: a float test
-where a certified margin covers the rounding, else the exact rule
-``phi.pair_passes`` in rationals, as adaptive predicates do (Shewchuk,
-1997). Only the counterexamples a report keeps map points, in ``replay``.
+only a continuum's pair sample is approximate; a finite space takes every
+pair. ``check_g_phi`` and the set-valued check decide their rows in the one
+kernel ``failing_rows``: a float test where a certified margin covers the
+rounding, else the exact rule ``phi.pair_passes`` in rationals, as adaptive
+predicates do (Shewchuk, 1997). Only the counterexamples a report keeps map
+points, in ``replay``.
 
 No other hypothesis is checked here. A map that passes with phi(t) < t is
 already uniformly continuous from the g-transformed uniformity, and a
@@ -98,18 +99,15 @@ def replay(phi: PhiFunction, row: tuple, d_g: float, d_f: float) -> CounterExamp
 
 
 def sample_pairs(space: Space, samples: int, seed: int) -> List[Tuple[Point, Point]]:
-    """Deterministic pair plan: all ordered pairs on small finite spaces,
-    else ``samples`` seeded draws of the pair list. On a continuum the
-    space's extreme pair leads, both ways, and the rest pair up consecutive
-    points of one ``space.sample`` call."""
+    """Deterministic pair plan: every ordered pair of a finite space, in
+    label order, whatever ``samples``; on a continuum ``samples`` pairs,
+    seeded: the space's extreme pair leads, both ways, and the rest pair up
+    consecutive points of one ``space.sample`` call."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = random.Random(seed)
     if isinstance(space, FiniteSpace):
-        pairs = [(x, y) for x in space.labels for y in space.labels]
-        if len(pairs) <= samples:
-            return pairs
-        return [pairs[rng.randrange(len(pairs))] for _ in range(samples)]
+        return [(x, y) for x in space.labels for y in space.labels]
+    rng = random.Random(seed)
     ext = space.extreme_points()
     pairs = [(ext[0], ext[1]), (ext[1], ext[0])] if ext else []
     points = iter(space.sample(rng, 2 * (samples - len(pairs))))

@@ -270,7 +270,7 @@ class FuzzyMetric:
         return self.space.distance(x, y)
 
     def membership(self, x: Point, y: Point, t: float) -> Grade:
-        if t < 0.0:
+        if not t >= 0.0:
             raise ValueError("t must be nonnegative")
         if self.transform is not None:
             x = self.transform.apply(x)
@@ -296,12 +296,8 @@ class FuzzyMetric:
 def in_uniformity(
     fm: FuzzyMetric, x: Point, y: Point, epsilon: float, lam: Grade
 ) -> bool:
-    """True iff membership(x, y, epsilon) > 1 - lam, strictly."""
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lam must lie strictly between 0 and 1")
-    return fm.membership(x, y, epsilon) > 1.0 - lam
+    """True iff membership(x, y, epsilon) > 1 - lam, strictly: the window (x, y)."""
+    return is_cauchy_window(fm, (x, y), epsilon, lam)
 
 
 def threshold(fm: FuzzyMetric, x: Point, y: Point) -> float:
@@ -356,13 +352,18 @@ def is_cauchy_window(
     """True iff every pair in the window lies in the (epsilon, lam) entourage.
 
     Finite-window surrogate of the Cauchy property, used as the solvers'
-    stopping test.
+    stopping test. The window and levels are checked once, for one point too.
     """
     if not window:
         raise ValueError("window must be nonempty")
+    if not epsilon > 0.0:
+        raise ValueError("epsilon must be positive")
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lam must lie strictly between 0 and 1")
+    level, membership = 1.0 - lam, fm.membership
     for i in range(len(window)):
         for j in range(i + 1, len(window)):
-            if not in_uniformity(fm, window[i], window[j], epsilon, lam):
+            if not membership(window[i], window[j], epsilon) > level:
                 return False
     return True
 

@@ -36,7 +36,7 @@ def crossing_time(d: float) -> float:
     """
     if d > 1e-300:
         return 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / d))
-    if d < 0.0:
+    if not d >= 0.0:
         raise ValueError("d must be nonnegative")
     return math.sqrt(d)
 
@@ -118,7 +118,7 @@ def pair_passes(phi: PhiFunction, dg2, df2, normalize: bool) -> bool:
 
 
 def _check_nonneg(t: float) -> None:
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError("modulus argument must be nonnegative")
 
 

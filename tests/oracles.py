@@ -481,3 +481,25 @@ def reference_tnorm_laws(combine, grid, cap=WITNESS_CAP):
             law("sup_diagonal", 40, [] if best >= 1.0 - 1e-6 else [(best,)]),
         )
     )
+
+
+# The coincidence point of two affine maps on a line, and the Banach
+# a-priori bound on the orbit that reaches it.
+
+BANACH_FLOOR = Fraction(256, 2 ** 52)
+
+
+def banach_bound(f, g, x0, n, scale):
+    """(z, bound) for x -> a_f x + b_f and x -> a_g x + b_g, given as
+    (a, b) float pairs and taken as Fractions: z = (b_f - b_g) / (a_g - a_f)
+    is the point where they agree, and bound is q**n / (1 - q) |x1 - x0|,
+    with q = |a_f / a_g| < 1 and x1 = (a_f x0 + b_f - b_g) / a_g, on the
+    distance from z of the n-th point of the orbit x -> g^{-1}(f(x)) from
+    x0, plus 256 units of 2**-52 of ``scale`` / (1 - q) for a float orbit's
+    rounding, ``scale`` a bound on the magnitudes it steps through."""
+    (a_f, b_f), (a_g, b_g) = ((Fraction(a), Fraction(b)) for a, b in (f, g))
+    x0 = Fraction(x0)
+    z = (b_f - b_g) / (a_g - a_f)
+    q = abs(a_f / a_g)
+    x1 = (a_f * x0 + b_f - b_g) / a_g
+    return z, q ** n / (1 - q) * abs(x1 - x0) + BANACH_FLOOR * Fraction(scale) / (1 - q)

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 import random
 from decimal import Decimal, Inexact, localcontext
@@ -47,6 +48,14 @@ def test_sample_pairs_are_the_space_s_own_draws(space, seed):
 def test_sample_pairs_at_a_few_samples(space, samples):
     # At 1 and 2 samples the extremes of a bounded space take every slot.
     assert_sample_pairs_are_the_space_s_own_draws(space, samples, 7)
+
+
+@pytest.mark.parametrize("samples", [1, 24, 25, 26])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sample_pairs_take_every_pair_of_a_finite_space(finite5, samples, seed):
+    # 5 labels have 25 ordered pairs: all of them, in label order, at fewer,
+    # as many or more samples, since a draw could miss the one failing pair.
+    assert fx.sample_pairs(finite5, samples, seed) == list(itertools.product(finite5.labels, repeat=2))
 
 
 # --------------------------------------------------- ContractionReport.of

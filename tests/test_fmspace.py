@@ -373,6 +373,7 @@ def test_membership_monotone_in_t(flagship_fm):
 # ---------------------------------------------------------- raise paths
 
 UNIT = fx.FuzzyMetric(fx.IntervalSpace(0.0, 1.0), fx.TNorm("product"))
+EPSILON, LAM = "epsilon must be positive", "lam must lie strictly between 0 and 1"
 # (id, call, error, message). A NaN argument fails its bound with the bound's own message.
 RAISES = (
     ("empty-finite", lambda: fx.FiniteSpace((), ()), ValueError, "finite space needs at least one point"),
@@ -392,6 +393,15 @@ RAISES = (
         ValueError,
         "epsilon must be positive",
     ),
+    ("membership-nan-t", lambda: UNIT.membership(0.0, 0.5, NAN), ValueError, "t must be nonnegative"),
+    # A one-point window has no pair to grade, and its levels are checked all the same.
+    ("window-one-point-nan-epsilon", lambda: fx.is_cauchy_window(UNIT, [0.5], NAN, 0.1), ValueError, EPSILON),
+    ("window-one-point-negative-epsilon", lambda: fx.is_cauchy_window(UNIT, [0.5], -1.0, 7.0), ValueError, EPSILON),
+    ("window-one-point-nan-lam", lambda: fx.is_cauchy_window(UNIT, [0.5], 0.1, NAN), ValueError, LAM),
+    ("window-one-point-lam-7", lambda: fx.is_cauchy_window(UNIT, [0.5], 0.1, 7.0), ValueError, LAM),
+    ("window-one-point-lam-0", lambda: fx.is_cauchy_window(UNIT, [0.5], 0.1, 0.0), ValueError, LAM),
+    ("window-empty", lambda: fx.is_cauchy_window(UNIT, [], NAN, NAN), ValueError, "window must be nonempty"),
+    ("in-uniformity-lam-1", lambda: fx.in_uniformity(UNIT, 0.0, 0.5, 0.1, 1.0), ValueError, LAM),
 )
 
 

@@ -15,6 +15,12 @@ of a violation below float resolution, whose float consequent holds. The
 bracket every modulus by its monotonicity: its extreme pair crosses at
 tau(2.25) = 0.75, on the table's step from 0 to 0.5, which the float
 crossing rounds below, and it passes only by the exact rule. The
+``finite_every_pair`` report was captured when a finite space came to be
+checked over every ordered pair, not a draw of ``samples``: f sends 12
+points on a line to p0, all but p10, which it sends to p1, and linear(0.9)
+fails only the four pairs of p10 with its neighbours, where both distances
+are 1. Its 20 samples used to draw none of them, so the check exited 0 over
+20 pairs; it pins the failure over all 144 and the four counterexamples. The
 ``threshold`` and ``induce`` outputs were regenerated when the crossing
 time came to be computed one way, in the stable closed form: they pin
 the threshold as the onset and the induced curve. The ``solve_foregone``
@@ -45,6 +51,7 @@ CASES = (
     ("check-contraction", "box3_reflection_fail", 1),
     ("check-contraction", "finite_permutation", 1),
     ("check-contraction", "table_breakpoint", 0),
+    ("check-contraction", "finite_every_pair", 1),
     ("threshold", "threshold", 0),
     ("solve-set", "solve_set", 0),
     ("solve-set", "solve_set_permuted", 0),

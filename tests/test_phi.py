@@ -210,6 +210,7 @@ HALF = fx.LinearPhi(0.5)
 # A table that drops at 0.5: a NaN t_max must not skip its breakpoints.
 DROPPING = fx.TablePhi(((0.0, 0.0), (0.2, 0.3), (0.5, 0.1)))
 NONNEGATIVE_TIMES, NONNEGATIVE_VALUES = "breakpoint times must be nonnegative", "breakpoint values must be nonnegative"
+NONNEGATIVE_ARGUMENT = "modulus argument must be nonnegative"
 # (id, call, error, message). A NaN argument fails its bound with the bound's own message.
 RAISES = (
     ("crossing-time-negative", lambda: fx.crossing_time(-1.0), ValueError, "d must be nonnegative"),
@@ -228,6 +229,12 @@ RAISES = (
     ("table-nan-time", lambda: fx.TablePhi(((0.0, 0.0), (NAN, 0.1))), ValueError, NONNEGATIVE_TIMES),
     ("table-nan-value", lambda: fx.TablePhi(((0.0, 0.0), (1.0, NAN))), ValueError, NONNEGATIVE_VALUES),
     ("induced-nan-cap", lambda: fx.InducedPhi(0.5, NAN), ValueError, "cap must be positive"),
+    ("crossing-time-nan", lambda: fx.crossing_time(NAN), ValueError, "d must be nonnegative"),
+    ("linear-eval-nan", lambda: HALF.eval(NAN), ValueError, NONNEGATIVE_ARGUMENT),
+    ("rational-eval-nan", lambda: fx.RationalPhi().eval(NAN), ValueError, NONNEGATIVE_ARGUMENT),
+    ("induced-eval-nan", lambda: fx.InducedPhi(0.5, 1.0).eval(NAN), ValueError, NONNEGATIVE_ARGUMENT),
+    ("table-eval-nan", lambda: fx.TablePhi(((0, 0), (1, 0.5))).eval(NAN), ValueError, NONNEGATIVE_ARGUMENT),
+    ("iterate-nan", lambda: fx.iterate(HALF, NAN, 3), ValueError, NONNEGATIVE_ARGUMENT),
 )
 
 

@@ -7,7 +7,9 @@ with the float switch of the crossing predicate, checked in floats and
 rationals, and the contraction checks with an oracle that
 decides each pair exactly for the real maps and moduli in 60-digit
 decimals, without the library's exact pair rules. The checks' float filter
-must agree with those exact rules wherever it decides a pair. A
+must agree with those exact rules wherever it decides a pair. A check
+that passes an affine problem on an interval must solve it within its
+horizon, near the exact coincidence point by the Banach a-priori bound. A
 one-dimensional box distance must be abs of the difference, to the bit.
 Every test runs on a fixed seed, so the suite stays deterministic.
 """
@@ -28,6 +30,7 @@ from fuzzfix.phi import pair_passes
 from oracles import (
     ONSET_ERROR,
     U,
+    banach_bound,
     checked_onset,
     finite_space_fault,
     induced_step,
@@ -571,6 +574,64 @@ def test_setvalued_check_matches_reference(case):
     passed, expected = reference_check_setvalued(fm, T, g, phi, pairs)
     got = [(ce.x, ce.y, ce.t, ce.antecedent, ce.consequent, ce.u) for ce in report.counterexamples]
     assert (report.passed, got) == (passed, expected)
+
+
+@st.composite
+def solvable_cases(draw):
+    """An unnormalized interval, g the identity or its reflection, an affine
+    f into it with |a_f / a_g| < 1, and a linear, rational or induced
+    modulus whose cap covers the diameter. There a linear or rational
+    verdict falls with the pair's distance and an induced one does not
+    depend on it, so the extreme pair, which every plan holds, decides the
+    check over the whole space."""
+    lo = draw(_dyadic(-16, 16))
+    hi = lo + draw(_dyadic(1, 32))
+    space = fx.IntervalSpace(lo, hi)
+    g = draw(st.sampled_from([fx.AffineBijection(1.0, 0.0), fx.AffineBijection(-1.0, lo + hi)]))
+    a = draw(st.floats(-0.95, 0.95))
+    b = lo - min(a * lo, a * hi) + draw(st.floats(0.0, 1.0)) * (hi - lo) * (1.0 - abs(a))
+    f = fx.AffineMap(a, b)
+    assume(maps_into(space, f))
+    kind = draw(st.sampled_from(["linear", "rational", "induced"]))
+    if kind == "rational":
+        phi = fx.RationalPhi()
+    else:
+        k = draw(st.floats(0.05, 0.95))
+        phi = fx.LinearPhi(k) if kind == "linear" else fx.InducedPhi(k, (hi - lo) * draw(st.floats(1.0, 2.0)))
+    start = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)  # lo and hi are dyadic: it stays in [lo, hi]
+    return fx.FuzzyMetric(space, fx.TNorm("product")), f, g, phi, start
+
+
+@seed(SEED)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    case=solvable_cases(),
+    samples=st.integers(1, 20),
+    sample_seed=st.integers(0, 99),
+    epsilon=st.sampled_from([1e-2, 1e-3, 1e-4]),
+    lam=st.sampled_from([1e-2, 1e-3, 1e-4]),
+    t0=st.floats(1.01, 4.0),
+)
+@example(case=FLAGSHIP_CASE + (0.0,), samples=2, sample_seed=0, epsilon=1e-3, lam=1e-3, t0=2.0)  # passes
+def test_a_passing_check_solves_within_the_horizon(case, samples, sample_seed, epsilon, lam, t0):
+    # The paper's theorem: from t0 > 1 the hypothesis gives M(gx_n, gx_n+1,
+    # phi^n(t0)) > 1 - phi^n(t0) for every n, so the window (x_N, x_N+1)
+    # lies in the entourage once phi^N(t0) <= min(epsilon, lam), and N + 1
+    # steps converge. The check must agree with the exact rule on the
+    # extreme pair, which decides the whole space. A failing hypothesis
+    # asserts nothing: its orbit need not converge.
+    fm, f, g, phi, start = case
+    space = fm.space
+    d2 = (Fraction(space.hi) - Fraction(space.lo)) ** 2
+    holds = pair_passes(phi, Fraction(g.a) ** 2 * d2, Fraction(f.a) ** 2 * d2, False)
+    assert fx.check_g_phi(fm, f, g, phi, samples=samples, seed=sample_seed).passed == holds
+    n = fx.horizon(phi, t0, epsilon, lam)
+    if not holds or n >= 3000:  # the exact bound below takes q**n in rationals
+        return
+    result = fx.solve_coincidence(fm, f, g, phi, fx.SolverConfig(start, epsilon, lam, t0, max_iter=n + 1))
+    assert result.converged
+    z, bound = banach_bound((f.a, f.b), (g.a, g.b), start, result.iterations, 1.0 + abs(space.lo) + abs(space.hi))
+    assert abs(Fraction(result.point) - z) <= bound
 
 
 FAULTS = ("duplicate", "whitespace", "diagonal", "negative", "asymmetric", "nan", "shared_nan", "entry", "ulp")
