@@ -193,14 +193,24 @@ def exact_square(space: Space, h, m, x: Point, y: Point):
     return s * s * sum((Fraction(p) - Fraction(q)) ** 2 for p, q in zip(x, y))
 
 
-def failing_rows(phi: PhiFunction, rows: Sequence[tuple], d_gs, d_fs, normalize: bool, squares, rho=None) -> list:
+def failing_rows(
+    phi: PhiFunction, rows: Sequence[tuple], d_gs, d_fs, normalize: bool, squares, rho=None, coincident=None
+) -> list:
     """The rows (a pair, or a pair and an image point u) that fail, by the
     float test on their ``image_distances``, else by ``pair_passes`` on
     ``squares(row)``, the squares of their exact image distances. ``rho``
-    is d_f / d_g where it is one rational for every row."""
+    is d_f / d_g where it is one rational for every row. ``coincident`` is
+    the verdict of every row whose distances are both 0, where a float 0
+    is an exact one: a finite space's table floats."""
     test, failing, expm1 = _float_test(phi, rho), [], math.expm1
     if normalize:
         d_gs, d_fs = ([-expm1(-d) for d in column] for column in (d_gs, d_fs))
+    if coincident is not None:
+        floats = test
+
+        def test(d_g, d_f):
+            return coincident if d_g == 0.0 == d_f else floats(d_g, d_f)
+
     for row, verdict in zip(rows, map(test, d_gs, d_fs)):
         if verdict is None:
             verdict = pair_passes(phi, *squares(row), normalize)
@@ -234,6 +244,10 @@ def check_g_phi(
         return fm.distance(g.apply(x), g.apply(y)), fm.distance(f.apply(x), f.apply(y))
 
     # On an unnormalized continuum d_f / d_g is |a_f| / |a_g| for every pair.
-    rho = None if isinstance(space, FiniteSpace) or space.normalize else abs(Fraction(f.a) / Fraction(g.a))
-    failing = failing_rows(phi, pairs, *image_distances(space, (g, f), h, pairs), space.normalize, squares, rho)
+    # On a finite space every row with coincident images shares one verdict.
+    finite = isinstance(space, FiniteSpace)
+    rho = None if finite or space.normalize else abs(Fraction(f.a) / Fraction(g.a))
+    coincident = pair_passes(phi, 0, 0, space.normalize) if finite else None
+    d_gs, d_fs = image_distances(space, (g, f), h, pairs)
+    failing = failing_rows(phi, pairs, d_gs, d_fs, space.normalize, squares, rho, coincident)
     return ContractionReport.of(space, phi, failing, len(pairs), distances)

@@ -97,7 +97,11 @@ def orbit(
     Raises UnknownPoint for a start outside the space. The loop grades
     nothing before n_horizon: from there it stops at the first n whose
     last cfg.window points, the start included, pass ``is_cauchy_window``
-    under ``fm``, and otherwise after max_iter steps. Returns the orbit's
+    under ``fm``, and otherwise after max_iter steps. A window passes only
+    if its newest pair (x_{n-1}, x_n) does, so each step first grades that
+    pair inline, by membership's own float expression on the points
+    carried by ``fm``'s transform, each carried once, and calls
+    ``is_cauchy_window`` only when it passes. Returns the orbit's
     points, the start first, and whether the window test stopped the
     loop; ``trace_records`` grades them when a trace is written.
 
@@ -118,13 +122,20 @@ def orbit(
     pure = isinstance(step, InverseComposite)
     if pure:
         step = step.apply_on(fm.space)
-    window, max_iter = cfg.window, cfg.max_iter
+    window, max_iter, epsilon, lam = cfg.window, cfg.max_iter, cfg.epsilon, cfg.lam
+    carry = fm.transform.apply if fm.transform is not None else lambda p: p
+    distance, level, carried = fm.space.distance, 1.0 - lam, None
     points = [cfg.start]
     for n in range(1, max_iter + 1):
         x = step(points[-1])
         points.append(x)
-        if n >= n_horizon and is_cauchy_window(fm, points[-window:], cfg.epsilon, cfg.lam):
-            return tuple(points), True
+        if n >= n_horizon:
+            if window > 1:
+                prev = carry(points[-2]) if carried is None else carried
+                carried = carry(x)
+                newest = epsilon / (epsilon + distance(prev, carried)) > level
+            if (window == 1 or newest) and is_cauchy_window(fm, points[-window:], epsilon, lam):
+                return tuple(points), True
         if pure and (x == points[-2] or n > 1 and x == points[-3]):
             period = _period(points)
             if period:
@@ -144,7 +155,7 @@ def orbit(
     n0 = max(last + 1, n_horizon)
     known = filled(min(max_iter, max(n0, last - period + window - 1) + period - 1) + 1)
     for n in range(n0, len(known)):
-        if is_cauchy_window(fm, known[max(0, n + 1 - window) : n + 1], cfg.epsilon, cfg.lam):
+        if is_cauchy_window(fm, known[max(0, n + 1 - window) : n + 1], epsilon, lam):
             return tuple(known[: n + 1]), True
     return tuple(filled(max_iter + 1)), False
 

@@ -317,6 +317,36 @@ def test_crossing_on_a_table_breakpoint_goes_to_the_exact_rule():
     assert fx.check_g_phi(fm, f, g, phi, samples=2, seed=0).passed
 
 
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize(
+    "phi",
+    [fx.TablePhi(((0.0, 0.0), (0.5, 0.0), (0.75, 0.5))), fx.LinearPhi(0.5), fx.InducedPhi(0.5, 2.0)],
+    ids=["table", "linear", "induced"],
+)
+def test_coincident_finite_rows_share_one_exact_verdict(monkeypatch, phi, normalize):
+    # a and b lie at distance 0, so (a, b) is coincident as well as (x, x),
+    # and f maps a and b to one label. The check decides every coincident
+    # row by one exact call, and each row's verdict is the per-row rule's.
+    labels = ("a", "b", "c", "d")
+    dist = ((0.0, 0.0, 1.0, 2.0), (0.0, 0.0, 1.0, 2.0), (1.0, 1.0, 0.0, 1.0), (2.0, 2.0, 1.0, 0.0))
+    space = fx.FiniteSpace(labels, dist, normalize=normalize)
+    fm = fx.FuzzyMetric(space, fx.TNorm("product"))
+    f = fx.TableMap({"a": "c", "b": "c", "c": "d", "d": "c"})
+    g = fx.PermutationBijection({"a": "b", "b": "a", "c": "d", "d": "c"})
+    rows = list(itertools.product(labels, repeat=2))
+    squares = {row: [exact_square(space, None, m, *row) for m in (g, f)] for row in rows}
+    coincident = [row for row in rows if squares[row] == [0, 0]]
+    assert len(coincident) == 6
+    calls = []
+    monkeypatch.setattr(fx.contraction, "pair_passes", lambda *args: calls.append(args[1:3]) or pair_passes(*args))
+    report = fx.check_g_phi(fm, f, g, phi)
+    assert calls.count((0, 0)) == 1
+    failing = {(c.x, c.y) for c in report.counterexamples}
+    assert failing == {row for row in rows if not pair_passes(phi, *squares[row], normalize)}
+    # A table is 0 right of 0, so it fails every coincident row; the others pass them.
+    assert {row for row in coincident if row in failing} == (set(coincident) if isinstance(phi, fx.TablePhi) else set())
+
+
 def test_one_counterexample_per_failing_pair(flagship_fm, flagship_f):
     g = fx.identity_for(flagship_fm.space)
     report = fx.check_g_phi(flagship_fm, flagship_f, g, fx.LinearPhi(0.5), samples=40, seed=0)

@@ -1,6 +1,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import fuzzfix as fx
 from conftest import line_space, raises_exactly
@@ -327,30 +329,157 @@ def test_max_iter_returns_partial_trace(flagship_fm, flagship_f, flagship_g, fla
 
 
 def test_untraced_solve_grades_only_for_the_stop_rule(monkeypatch):
-    # No grade before the horizon, then one per step at window 2 (the
-    # window's one pair); the residuals grade once per time after the loop.
+    # Nothing is measured before the horizon. From there each step measures
+    # its newest pair once, with no membership call while that pair fails;
+    # membership grades only the confirming window's pairs (one at window 2),
+    # then the residuals once per time after the loop. A membership call
+    # measures its pair too.
     events = []
-    membership = fx.FuzzyMetric.membership
+    membership, distance = fx.FuzzyMetric.membership, fx.IntervalSpace.distance
 
     def counted_membership(self, x, y, t):
         events.append("grade")
         return membership(self, x, y, t)
 
     monkeypatch.setattr(fx.FuzzyMetric, "membership", counted_membership)
+    monkeypatch.setattr(fx.IntervalSpace, "distance", lambda self, x, y: events.append("measure") or distance(self, x, y))
     _count_steps(monkeypatch, events)
     fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, 1.0), fx.TNorm("product"))
     f, g, phi = fx.AffineMap(0.5, 0.0), fx.AffineBijection(-1.0, 1.0), fx.LinearPhi(0.5)
     cfg = fx.SolverConfig(start=0.0, epsilon=1e-2, lam=1e-3)
     res = fx.solve_coincidence(fm, f, g, phi, cfg)
     assert res.converged and res.iterations > res.horizon_used
-    residuals = ["grade"] * len(cfg.times())
-    stop_rule = ["step", "grade"] * (res.iterations - res.horizon_used + 1)
-    assert events == ["step"] * (res.horizon_used - 1) + stop_rule + residuals
+    residuals = ["grade", "measure"] * len(cfg.times())
+    failing = ["step", "measure"] * (res.iterations - res.horizon_used)
+    confirming = ["step", "measure", "grade", "measure"]
+    assert events == ["step"] * (res.horizon_used - 1) + failing + confirming + residuals
 
     events.clear()
     res = fx.solve_coincidence(fm, f, g, phi, replace(cfg, max_iter=res.horizon_used - 1))
     assert not res.converged
     assert events == ["step"] * res.iterations + residuals
+
+
+def test_stop_rule_calls_the_window_test_only_on_a_passing_newest_pair(monkeypatch):
+    # At window 3 on a monotone orbit the newest pair passes a few steps
+    # before the window does: is_cauchy_window runs on exactly those steps,
+    # the last of them on the confirming window.
+    windows = []
+    is_cauchy_window = fx.solver.is_cauchy_window
+
+    def counted(fm, window, epsilon, lam):
+        windows.append(tuple(window))
+        return is_cauchy_window(fm, window, epsilon, lam)
+
+    monkeypatch.setattr(fx.solver, "is_cauchy_window", counted)
+    fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, 1.0), fx.TNorm("product"))
+    f, g, phi = fx.AffineMap(0.5, 0.25), fx.AffineBijection(1.0, 0.0), fx.LinearPhi(0.5)
+    cfg = fx.SolverConfig(start=0.0, epsilon=1e-2, lam=1e-3, window=3)
+    res = fx.solve_coincidence(fm, f, g, phi, cfg)
+    assert res.converged
+    level = 1.0 - cfg.lam
+    passing = [
+        tuple(res.orbit[max(0, n - 2) : n + 1])
+        for n in range(max(1, res.horizon_used), res.iterations + 1)
+        if cfg.epsilon / (cfg.epsilon + abs(res.orbit[n] - res.orbit[n - 1])) > level
+    ]
+    assert windows == passing and len(passing) > 1
+    assert windows[-1] == res.orbit[-3:]
+
+
+COORDS = (0.0, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def orbit_cases(draw):
+    """(metric, start, step factory) for ``solver.orbit``: x -> g^{-1}(f(x)) with a
+    reflected g on an interval, on a normalized interval, on a 2-D box or
+    with a finite permutation g, or the set-valued successor at shrinking
+    scales under the plain metric. The factory makes a fresh step, since
+    the set-valued one carries its scale."""
+    kind = draw(st.sampled_from(["reflected", "normalized", "box", "permutation", "set-valued"]))
+    a = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 0.9, 1.0]))
+    if kind in ("reflected", "normalized"):
+        lo = draw(st.sampled_from([-1.0, 0.0, 0.5]))
+        hi = lo + draw(st.sampled_from([0.25, 1.0, 2.0]))
+        space = fx.IntervalSpace(lo, hi, normalize=kind == "normalized")
+        reflect = kind == "reflected" or draw(st.booleans())
+        g = fx.AffineBijection(-1.0, lo + hi) if reflect else fx.AffineBijection(1.0, 0.0)
+        centre = (lo + hi) / 2.0
+        f = fx.AffineMap(a, centre - a * centre)
+        start = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    elif kind == "box":
+        space = fx.EuclideanSpace(2, 1.0)
+        g = fx.AffineBijection(draw(st.sampled_from([-1.0, 1.0])), 0.0)
+        f = fx.AffineMap(a, 0.0)
+        start = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(2))
+    else:
+        space = line_space(COORDS)
+        labels = list(space.labels)
+        g = fx.PermutationBijection(dict(zip(labels, draw(st.permutations(labels)))))
+        start = draw(st.sampled_from(labels))
+    fm = fx.FuzzyMetric(space, fx.TNorm("product"))
+    if kind != "set-valued":
+        if kind == "permutation":
+            f = fx.TableMap({label: draw(st.sampled_from(labels)) for label in labels})
+        return fm.g_transform(g), start, lambda: fx.InverseComposite(g, f)
+    subsets = st.lists(st.sampled_from(labels), min_size=1, max_size=3, unique=True)
+    T = fx.SetValuedMap({label: tuple(draw(subsets)) for label in labels})
+    phi = fx.LinearPhi(0.5)
+
+    def successor_factory():
+        t = 2.0
+
+        def successor(x):
+            nonlocal t
+            x_next = fx.select_successor(fm, T, g, phi, u=x, y=x, t=t)
+            t = phi.eval(t)
+            return x_next
+
+        return successor
+
+    return fm, start, successor_factory
+
+
+def _window_every_step(fm, cfg, n_horizon, step):
+    """The stop rule stepped on, with the whole window graded at every step
+    from the horizon."""
+    points = [cfg.start]
+    for n in range(1, cfg.max_iter + 1):
+        points.append(step(points[-1]))
+        if n >= n_horizon and fx.is_cauchy_window(fm, points[-cfg.window :], cfg.epsilon, cfg.lam):
+            return tuple(points), True
+    return tuple(points), False
+
+
+def _outcome(run, *args):
+    try:
+        points, stopped = run(*args)
+    except fx.NoAdmissibleSuccessor as exc:
+        return str(exc)
+    return repr(points), stopped
+
+
+@seed(20070)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    case=orbit_cases(),
+    window=st.integers(1, 4),
+    n_horizon=st.integers(0, 6),
+    max_iter=st.integers(1, 40),
+    epsilon=st.sampled_from([0.5, 1e-1, 1e-2, 1e-3]),
+    lam=st.sampled_from([0.5, 1e-1, 1e-2, 1e-3]),
+)
+def test_orbit_stops_where_the_window_test_at_every_step_does(case, window, n_horizon, max_iter, epsilon, lam):
+    # The newest pair decides no stop of its own: the orbit, and the flag,
+    # are those of grading the whole window at every step from the horizon,
+    # an orbit shorter than the window included.
+    fm, start, make_step = case
+    cfg = fx.SolverConfig(start=start, epsilon=epsilon, lam=lam, max_iter=max_iter, window=window)
+    got = _outcome(fx.solver.orbit, fm, cfg, n_horizon, make_step())
+    step = make_step()
+    expected = _outcome(_window_every_step, fm, cfg, n_horizon, step.apply if isinstance(step, fx.InverseComposite) else step)
+    assert got == expected
 
 
 def test_solve_validates_g_once_and_before_f(
