@@ -36,7 +36,8 @@ _FM6_DELTA_START = 1e-3
 _FM6_DELTA_FLOOR = 1e-12
 
 _T_LO, _T_HI = 1e-3, 2.0
-_MONO_TS = (0.0, 1e-3, 0.1, 0.5, 1.0, 2.0)
+# The monotone grid's times past 0, where it starts from FM1's grade.
+_MONO_TS = (1e-3, 0.1, 0.5, 1.0, 2.0)
 _WITNESS_CAP = 16
 
 
@@ -378,7 +379,10 @@ def verify_fm_axioms(fm: FuzzyMetric, samples: int = 10000, seed: int = 0) -> Re
     fixed grid. FM2 is sampled at t > 0 only, since FM1 pins t = 0.
 
     Any object with ``space``, ``norm`` and ``membership(x, y, t)`` can
-    be verified, so deliberately corrupted metrics are testable.
+    be verified through its ``membership``, so deliberately corrupted
+    metrics are testable. A ``FuzzyMetric`` is graded at t > 0 by
+    membership's own expression t / (t + d), bit for bit, on distances of
+    its transform's images taken once per pair; FM1 calls its membership.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -386,41 +390,52 @@ def verify_fm_axioms(fm: FuzzyMetric, samples: int = 10000, seed: int = 0) -> Re
     space = fm.space
     combine = fm.norm.combine
     mem = fm.membership
+    standard, distance = type(fm) is FuzzyMetric, space.distance
+    carry = fm.transform.apply if standard and fm.transform is not None else None
 
     fails = {name: [] for name in ("FM1", "FM2", "FM3", "FM4", "FM5", "FM6", "monotone_in_t")}
 
     for _ in range(samples):
         x, y, z = space.sample(rng, 3)
-        t = rng.uniform(_T_LO, _T_HI)
-        s = rng.uniform(_T_LO, _T_HI)
+        t = _T_LO + (_T_HI - _T_LO) * rng.random()
+        s = _T_LO + (_T_HI - _T_LO) * rng.random()
 
-        if mem(x, y, 0.0) != 0.0:
+        m_0 = mem(x, y, 0.0)
+        if m_0 != 0.0:
             fails["FM1"].append((x, y))
-        m_xy = mem(x, y, t)
+        if standard:
+            hx, hy, hz = (x, y, z) if carry is None else (carry(x), carry(y), carry(z))
+            d = distance(hx, hy)
+            m_xy, m_xx, m_yx = t / (t + d), t / (t + distance(hx, hx)), t / (t + distance(hy, hx))
+            lhs, m_yz = (t + s) / (t + s + distance(hx, hz)), s / (s + distance(hy, hz))
+        else:
+            m_xy, m_xx, m_yx, lhs, m_yz = mem(x, y, t), mem(x, x, t), mem(y, x, t), mem(x, z, t + s), mem(y, z, s)
         if not m_xy > 0.0:
             fails["FM2"].append((x, y, t, m_xy))
-        if mem(x, x, t) != 1.0:
-            fails["FM3"].append((x, x, t, mem(x, x, t)))
+        if m_xx != 1.0:
+            fails["FM3"].append((x, x, t, m_xx))
         elif m_xy == 1.0 and x != y:
             fails["FM3"].append((x, y, t, m_xy))
-        if m_xy != mem(y, x, t):
+        if m_xy != m_yx:
             fails["FM4"].append((x, y, t))
-        lhs = mem(x, z, t + s)
-        rhs = combine(m_xy, mem(y, z, s))
+        rhs = combine(m_xy, m_yz)
         if lhs < rhs:
             fails["FM5"].append((x, y, z, t, s, lhs, rhs))
 
         delta = _FM6_DELTA_START
-        while delta >= _FM6_DELTA_FLOOR and abs(mem(x, y, t + delta) - m_xy) > _FM6_TOL:
+        while delta >= _FM6_DELTA_FLOOR:
+            u = t + delta
+            if not abs((u / (u + d) if standard else mem(x, y, u)) - m_xy) > _FM6_TOL:
+                break
             delta *= 0.1
         if delta < _FM6_DELTA_FLOOR:
             fails["FM6"].append((x, y, t))
 
-        prev = mem(x, y, _MONO_TS[0])
-        for tg in _MONO_TS[1:]:
-            cur = mem(x, y, tg)
+        prev = m_0
+        for u in _MONO_TS:
+            cur = u / (u + d) if standard else mem(x, y, u)
             if cur < prev:
-                fails["monotone_in_t"].append((x, y, tg, prev, cur))
+                fails["monotone_in_t"].append((x, y, u, prev, cur))
                 break
             prev = cur
 

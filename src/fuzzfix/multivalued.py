@@ -17,7 +17,7 @@ from .contraction import ContractionReport, exact_square, failing_rows, image_di
 from .errors import NoAdmissibleSuccessor, NotDemicompact, UnknownPoint
 from .fmspace import FiniteSpace, FuzzyMetric, Point, Space
 from .maps import BijectionSpec, identity_for
-from .phi import PhiFunction, ensure_phi_class, horizon
+from .phi import PhiFunction, ensure_phi_class, horizon, pair_passes
 from .solver import SolverConfig, orbit
 from .tnorm import Grade
 
@@ -141,7 +141,9 @@ def check_setvalued_contraction(
         x, y, u = row
         return exact_square(space, h, g, x, y), min(exact_square(space, h, identity, u, v) for v in T.image(g.apply(y)))
 
-    failing = failing_rows(phi, rows, row_d_gs, d_fs, space.normalize, squares)
+    # On a finite space every row with coincident images shares one verdict.
+    coincident = pair_passes(phi, 0, 0, space.normalize) if isinstance(space, FiniteSpace) else None
+    failing = failing_rows(phi, rows, row_d_gs, d_fs, space.normalize, squares, coincident=coincident)
     return ContractionReport.of(space, phi, failing, len(pairs), distances)
 
 

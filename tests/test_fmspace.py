@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fuzzfix as fx
-from conftest import raises_exactly
+from conftest import line_space, raises_exactly
 from oracles import reference_draws
 
 
@@ -354,6 +356,60 @@ def test_corrupted_metric_fails_only_its_law(law):
     expected = [w for w in (witness(*d) for d in draws(SAMPLES, SEED)) if w is not None]
     assert len(expected) > 16
     assert report.law(law).witnesses == tuple(expected[:16])
+
+
+class Delegate:
+    """A metric seen only through ``space``, ``norm`` and ``membership``:
+    the verifier grades it by calling its membership."""
+
+    def __init__(self, fm):
+        self.space, self.norm, self.membership = fm.space, fm.norm, fm.membership
+
+
+@st.composite
+def metrics(draw):
+    """A standard metric on an interval, a box of dim 1-3 (bounded or not)
+    or a finite line, normalized or not, under each t-norm or MaxNorm,
+    which fails FM5 with witnesses that carry the grades, and relabeled by
+    a reflection or a permutation or not at all."""
+    kind, normalize = draw(st.sampled_from(("interval", "box", "finite"))), draw(st.booleans())
+    if kind == "interval":
+        lo = draw(st.integers(-8, 8)) / 4
+        space = fx.IntervalSpace(lo, lo + draw(st.integers(1, 16)) / 4, normalize)
+        relabel = fx.AffineBijection(-1.0, space.lo + space.hi)
+    elif kind == "box":
+        space = fx.EuclideanSpace(draw(st.integers(1, 3)), draw(st.sampled_from((None, 0.5, 2.0))), normalize)
+        relabel = fx.AffineBijection(-1.0, 0.0)
+    else:
+        coords = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True))
+        space = line_space([c / 8 for c in coords], normalize)
+        relabel = fx.PermutationBijection(dict(zip(space.labels, draw(st.permutations(space.labels)))))
+    norm = draw(st.sampled_from([fx.TNorm(name) for name in NORM_NAMES] + [MaxNorm()]))
+    fm = fx.FuzzyMetric(space, norm)
+    return fm.g_transform(relabel) if draw(st.booleans()) else fm
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(fm=metrics(), samples=st.integers(1, 40), seed=st.integers(0, 2 ** 32))
+def test_standard_metric_grades_as_its_membership(fm, samples, seed):
+    # The standard metric is graded inline; the reference is the path
+    # that calls membership. Every verdict, witness and count agrees.
+    assert fx.verify_fm_axioms(fm, samples, seed) == fx.verify_fm_axioms(Delegate(fm), samples, seed)
+
+
+def test_axiom_work_per_sample(monkeypatch):
+    # The standard metric calls membership once a sample, for FM1. The
+    # general path grades t = 0 once a sample, for FM1 and the grid's
+    # start alike, and each later grid time once.
+    times = []
+    membership = fx.FuzzyMetric.membership
+    monkeypatch.setattr(fx.FuzzyMetric, "membership", lambda fm, x, y, t: times.append(t) or membership(fm, x, y, t))
+    fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, 1.0), fx.TNorm("product"))
+    fx.verify_fm_axioms(fm, samples=SAMPLES, seed=SEED)
+    assert times == [0.0] * SAMPLES
+    times.clear()
+    fx.verify_fm_axioms(Delegate(fm), samples=SAMPLES, seed=SEED)
+    assert [times.count(t) for t in (0.0, 1e-3, 0.1, 0.5, 1.0, 2.0)] == [SAMPLES] * 6
 
 
 def test_axiom_report_is_deterministic(flagship_fm):

@@ -30,10 +30,13 @@ its start, and its horizon, 10^7, lies beyond max_iter, so they pin the
 repeated orbit and its stop. The ``axioms_interval`` output was captured
 before the t-norm laws came to be read from one grade table: it pins
 each law's check count at grid 21 and the fuzzy-metric laws on 3,000
-interval samples. The other outputs and the other ``.trace`` files were
-captured before the config parser and the command dispatch became
-table-driven, so they pin every report section and the trace format of
-both solvers.
+interval samples. The ``axioms_finite`` output was captured before the
+fuzzy-metric laws came to grade the standard metric by membership's own
+expression on distances taken once per pair: it pins them on 2,000
+samples of a normalized six-point table under the minimum t-norm. The
+other outputs and the other ``.trace`` files were captured before the
+config parser and the command dispatch became table-driven, so they pin
+every report section and the trace format of both solvers.
 """
 
 from pathlib import Path
@@ -57,6 +60,7 @@ CASES = (
     ("solve-set", "solve_set_permuted", 0),
     ("check-axioms", "axioms_box", 0),
     ("check-axioms", "axioms_interval", 0),
+    ("check-axioms", "axioms_finite", 0),
     ("check-phi", "phi_rational", 0),
     ("check-phi", "phi_table_fail", 1),
     ("induce-phi", "induce", 0),

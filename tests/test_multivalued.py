@@ -2,6 +2,8 @@ import pytest
 
 import fuzzfix as fx
 from conftest import line_space, raises_exactly
+from fuzzfix.contraction import exact_square
+from fuzzfix.phi import pair_passes
 from oracles import dense_grid, exhaustive_setvalued, inclusion_points, reference_orbit, relabeled_distance
 
 
@@ -94,6 +96,38 @@ def test_setvalued_matches_exhaustive_oracle(flagship_setting):
     verdict2 = fx.check_setvalued_contraction(fm2, T2, g2, phi2).passed
     oracle2, _ = exhaustive_setvalued(space, T2, g2, phi2, dense_grid(10000))
     assert verdict2 == oracle2 is False
+
+
+@pytest.mark.parametrize(
+    "phi", [fx.InducedPhi(0.5, 1.0), fx.TablePhi(((0.0, 0.0), (0.5, 0.0), (0.75, 0.5)))], ids=["induced", "table"]
+)
+def test_coincident_finite_rows_share_one_exact_verdict(monkeypatch, multivalued_space, multivalued_T, phi):
+    # The rows (x, x, u) are coincident: u lies in T(x) itself. There are
+    # four, as T(1) holds two points. The check decides them by one exact
+    # call, and each row's verdict is the per-row rule's.
+    space, T = multivalued_space, multivalued_T
+    fm, g = fx.FuzzyMetric(space, fx.TNorm("product")), fx.identity_for(space)
+    rows = [(x, y, u) for x in space.labels for y in space.labels for u in T.image(x)]
+
+    def squares(x, y, u):
+        return exact_square(space, None, g, x, y), min(exact_square(space, None, g, u, v) for v in T.image(y))
+
+    coincident = {row for row in rows if squares(*row) == (0, 0)}
+    assert len(coincident) == 4
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return pair_passes(*args)
+
+    monkeypatch.setattr(fx.contraction, "pair_passes", counted)
+    monkeypatch.setattr(fx.multivalued, "pair_passes", counted)
+    report = fx.check_setvalued_contraction(fm, T, g, phi)
+    assert calls.count((0, 0)) == 1
+    failing = {(c.x, c.y, c.u) for c in report.counterexamples}
+    assert failing == {row for row in rows if not pair_passes(phi, *squares(*row), False)}
+    # A table is 0 right of 0, so it fails every coincident row; induced passes every row.
+    assert coincident <= failing if isinstance(phi, fx.TablePhi) else not failing
 
 
 def test_continuum_space_needs_pair_plan(unit_interval):
