@@ -14,8 +14,9 @@ only a continuum's pair sample is approximate; a finite space takes every
 pair. ``check_g_phi`` and the set-valued check decide their rows in the one
 kernel ``failing_rows``: a float test where a certified margin covers the
 rounding, else the exact rule ``phi.pair_passes`` in rationals, as adaptive
-predicates do (Shewchuk, 1997). Only the counterexamples a report keeps map
-points, in ``replay``.
+predicates do (Shewchuk, 1997), once per distinct pair of a finite space's
+exact table floats. Only the counterexamples a report keeps map points, in
+``replay``.
 
 No other hypothesis is checked here. A map that passes with phi(t) < t is
 already uniformly continuous from the g-transformed uniformity, and a
@@ -28,7 +29,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat, starmap
+from itertools import compress, repeat, starmap
 from operator import mul, sub
 from typing import List, Optional, Sequence, Tuple
 
@@ -78,10 +79,10 @@ class ContractionReport:
         """The report of ``checked`` pairs from the failing rows: only the
         first MAX_COUNTEREXAMPLES in point order, ties in scan order, are
         ``replay``ed from ``distances(*row)``, their float images' (d_g, d_f).
-        A finite space ranks rows by label index; on an interval or a box a
-        point is its own key, so rows rank by themselves."""
-        key = (lambda row: tuple(map(space.point_key, row))) if isinstance(space, FiniteSpace) else None
-        kept = heapq.nsmallest(MAX_COUNTEREXAMPLES, failing, key=key)
+        A finite space's rows arrive in label order; on an interval or a box
+        a point is its own key, so rows rank by themselves."""
+        finite = isinstance(space, FiniteSpace)
+        kept = failing[:MAX_COUNTEREXAMPLES] if finite else heapq.nsmallest(MAX_COUNTEREXAMPLES, failing)
         counterexamples = tuple(replay(phi, row, *distances(*row)) for row in kept)
         return cls(not failing, checked, counterexamples, "threshold-reduction")
 
@@ -178,39 +179,38 @@ def _float_test(phi: PhiFunction, rho=None):
     return induced
 
 
-def exact_square(space: Space, h, m, x: Point, y: Point):
-    """The square of the exact distance of h(m(x)) and h(m(y)) before
-    normalization, a rational (h the metric's transform, or None): the
-    table float on a finite space, (|a| |a_h|)**2 |x - y|**2 on a continuum."""
+def exact_square(h, m, x: Point, y: Point):
+    """The square of the exact distance of h(m(x)) and h(m(y)) on a
+    continuum before normalization, a rational (h the metric's transform,
+    or None): (|a| |a_h|)**2 |x - y|**2."""
     from fractions import Fraction
 
-    if isinstance(space, FiniteSpace):
-        x, y = (m.apply(p) if h is None else h.apply(m.apply(p)) for p in (x, y))
-        d = space.dist[space.index(x)][space.index(y)]
-        return Fraction(d) ** 2 if d else 0
     x, y = (p if type(p) is tuple else (p,) for p in (x, y))
     s = Fraction(m.a) * Fraction(1.0 if h is None else h.a)
     return s * s * sum((Fraction(p) - Fraction(q)) ** 2 for p, q in zip(x, y))
 
 
-def failing_rows(
-    phi: PhiFunction, rows: Sequence[tuple], d_gs, d_fs, normalize: bool, squares, rho=None, coincident=None
-) -> list:
-    """The rows (a pair, or a pair and an image point u) that fail, by the
-    float test on their ``image_distances``, else by ``pair_passes`` on
-    ``squares(row)``, the squares of their exact image distances. ``rho``
-    is d_f / d_g where it is one rational for every row. ``coincident`` is
-    the verdict of every row whose distances are both 0, where a float 0
-    is an exact one: a finite space's table floats."""
+def failing_rows(phi: PhiFunction, rows: Sequence[tuple], d_gs, d_fs, normalize: bool, squares=None, rho=None) -> list:
+    """The rows (a pair, or a pair and an image point u) that fail, in row
+    order, by the float test on their ``image_distances``, else by
+    ``pair_passes`` on ``squares(row)``, the squares of their exact image
+    distances. ``rho`` is d_f / d_g where it is one rational for every row.
+    Without ``squares`` they are a finite space's table floats, which are
+    exact, and each distinct (d_g, d_f), (0, 0) for coincident rows, is
+    decided once, by the squares of those floats if the test cannot."""
     test, failing, expm1 = _float_test(phi, rho), [], math.expm1
+    if squares is None:
+        from fractions import Fraction
+
+        fails = dict.fromkeys(zip(d_gs, d_fs))
+        for d_g, d_f in fails:
+            verdict = test(-expm1(-d_g), -expm1(-d_f)) if normalize else test(d_g, d_f)
+            if verdict is None:
+                verdict = pair_passes(phi, Fraction(d_g) ** 2, Fraction(d_f) ** 2, normalize)
+            fails[d_g, d_f] = not verdict
+        return list(compress(rows, map(fails.__getitem__, zip(d_gs, d_fs))))
     if normalize:
         d_gs, d_fs = ([-expm1(-d) for d in column] for column in (d_gs, d_fs))
-    if coincident is not None:
-        floats = test
-
-        def test(d_g, d_f):
-            return coincident if d_g == 0.0 == d_f else floats(d_g, d_f)
-
     for row, verdict in zip(rows, map(test, d_gs, d_fs)):
         if verdict is None:
             verdict = pair_passes(phi, *squares(row), normalize)
@@ -238,16 +238,14 @@ def check_g_phi(
     pairs = sample_pairs(space, samples, seed)
 
     def squares(pair):
-        return [exact_square(space, h, m, *pair) for m in (g, f)]
+        return [exact_square(h, m, *pair) for m in (g, f)]
 
     def distances(x, y):
         return fm.distance(g.apply(x), g.apply(y)), fm.distance(f.apply(x), f.apply(y))
 
-    # On an unnormalized continuum d_f / d_g is |a_f| / |a_g| for every pair.
-    # On a finite space every row with coincident images shares one verdict.
+    # A finite space is decided on its table floats; on an unnormalized continuum d_f / d_g is |a_f| / |a_g|.
     finite = isinstance(space, FiniteSpace)
     rho = None if finite or space.normalize else abs(Fraction(f.a) / Fraction(g.a))
-    coincident = pair_passes(phi, 0, 0, space.normalize) if finite else None
     d_gs, d_fs = image_distances(space, (g, f), h, pairs)
-    failing = failing_rows(phi, pairs, d_gs, d_fs, space.normalize, squares, rho, coincident)
+    failing = failing_rows(phi, pairs, d_gs, d_fs, space.normalize, None if finite else squares, rho)
     return ContractionReport.of(space, phi, failing, len(pairs), distances)

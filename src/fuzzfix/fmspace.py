@@ -124,8 +124,8 @@ class FiniteSpace:
         return _d1(d) if self.normalize else d
 
     def sample(self, rng: random.Random, n: int) -> List[Point]:
-        """n labels drawn from rng, one ``randrange`` each."""
-        return [self.labels[rng.randrange(len(self.labels))] for _ in range(n)]
+        """n labels drawn from rng, one ``choice`` each."""
+        return [rng.choice(self.labels) for _ in range(n)]
 
     def point_key(self, p: Point):
         return self.index(p)

@@ -17,7 +17,7 @@ from .contraction import ContractionReport, exact_square, failing_rows, image_di
 from .errors import NoAdmissibleSuccessor, NotDemicompact, UnknownPoint
 from .fmspace import FiniteSpace, FuzzyMetric, Point, Space
 from .maps import BijectionSpec, identity_for
-from .phi import PhiFunction, ensure_phi_class, horizon, pair_passes
+from .phi import PhiFunction, ensure_phi_class, horizon
 from .solver import SolverConfig, orbit
 from .tnorm import Grade
 
@@ -109,26 +109,29 @@ def check_setvalued_contraction(
     spaces need an explicit pair plan. Each image point u of gx is judged
     as in ``check_g_phi``, with its nearest image point v of gy, which
     grades best at every scale. A counterexample records the u with no
-    admissible v, with the consequent being that best grade.
+    admissible v, with the consequent being that best grade. A finite
+    space's rows are built in label order, ties in scan order.
     """
     ensure_phi_class(phi)
-    space = fm.space
+    space, finite = fm.space, isinstance(fm.space, FiniteSpace)
     g.validate_bijection(space)
     validate_setvalued(space, T)
     if pairs is None:
-        if not isinstance(space, FiniteSpace):
+        if not finite:
             raise ValueError("an explicit pair plan is required on continuum spaces")
         eligible = [x for x in space.labels if g.apply(x) in T.images]
         pairs = [(x, y) for x in eligible for y in eligible]
     d_gs, = image_distances(space, (g,), fm.transform, pairs)
+    key = space.point_key  # sorted after image_distances, which raises on an unknown label
+    plan = sorted(zip(pairs, d_gs), key=lambda row: (key(row[0][0]), key(row[0][1]))) if finite else zip(pairs, d_gs)
     points = {p for values in T.images.values() for p in values}
     between = [(u, v) for u in points for v in points]
     identity, h = identity_for(space), fm.transform
     near = dict(zip(between, image_distances(space, (identity,), h, between)[0]))
     rows, row_d_gs, d_fs = [], [], []
-    for (x, y), d_g in zip(pairs, d_gs):
+    for (x, y), d_g in plan:
         images_u, images_v = T.image(g.apply(x)), T.image(g.apply(y))
-        for u in images_u:
+        for u in sorted(images_u, key=key) if finite else images_u:
             rows.append((x, y, u))
             row_d_gs.append(d_g)
             d_fs.append(min(near[u, v] for v in images_v))
@@ -139,11 +142,9 @@ def check_setvalued_contraction(
 
     def squares(row):
         x, y, u = row
-        return exact_square(space, h, g, x, y), min(exact_square(space, h, identity, u, v) for v in T.image(g.apply(y)))
+        return exact_square(h, g, x, y), min(exact_square(h, identity, u, v) for v in T.image(g.apply(y)))
 
-    # On a finite space every row with coincident images shares one verdict.
-    coincident = pair_passes(phi, 0, 0, space.normalize) if isinstance(space, FiniteSpace) else None
-    failing = failing_rows(phi, rows, row_d_gs, d_fs, space.normalize, squares, coincident=coincident)
+    failing = failing_rows(phi, rows, row_d_gs, d_fs, space.normalize, None if finite else squares)
     return ContractionReport.of(space, phi, failing, len(pairs), distances)
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 from decimal import Decimal, Inexact, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -230,7 +231,7 @@ def _failing_pairs(a, cap, k=0.5):
     report = fx.check_g_phi(fm, f, g, phi, samples=2000, seed=1)
     pairs = fx.sample_pairs(fm.space, 2000, 1)
     distances = image_distances(fm.space, (g, f), fm.transform, pairs)
-    squares = lambda pair: [exact_square(fm.space, None, m, *pair) for m in (g, f)]  # noqa: E731
+    squares = lambda pair: [exact_square(None, m, *pair) for m in (g, f)]  # noqa: E731
     return report, len(failing_rows(phi, pairs, *distances, False, squares))
 
 
@@ -310,7 +311,7 @@ def test_crossing_on_a_table_breakpoint_goes_to_the_exact_rule():
     (d_g,), (d_f,) = image_distances(space, (g, f), None, [pair])
     assert fx.crossing_time(d_g) < 0.75
     assert _float_test(phi)(d_g, d_f) is None
-    assert pair_passes(phi, *(exact_square(space, None, m, *pair) for m in (g, f)), False)
+    assert pair_passes(phi, *(exact_square(None, m, *pair) for m in (g, f)), False)
     with localcontext() as ctx:
         ctx.prec = DIGITS
         assert exact_pass(phi, exact_distance(fm, g, *pair), exact_distance(fm, f, *pair))
@@ -324,25 +325,34 @@ def test_crossing_on_a_table_breakpoint_goes_to_the_exact_rule():
     ids=["table", "linear", "induced"],
 )
 def test_coincident_finite_rows_share_one_exact_verdict(monkeypatch, phi, normalize):
-    # a and b lie at distance 0, so (a, b) is coincident as well as (x, x),
-    # and f maps a and b to one label. The check decides every coincident
-    # row by one exact call, and each row's verdict is the per-row rule's.
+    # a and b lie at distance 0, written -0.0, so (a, b) is coincident as
+    # well as (x, x), and f maps a and b to one label. The check decides
+    # each distinct pair of table distances by at most one exact call, and
+    # the coincident rows, whose g-distance is 0.0 or -0.0, by one. Each
+    # row's verdict is the per-row rule's on the squares of its table
+    # floats, and the failing rows are reported in label order.
     labels = ("a", "b", "c", "d")
-    dist = ((0.0, 0.0, 1.0, 2.0), (0.0, 0.0, 1.0, 2.0), (1.0, 1.0, 0.0, 1.0), (2.0, 2.0, 1.0, 0.0))
+    dist = ((0.0, -0.0, 1.0, 2.0), (-0.0, 0.0, 1.0, 2.0), (1.0, 1.0, 0.0, 1.0), (2.0, 2.0, 1.0, 0.0))
     space = fx.FiniteSpace(labels, dist, normalize=normalize)
     fm = fx.FuzzyMetric(space, fx.TNorm("product"))
     f = fx.TableMap({"a": "c", "b": "c", "c": "d", "d": "c"})
     g = fx.PermutationBijection({"a": "b", "b": "a", "c": "d", "d": "c"})
     rows = list(itertools.product(labels, repeat=2))
-    squares = {row: [exact_square(space, None, m, *row) for m in (g, f)] for row in rows}
-    coincident = [row for row in rows if squares[row] == [0, 0]]
+
+    def table(m, x, y):
+        return space.dist[space.index(m.apply(x))][space.index(m.apply(y))]
+
+    squares = {row: (Fraction(table(g, *row)) ** 2, Fraction(table(f, *row)) ** 2) for row in rows}
+    coincident = [row for row in rows if squares[row] == (0, 0)]
     assert len(coincident) == 6
+    assert {math.copysign(1.0, table(g, *row)) for row in coincident} == {-1.0, 1.0}
     calls = []
     monkeypatch.setattr(fx.contraction, "pair_passes", lambda *args: calls.append(args[1:3]) or pair_passes(*args))
     report = fx.check_g_phi(fm, f, g, phi)
     assert calls.count((0, 0)) == 1
-    failing = {(c.x, c.y) for c in report.counterexamples}
-    assert failing == {row for row in rows if not pair_passes(phi, *squares[row], normalize)}
+    assert len(calls) == len(set(calls)) and set(calls) <= set(squares.values())
+    failing = [(c.x, c.y) for c in report.counterexamples]
+    assert failing == [row for row in rows if not pair_passes(phi, *squares[row], normalize)]
     # A table is 0 right of 0, so it fails every coincident row; the others pass them.
     assert {row for row in coincident if row in failing} == (set(coincident) if isinstance(phi, fx.TablePhi) else set())
 

@@ -38,6 +38,17 @@ def test_sample_draws_what_one_point_draws_would(space):
     assert all(space.contains(p) for p in drawn)
 
 
+@pytest.mark.parametrize("size", range(1, 8))
+def test_finite_sample_draws_as_randrange_over_the_labels(size):
+    # One choice over the labels draws what one randrange over their count
+    # picks, and leaves the generator in the same state.
+    space = line_space(range(size))
+    for seed in (0, 1, 5, 2 ** 40 + 3):
+        rng, reference = random.Random(seed), random.Random(seed)
+        assert space.sample(rng, 60) == [space.labels[reference.randrange(size)] for _ in range(60)]
+        assert rng.random() == reference.random()
+
+
 NAN = float("nan")
 # (labels, table, message): each fault, with the message the validation names it by.
 INVALID_FINITE = (

@@ -21,6 +21,11 @@ points on a line to p0, all but p10, which it sends to p1, and linear(0.9)
 fails only the four pairs of p10 with its neighbours, where both distances
 are 1. Its 20 samples used to draw none of them, so the check exited 0 over
 20 pairs; it pins the failure over all 144 and the four counterexamples. The
+``finite_induced_ties`` report was captured before a finite check came to
+decide each distinct pair of table distances once: f sends p_i to p_(i//2)
+on a 20-point line, and induced(0.5, 19) meets 180 pairs at the exact tie
+d_f = d_g / 2, which only the exact rule decides. 90 of the 400 pairs fail,
+and it pins the first 64 of them in label order. The
 ``threshold`` and ``induce`` outputs were regenerated when the crossing
 time came to be computed one way, in the stable closed form: they pin
 the threshold as the onset and the induced curve. The ``solve_foregone``
@@ -55,6 +60,7 @@ CASES = (
     ("check-contraction", "finite_permutation", 1),
     ("check-contraction", "table_breakpoint", 0),
     ("check-contraction", "finite_every_pair", 1),
+    ("check-contraction", "finite_induced_ties", 1),
     ("threshold", "threshold", 0),
     ("solve-set", "solve_set", 0),
     ("solve-set", "solve_set_permuted", 0),

@@ -1,8 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 import fuzzfix as fx
 from conftest import line_space, raises_exactly
-from fuzzfix.contraction import exact_square
 from fuzzfix.phi import pair_passes
 from oracles import dense_grid, exhaustive_setvalued, inclusion_points, reference_orbit, relabeled_distance
 
@@ -103,31 +104,63 @@ def test_setvalued_matches_exhaustive_oracle(flagship_setting):
 )
 def test_coincident_finite_rows_share_one_exact_verdict(monkeypatch, multivalued_space, multivalued_T, phi):
     # The rows (x, x, u) are coincident: u lies in T(x) itself. There are
-    # four, as T(1) holds two points. The check decides them by one exact
-    # call, and each row's verdict is the per-row rule's.
+    # four, as T(1) holds two points. The check decides each distinct pair
+    # of table distances by at most one exact call, the coincident rows by
+    # one, and each row's verdict is the per-row rule's on the squares of
+    # its table floats.
     space, T = multivalued_space, multivalued_T
     fm, g = fx.FuzzyMetric(space, fx.TNorm("product")), fx.identity_for(space)
     rows = [(x, y, u) for x in space.labels for y in space.labels for u in T.image(x)]
 
+    def table(p, q):
+        return space.dist[space.index(p)][space.index(q)]
+
     def squares(x, y, u):
-        return exact_square(space, None, g, x, y), min(exact_square(space, None, g, u, v) for v in T.image(y))
+        return Fraction(table(x, y)) ** 2, min(Fraction(table(u, v)) ** 2 for v in T.image(y))
 
     coincident = {row for row in rows if squares(*row) == (0, 0)}
     assert len(coincident) == 4
     calls = []
-
-    def counted(*args):
-        calls.append(args[1:3])
-        return pair_passes(*args)
-
-    monkeypatch.setattr(fx.contraction, "pair_passes", counted)
-    monkeypatch.setattr(fx.multivalued, "pair_passes", counted)
+    monkeypatch.setattr(fx.contraction, "pair_passes", lambda *args: calls.append(args[1:3]) or pair_passes(*args))
     report = fx.check_setvalued_contraction(fm, T, g, phi)
     assert calls.count((0, 0)) == 1
-    failing = {(c.x, c.y, c.u) for c in report.counterexamples}
-    assert failing == {row for row in rows if not pair_passes(phi, *squares(*row), False)}
+    assert len(calls) == len(set(calls)) and set(calls) <= {squares(*row) for row in rows}
+    failing = [(c.x, c.y, c.u) for c in report.counterexamples]
+    assert failing == [row for row in rows if not pair_passes(phi, *squares(*row), False)]
     # A table is 0 right of 0, so it fails every coincident row; induced passes every row.
-    assert coincident <= failing if isinstance(phi, fx.TablePhi) else not failing
+    assert coincident <= set(failing) if isinstance(phi, fx.TablePhi) else not failing
+
+
+def test_finite_counterexamples_come_in_label_order():
+    # Image lists out of label order that repeat a point, and an explicit
+    # plan out of order that repeats a pair: counterexamples come in label
+    # order of (x, y, u), a repeated row as often as it was scanned, as
+    # ranking the failing rows by label index keeps them.
+    space = line_space((0.0, 1.0, 2.0, 3.0))
+    fm, g, phi = fx.FuzzyMetric(space, fx.TNorm("product")), fx.identity_for(space), fx.LinearPhi(0.5)
+    T = fx.SetValuedMap(
+        {"0.0": ("3.0", "0.0", "3.0"), "1.0": ("2.0", "0.0"), "2.0": ("3.0", "1.0", "1.0"), "3.0": ("0.0",)}
+    )
+
+    def square(p, q):
+        return Fraction(space.dist[space.index(p)][space.index(q)]) ** 2
+
+    def fails(x, y, u):
+        return not pair_passes(phi, square(x, y), min(square(u, v) for v in T.image(y)), False)
+
+    def expected(pairs):
+        failing = [(x, y, u) for x, y in pairs for u in T.image(x) if fails(x, y, u)]
+        return sorted(failing, key=lambda row: tuple(map(space.index, row)))
+
+    every = [(x, y) for x in space.labels for y in space.labels]
+    plan = [("2.0", "0.0"), ("0.0", "3.0"), ("2.0", "0.0"), ("1.0", "3.0"), ("0.0", "1.0"), ("3.0", "2.0")]
+    for pairs, given in ((every, None), (plan, plan)):
+        report = fx.check_setvalued_contraction(fm, T, g, phi, pairs=given)
+        failing = [(c.x, c.y, c.u) for c in report.counterexamples]
+        assert 1 < len(set(failing)) < len(failing) == len(expected(pairs))
+        assert failing == expected(pairs)
+    # An unknown label in a plan still raises the KeyError of its table lookup.
+    raises_exactly(lambda: fx.check_setvalued_contraction(fm, T, g, phi, pairs=[("0.0", "zz")]), KeyError, "'zz'")
 
 
 def test_continuum_space_needs_pair_plan(unit_interval):
