@@ -15,8 +15,10 @@ pair. ``check_g_phi`` and the set-valued check decide their rows in the one
 kernel ``failing_rows``: a float test where a certified margin covers the
 rounding, else the exact rule ``phi.pair_passes`` in rationals, as adaptive
 predicates do (Shewchuk, 1997), once per distinct pair of a finite space's
-exact table floats. Only the counterexamples a report keeps map points, in
-``replay``.
+exact table floats. On an unnormalized continuum, where d_f / d_g is one
+rational, ``check_g_phi`` decides a row by one bisect of d_g in its
+``piece_table``, and only rows near a cut go to that kernel. Only the
+counterexamples a report keeps map points, in ``replay``.
 
 No other hypothesis is checked here. A map that passes with phi(t) < t is
 already uniformly continuous from the g-transformed uniformity, and a
@@ -28,9 +30,12 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress, repeat, starmap
-from operator import mul, sub
+from operator import is_, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
 # threshold stays importable here: perfbench/tests checks that its tracer rebinds and restores it in this module.
@@ -134,7 +139,7 @@ def image_distances(space: Space, maps: Sequence, h, pairs: Sequence) -> List[Li
     return [list(map(mul, repeat(abs(m.a) * a_h), delta)) for m in maps]
 
 
-def _float_test(phi: PhiFunction, rho=None):
+def _float_test(phi: PhiFunction):
     """test(d_g, d_f): a row's verdict from its float distances where a
     certified margin covers their error, else None. tau(d_g) lies within e =
     4 * 2**-53 + DISTANCE_ERROR of the closed-form crossing t, relatively
@@ -148,8 +153,7 @@ def _float_test(phi: PhiFunction, rho=None):
     the raw consequent's 5 units, and for an induced eval e / k, as it turns
     to its tail at the float ``tau_cap``, within 4 units of tau(cap), where
     its slopes 1 / k and k part. Below its cap an induced modulus passes iff
-    d_f <= k d_g, compared within the distances' error, or decided once per
-    check where ``rho`` = d_f / d_g is one rational for all rows."""
+    d_f <= k d_g, compared within the distances' error."""
     modulus, error = phi.eval, CROSSING_ERROR + DISTANCE_ERROR
     below, above = 1.0 - 2.0 * error, 1.0 + 2.0 * error
     margin = 2.0 * (17 * _U + DISTANCE_ERROR + (error / phi.k if isinstance(phi, InducedPhi) else 0.0))
@@ -165,18 +169,41 @@ def _float_test(phi: PhiFunction, rho=None):
     if not isinstance(phi, InducedPhi):
         return bracketed
     k_lo, k_hi, cap_lo = (x * (1.0 + e * DISTANCE_ERROR) for x, e in ((phi.k, -4), (phi.k, 4), (phi.cap, -4)))
-    fits = None if rho is None else rho <= phi.k  # exact: a Fraction compares with a float exactly
 
     def induced(d_g, d_f):
         if d_g > cap_lo - _TINY:
             return bracketed(d_g, d_f)
-        if fits is not None and d_g > 0.0:
-            return fits
         if d_f < k_lo * d_g - _TINY:
             return True
         return False if d_f > k_hi * d_g + _TINY else None
 
     return induced
+
+
+def piece_table(phi: PhiFunction, rho) -> Tuple[list, list]:
+    """(bounds, fails) for rows whose d_f / d_g is the rational rho: a row at
+    float g-distance d_g fails iff fails[bisect_right(bounds, d_g)], and is
+    undecided where that is None. Its exact verdict, phi.passes(rho, d**2) at
+    d > 0, steps only at 0 and at phi.cuts(rho), so each piece between cuts
+    takes the verdict of one rational point inside it. A d_g within a cut's
+    enclosure (DISTANCE_ERROR, the cut's rounding to at most the largest
+    float, and _TINY), at inf or NaN, or above an induced modulus's cap,
+    where its rule compares roots, is undecided."""
+    from fractions import Fraction
+
+    cuts = sorted(map(Fraction, {0, *phi.cuts(rho)}))
+    top = cuts[-1] if isinstance(phi, InducedPhi) else None
+    below, above = 1.0 - 2.0 * (DISTANCE_ERROR + _U), 1.0 + 2.0 * (DISTANCE_ERROR + _U)
+    bounds, fails = [], [None]
+    for cut, mid in zip(cuts, [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [cuts[-1] + 1]):
+        c = float(min(cut, sys.float_info.max))
+        lo, hi, verdict = c * below - _TINY, c * above + _TINY, None if cut == top else not phi.passes(rho, mid * mid)
+        if bounds and lo <= bounds[-1]:  # enclosures that meet make one: the piece between is undecided
+            bounds[-1], fails[-1] = hi, verdict
+        else:
+            bounds += [lo, hi]
+            fails += [None, verdict]
+    return bounds + [math.inf], fails + [None]
 
 
 def exact_square(h, m, x: Point, y: Point):
@@ -190,25 +217,28 @@ def exact_square(h, m, x: Point, y: Point):
     return s * s * sum((Fraction(p) - Fraction(q)) ** 2 for p, q in zip(x, y))
 
 
-def failing_rows(phi: PhiFunction, rows: Sequence[tuple], d_gs, d_fs, normalize: bool, squares=None, rho=None) -> list:
+def failing_rows(phi: PhiFunction, rows: Sequence[tuple], d_gs, d_fs, normalize: bool, squares=None) -> list:
     """The rows (a pair, or a pair and an image point u) that fail, in row
     order, by the float test on their ``image_distances``, else by
     ``pair_passes`` on ``squares(row)``, the squares of their exact image
-    distances. ``rho`` is d_f / d_g where it is one rational for every row.
-    Without ``squares`` they are a finite space's table floats, which are
-    exact, and each distinct (d_g, d_f), (0, 0) for coincident rows, is
-    decided once, by the squares of those floats if the test cannot."""
-    test, failing, expm1 = _float_test(phi, rho), [], math.expm1
+    distances: a normalized continuum's rows, the set-valued check's, and
+    the rows that an unnormalized continuum's ``piece_table`` leaves
+    undecided. Without ``squares`` they are a finite space's table floats,
+    which are exact, and each distinct (d_g, d_f), (0, 0) for coincident
+    rows, is decided once, by the squares of those floats if the test
+    cannot."""
+    test, failing, expm1 = _float_test(phi), [], math.expm1
     if squares is None:
         from fractions import Fraction
 
-        fails = dict.fromkeys(zip(d_gs, d_fs))
-        for d_g, d_f in fails:
+        @cache  # one hash a row: a key's first row decides it
+        def fails(d_g, d_f):
             verdict = test(-expm1(-d_g), -expm1(-d_f)) if normalize else test(d_g, d_f)
             if verdict is None:
                 verdict = pair_passes(phi, Fraction(d_g) ** 2, Fraction(d_f) ** 2, normalize)
-            fails[d_g, d_f] = not verdict
-        return list(compress(rows, map(fails.__getitem__, zip(d_gs, d_fs))))
+            return not verdict
+
+        return list(compress(rows, map(fails, d_gs, d_fs)))
     if normalize:
         d_gs, d_fs = ([-expm1(-d) for d in column] for column in (d_gs, d_fs))
     for row, verdict in zip(rows, map(test, d_gs, d_fs)):
@@ -243,9 +273,18 @@ def check_g_phi(
     def distances(x, y):
         return fm.distance(g.apply(x), g.apply(y)), fm.distance(f.apply(x), f.apply(y))
 
-    # A finite space is decided on its table floats; on an unnormalized continuum d_f / d_g is |a_f| / |a_g|.
-    finite = isinstance(space, FiniteSpace)
-    rho = None if finite or space.normalize else abs(Fraction(f.a) / Fraction(g.a))
     d_gs, d_fs = image_distances(space, (g, f), h, pairs)
-    failing = failing_rows(phi, pairs, d_gs, d_fs, space.normalize, None if finite else squares, rho)
+    finite = isinstance(space, FiniteSpace)
+    if finite or space.normalize:
+        failing = failing_rows(phi, pairs, d_gs, d_fs, space.normalize, None if finite else squares)
+    else:
+        # d_f / d_g is |a_f| / |a_g| on every row: one bisect decides a row
+        # off its cuts, and the rows near one take the float test, then the exact rule.
+        bounds, fails = piece_table(phi, abs(Fraction(f.a) / Fraction(g.a)))
+        marks = list(map(fails.__getitem__, map(bisect_right, repeat(bounds), d_gs)))
+        near = list(compress(range(len(marks)), map(is_, marks, repeat(None))))
+        near_d = ([column[i] for i in near] for column in (d_gs, d_fs))
+        for i in failing_rows(phi, near, *near_d, False, lambda i: squares(pairs[i])):
+            marks[i] = True
+        failing = list(compress(pairs, marks))
     return ContractionReport.of(space, phi, failing, len(pairs), distances)

@@ -75,19 +75,21 @@ def select_successor(
     u: Point,
     y: Point,
     t: float,
+    bound: bool = True,
 ) -> Point:
     """The image point of T(g(y)) closest to u at scale phi(t).
 
     Maximizes membership(u, v, phi(t)); ties break toward the earlier
     point in canonical order. Raises NoAdmissibleSuccessor when even the
     maximizer misses the strict bound, i.e. the contraction condition
-    fails at this step.
+    fails at this step; with ``bound`` False, as the hypothesis sets none,
+    the maximizer is returned unchecked.
     """
     if not t > 0.0:
         raise ValueError("t must be positive")
     scaled = phi.eval(t)
     best, best_grade = _closest(fm, T.image(g.apply(y)), u, scaled)
-    if not best_grade > 1.0 - scaled:
+    if bound and not best_grade > 1.0 - scaled:
         raise NoAdmissibleSuccessor(
             f"no image point of {y!r} is admissible at scale {scaled!r} "
             f"(best grade {best_grade!r})"
@@ -203,12 +205,12 @@ def solve_inclusion(
             "set-valued solve on a continuum space requires assume_demicompact=True"
         )
 
-    t = cfg.t0
+    t, bound = cfg.t0, False
 
     def successor(x: Point) -> Point:
-        nonlocal t
-        x_next = select_successor(fm, T, g, phi, u=x, y=x, t=t)
-        t = phi.eval(t)
+        nonlocal t, bound
+        x_next = select_successor(fm, T, g, phi, u=x, y=x, t=t, bound=bound)
+        t, bound = phi.eval(t) if bound else t, True
         return x_next
 
     points, stopped = orbit(fm, cfg, horizon(phi, cfg.t0, cfg.epsilon, cfg.lam), successor)

@@ -57,6 +57,12 @@ def _versus(d2, c) -> int:
     return (lhs > rhs) - (lhs < rhs)
 
 
+def _gap(c):
+    """The distance d with tau(d) = c, where a rule on tau(d) <= c steps, for a
+    rational c in (0, 1); else 0, where every verdict steps to the coincident one."""
+    return c * c / (1 - c) if 0 < c < 1 else 0
+
+
 def _root_bounds(q, bits: int):
     """Rationals lo <= sqrt(q) <= hi, equal where sqrt(q) is rational and
     else about 2**-bits of it apart, for a rational q > 0."""
@@ -169,6 +175,13 @@ class LinearPhi:
         k = Fraction(self.k)
         return rho < k and _versus(d2, (k * k - rho) / (k * (k - rho))) <= 0
 
+    def cuts(self, rho) -> list:
+        """The distances d > 0 at which ``passes(rho, d**2)`` may step."""
+        from fractions import Fraction
+
+        k = Fraction(self.k)
+        return [_gap((k * k - rho) / (k * (k - rho)))] if rho < k else []
+
 
 @dataclass(frozen=True)
 class RationalPhi:
@@ -198,6 +211,10 @@ class RationalPhi:
         """As ``LinearPhi.passes``: tau(d) / (1 + tau(d)) >= tau(rho d) iff
         rho < 1 and tau(d) <= (1 - rho) / (1 + rho)."""
         return rho < 1 and _versus(d2, (1 - rho) / (1 + rho)) <= 0
+
+    def cuts(self, rho) -> list:
+        """As ``LinearPhi.cuts``."""
+        return [_gap((1 - rho) / (1 + rho))]
 
 
 @dataclass(frozen=True)
@@ -279,6 +296,11 @@ class InducedPhi:
                 return False
         return True
 
+    def cuts(self, rho) -> list:
+        """As ``LinearPhi.cuts`` up to the cap, where the rule changes; past
+        it the rule compares enclosed roots, and its steps are not listed."""
+        return [self.cap]
+
 
 @dataclass(frozen=True)
 class TablePhi:
@@ -326,6 +348,12 @@ class TablePhi:
 
         values = [v for t, v in self.points if _versus(d2, Fraction(t)) >= 0]
         return _versus(rho * rho * d2, Fraction(values[-1] if values else 0.0)) < 0
+
+    def cuts(self, rho) -> list:
+        """As ``LinearPhi.cuts``: where tau(d) meets a breakpoint, or tau(rho d) a value."""
+        from fractions import Fraction
+
+        return [_gap(Fraction(t)) for t in self._ts] + [_gap(Fraction(v)) / rho for v in self._values if rho]
 
 
 PhiFunction = Union[LinearPhi, RationalPhi, InducedPhi, TablePhi]

@@ -298,6 +298,39 @@ def test_every_pair_just_past_the_critical_distance_fails():
             assert not exact_pass(phi, exact_distance(fm, g, 0.0, y), exact_distance(fm, f, 0.0, y))
 
 
+@pytest.mark.parametrize(
+    "phi,a,hi,escalated",
+    [
+        # delta* of f = 0.2 x under linear(0.5) lies just below 1/6, and the
+        # extreme pair, one float past fl(1/6), fails by a violation below
+        # float resolution: the float test cannot decide it either way.
+        (fx.LinearPhi(0.5), 0.2, math.nextafter(1.0 / 6.0, 1.0), lambda d_gs: 2),
+        # Above its cap an induced modulus's rule has no cuts: every row
+        # past the cap takes the float test, and no row below it does.
+        (fx.InducedPhi(0.5, 1.0), 0.5, 2.0, lambda d_gs: sum(d > 1.0 for d in d_gs)),
+    ],
+    ids=["linear-critical-distance", "induced-above-cap"],
+)
+def test_only_rows_near_a_cut_escalate(monkeypatch, phi, a, hi, escalated):
+    # An unnormalized continuum check decides a row off its piece table;
+    # only a row whose d_g lies within a cut's enclosure, or above an
+    # induced cap, runs the float test (one crossing_time call a row here),
+    # and only those the float test leaves undecided reach pair_passes.
+    tests, exact = [], []
+    crossing = fx.contraction.crossing_time
+    monkeypatch.setattr(fx.contraction, "crossing_time", lambda d: tests.append(d) or crossing(d))
+    monkeypatch.setattr(fx.contraction, "pair_passes", lambda *args: exact.append(args) or pair_passes(*args))
+    space = fx.IntervalSpace(0.0, hi)
+    fm, f = fx.FuzzyMetric(space, fx.TNorm("product")), fx.AffineMap(a, 0.0)
+    g = fx.identity_for(space)
+    report = fx.check_g_phi(fm, f, g, phi, samples=1000, seed=3)
+    d_gs = image_distances(space, (g,), None, fx.sample_pairs(space, 1000, 3))[0]
+    assert 0 < len(tests) == escalated(d_gs) < report.checked_pairs
+    assert len(exact) <= len(tests)
+    if isinstance(phi, fx.LinearPhi):
+        assert len(exact) == 2 and [(ce.x, ce.y) for ce in report.counterexamples] == [(0.0, hi), (hi, 0.0)]
+
+
 def test_crossing_on_a_table_breakpoint_goes_to_the_exact_rule():
     # The extreme pair of [0, 2.25] crosses at tau(2.25) = 0.75, the last
     # breakpoint, where the table steps from 0 to 0.5. The float crossing

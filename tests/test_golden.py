@@ -32,7 +32,13 @@ the threshold as the onset and the induced curve. The ``solve_foregone``
 output and trace were captured before the solver stopped stepping an
 orbit that repeats a float: the orbit sits on the fixed point 0.0 from
 its start, and its horizon, 10^7, lies beyond max_iter, so they pin the
-repeated orbit and its stop. The ``axioms_interval`` output was captured
+repeated orbit and its stop. The ``solve_set_first_step`` output was
+captured when the set-valued solver came to take its first step with no
+bound: T sends both of two labels 3.3125 apart to p0, and the start p1 lies
+in no image, so the chain's x_1 = p0 is free, while the old first step
+demanded a grade at phi(t0) that no point of T(p1) has and exited 1 with
+NoAdmissibleSuccessor; it pins the converged orbit at p0 (its 1,001-point
+trace is not pinned). The ``axioms_interval`` output was captured
 before the t-norm laws came to be read from one grade table: it pins
 each law's check count at grid 21 and the fuzzy-metric laws on 3,000
 interval samples. The ``axioms_finite`` output was captured before the
@@ -64,6 +70,7 @@ CASES = (
     ("threshold", "threshold", 0),
     ("solve-set", "solve_set", 0),
     ("solve-set", "solve_set_permuted", 0),
+    ("solve-set", "solve_set_first_step", 0),
     ("check-axioms", "axioms_box", 0),
     ("check-axioms", "axioms_interval", 0),
     ("check-axioms", "axioms_finite", 0),

@@ -7,17 +7,23 @@ with the float switch of the crossing predicate, checked in floats and
 rationals, and the contraction checks with an oracle that
 decides each pair exactly for the real maps and moduli in 60-digit
 decimals, without the library's exact pair rules. The checks' float filter
-must agree with those exact rules wherever it decides a pair. A check
-that passes an affine problem on an interval must solve it within its
-horizon, near the exact coincidence point by the Banach a-priori bound. A
+must agree with those exact rules wherever it decides a pair, and so must
+the piece table of an unnormalized continuum check, at and between its
+cuts. A check that passes an affine problem on an interval must solve it
+within its horizon, near the exact coincidence point by the Banach
+a-priori bound, and a set-valued check that passes on a finite space must
+solve its inclusion within its horizon. A
 one-dimensional box distance must be abs of the difference, to the bit.
 Every test runs on a fixed seed, so the suite stays deterministic.
 """
 
+import bisect
 import itertools
 import math
 import random
 import struct
+import sys
+from decimal import localcontext
 from fractions import Fraction
 
 import pytest
@@ -25,13 +31,16 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import fuzzfix as fx
-from fuzzfix.contraction import _float_test
+from fuzzfix.contraction import _float_test, piece_table
 from fuzzfix.phi import pair_passes
 from oracles import (
+    DIGITS,
     ONSET_ERROR,
     U,
     banach_bound,
     checked_onset,
+    dec,
+    exact_pass,
     finite_space_fault,
     induced_step,
     largest_margin,
@@ -555,6 +564,77 @@ def test_float_filter_agrees_with_the_exact_rule_near_ties(case):
 
 
 @st.composite
+def piece_cases(draw):
+    """(phi, rho) for a check on an unnormalized continuum, rho = |a_f / a_g|
+    of float slopes: every modulus kind, tables of 1 to 4 breakpoints not
+    necessarily admissible, rho = 0 (a constant f) and rho past k."""
+    kind = draw(st.sampled_from(["linear", "rational", "induced", "table"]))
+    k = draw(st.floats(0.05, 0.95))
+    if kind == "table":
+        # Breakpoints and values are 0 or at least 1e-6, where the oracle's tie width is far below the margins.
+        levels = st.one_of(st.just(0.0), st.floats(1e-6, 1.2))
+        times = sorted(draw(st.lists(levels, min_size=1, max_size=4, unique=True)))
+        phi = fx.TablePhi(tuple((t, draw(levels)) for t in times))
+    elif kind == "induced":
+        phi = fx.InducedPhi(k, draw(st.floats(0.01, 100.0)))
+    else:
+        phi = fx.LinearPhi(k) if kind == "linear" else fx.RationalPhi()
+    a_g = draw(st.floats(0.01, 10.0))
+    ratio = draw(st.one_of(st.just(0.0), st.just(k), st.floats(0.0, 2.0)))
+    return phi, abs(Fraction(a_g * ratio) / Fraction(a_g))
+
+
+def _floats_around(x, steps=3):
+    """x and its ``steps`` nearest floats either way, those >= 0."""
+    up = down = x
+    out = [x]
+    for _ in range(steps):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+        out += [up, down]
+    return [y for y in out if y >= 0.0 and math.isfinite(y)]
+
+
+def _float_of(q):
+    """The float nearest the rational q >= 0, or the largest float if q lies past it."""
+    return float(min(q, Fraction(sys.float_info.max)))
+
+
+# A tiny slope puts linear(0.5)'s cut past the largest float.
+OVERFLOWING_CUT = (fx.LinearPhi(0.5), Fraction(2.225073858507e-311))
+
+
+@seed(SEED)
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=piece_cases())
+@example(case=OVERFLOWING_CUT)
+@example(case=(fx.LinearPhi(0.5), Fraction(0.5)))
+@example(case=(fx.TablePhi(((0.0, 0.0), (0.5, 0.0), (0.75, 0.5))), Fraction(0.1)))
+def test_piece_table_agrees_with_the_exact_rule(case):
+    # A row of an unnormalized continuum check at float distance d_g = d
+    # fails iff fails[bisect_right(bounds, d)] where that is not None; else
+    # it escalates to the float test and the exact rule. At each cut's
+    # neighbouring floats, which its enclosure must hold, and at points
+    # inside each piece, a decided verdict is the exact rule's, and the
+    # exact rule agrees with the decimal oracle where 1e-50 <= d <= 1e20:
+    # outside, one float step moves tau(d) by less than the oracle's
+    # absolute tie width of 1e-45, so it calls the margins near a cut ties.
+    phi, rho = case
+    bounds, fails = piece_table(phi, rho)
+    assert bounds == sorted(bounds) and len(fails) == len(bounds) + 1
+    cuts = sorted({Fraction(0), *phi.cuts(rho)})
+    nearest = [_float_of(c) for c in cuts]
+    for c in nearest[1:]:
+        assert all(fails[bisect.bisect_right(bounds, d)] is None for d in _floats_around(c, 1))
+    inside = [_float_of((a + b) / 2) for a, b in zip(cuts, cuts[1:])] + [_float_of(cuts[-1] * 2 + 1)]
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        for d in [y for x in nearest for y in _floats_around(x)] + inside:
+            exact = pair_passes(phi, Fraction(d) ** 2, (rho * Fraction(d)) ** 2, False)
+            assert fails[bisect.bisect_right(bounds, d)] in (None, not exact)
+            assert not 1e-50 <= d <= 1e20 or exact == exact_pass(phi, dec(d), dec(rho * Fraction(d)))
+
+
+@st.composite
 def setvalued_cases(draw):
     space = draw(finite_spaces())
     labels = space.labels
@@ -632,6 +712,36 @@ def test_a_passing_check_solves_within_the_horizon(case, samples, sample_seed, e
     assert result.converged
     z, bound = banach_bound((f.a, f.b), (g.a, g.b), start, result.iterations, 1.0 + abs(space.lo) + abs(space.hi))
     assert abs(Fraction(result.point) - z) <= bound
+
+
+@seed(SEED)
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    space=finite_spaces(),
+    data=st.data(),
+    epsilon=st.sampled_from([1e-2, 1e-3]),
+    t0=st.floats(1.01, 4.0),
+)
+def test_a_passing_setvalued_check_solves_within_the_horizon(space, data, epsilon, t0):
+    # The set-valued theorem under the identity: x_1 in T(x_0) is free, as
+    # t0 > 1 makes the antecedent vacuous, and the hypothesis then gives
+    # x_n+1 in T(x_n) with M(x_n, x_n+1, phi^n(t0)) > 1 - phi^n(t0), so the
+    # window (x_N, x_N+1) passes once phi^N(t0) <= epsilon. Images are
+    # drawn near a sink label, so that a fair share of checks pass. Points
+    # lie at least 1 - exp(-1) apart, so the window repeats a point, which
+    # lies in its own image.
+    labels = space.labels
+    sink = data.draw(st.sampled_from(labels))
+    images = st.lists(st.sampled_from(labels), min_size=0, max_size=2).map(lambda extra: (sink, *extra))
+    T = fx.SetValuedMap({label: data.draw(images) for label in labels})
+    phi = data.draw(moduli(space.diameter() or 1.0))
+    fm, g = fx.FuzzyMetric(space, fx.TNorm("product")), fx.identity_for(space)
+    if not fx.check_setvalued_contraction(fm, T, g, phi).passed:
+        return
+    n = fx.horizon(phi, t0, epsilon, epsilon)
+    cfg = fx.SolverConfig(data.draw(st.sampled_from(labels)), epsilon, epsilon, t0, max_iter=n + 1)
+    result = fx.solve_inclusion(fm, T, g, phi, cfg)
+    assert result.converged and result.in_image
 
 
 FAULTS = ("duplicate", "whitespace", "diagonal", "negative", "asymmetric", "nan", "shared_nan", "entry", "ulp")
