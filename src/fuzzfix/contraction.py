@@ -15,10 +15,13 @@ pair. ``check_g_phi`` and the set-valued check decide their rows in the one
 kernel ``failing_rows``: a float test where a certified margin covers the
 rounding, else the exact rule ``phi.pair_passes`` in rationals, as adaptive
 predicates do (Shewchuk, 1997), once per distinct pair of a finite space's
-exact table floats. On an unnormalized continuum, where d_f / d_g is one
-rational, ``check_g_phi`` decides a row by one bisect of d_g in its
-``piece_table``, and only rows near a cut go to that kernel. Only the
-counterexamples a report keeps map points, in ``replay``.
+exact table floats. On an unnormalized interval or bounded box, where d_f /
+d_g is one rational, ``check_g_phi`` first reads the exact verdict over the
+plan's whole reach (``reach_verdict``): passing there, it draws no pair;
+failing at every d > 0, it fails each pair of distinct points unmeasured;
+else one bisect of d_g in its ``piece_table`` decides a row, and only rows
+near a cut go to that kernel. Only the counterexamples a report keeps map
+points, in ``replay``.
 
 No other hypothesis is checked here. A map that passes with phi(t) < t is
 already uniformly continuous from the g-transformed uniformity, and a
@@ -41,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 # threshold stays importable here: perfbench/tests checks that its tracer rebinds and restores it in this module.
 from .fmspace import FiniteSpace, FuzzyMetric, IntervalSpace, Point, Space, onset, threshold  # noqa: F401
 from .maps import BijectionSpec, MapSpec
-from .phi import CROSSING_ERROR, InducedPhi, PhiFunction, _U, crossing_time, ensure_phi_class, pair_passes
+from .phi import CROSSING_ERROR, InducedPhi, PhiFunction, TablePhi, _U, crossing_time, ensure_phi_class, pair_passes
 
 MAX_COUNTEREXAMPLES = 64
 
@@ -180,22 +183,29 @@ def _float_test(phi: PhiFunction):
     return induced
 
 
+def cut_pieces(phi: PhiFunction, rho) -> list:
+    """The sorted cuts of phi's exact rule at ratio rho, and 0, each with one
+    rational point of the piece between it and the next cut."""
+    from fractions import Fraction
+
+    cuts = sorted(map(Fraction, {0, *phi.cuts(rho)}))
+    return list(zip(cuts, [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [cuts[-1] + 1]))
+
+
 def piece_table(phi: PhiFunction, rho) -> Tuple[list, list]:
     """(bounds, fails) for rows whose d_f / d_g is the rational rho: a row at
     float g-distance d_g fails iff fails[bisect_right(bounds, d_g)], and is
     undecided where that is None. Its exact verdict, phi.passes(rho, d**2) at
     d > 0, steps only at 0 and at phi.cuts(rho), so each piece between cuts
-    takes the verdict of one rational point inside it. A d_g within a cut's
+    takes the verdict of its point in ``cut_pieces``. A d_g within a cut's
     enclosure (DISTANCE_ERROR, the cut's rounding to at most the largest
     float, and _TINY), at inf or NaN, or above an induced modulus's cap,
     where its rule compares roots, is undecided."""
-    from fractions import Fraction
-
-    cuts = sorted(map(Fraction, {0, *phi.cuts(rho)}))
-    top = cuts[-1] if isinstance(phi, InducedPhi) else None
+    pieces = cut_pieces(phi, rho)
+    top = pieces[-1][0] if isinstance(phi, InducedPhi) else None
     below, above = 1.0 - 2.0 * (DISTANCE_ERROR + _U), 1.0 + 2.0 * (DISTANCE_ERROR + _U)
     bounds, fails = [], [None]
-    for cut, mid in zip(cuts, [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [cuts[-1] + 1]):
+    for cut, mid in pieces:
         c = float(min(cut, sys.float_info.max))
         lo, hi, verdict = c * below - _TINY, c * above + _TINY, None if cut == top else not phi.passes(rho, mid * mid)
         if bounds and lo <= bounds[-1]:  # enclosures that meet make one: the piece between is undecided
@@ -215,6 +225,27 @@ def exact_square(h, m, x: Point, y: Point):
     x, y = (p if type(p) is tuple else (p,) for p in (x, y))
     s = Fraction(m.a) * Fraction(1.0 if h is None else h.a)
     return s * s * sum((Fraction(p) - Fraction(q)) ** 2 for p, q in zip(x, y))
+
+
+def reach_verdict(phi: PhiFunction, rho, g: BijectionSpec, h, space: Space) -> Optional[bool]:
+    """phi.passes(rho, d**2) where it is one verdict for every d in (0, D],
+    read at each cut in (0, D] and at the point of each piece that meets (0,
+    D); else None. D is the ``exact_square`` root of the farthest g-images in
+    a plan of an unnormalized interval or bounded box: a drawn lo + w r
+    rounds to at most fl(lo + w), and a box coordinate stays in [-bound,
+    bound]. None on other spaces, and past an induced cap, its top cut, past
+    which its rule lists none."""
+    ends = () if isinstance(space, FiniteSpace) or space.normalize else space.extreme_points()
+    if not ends:
+        return None
+    lo, hi = ends
+    reach2 = exact_square(h, g, lo, max(hi, lo + (hi - lo)) if isinstance(space, IntervalSpace) else hi)
+    pieces = cut_pieces(phi, rho)
+    if isinstance(phi, InducedPhi) and reach2 > pieces[-1][0] ** 2:
+        return None
+    probes = [cut for cut, _ in pieces if 0 < cut * cut <= reach2] + [mid for cut, mid in pieces if cut * cut < reach2]
+    verdicts = {phi.passes(rho, d * d) for d in probes}
+    return verdicts.pop() if len(verdicts) == 1 else None
 
 
 def failing_rows(phi: PhiFunction, rows: Sequence[tuple], d_gs, d_fs, normalize: bool, squares=None) -> list:
@@ -265,7 +296,7 @@ def check_g_phi(
     g.validate_bijection(fm.space)
     f.validate(fm.space)
     space, h = fm.space, fm.transform
-    pairs = sample_pairs(space, samples, seed)
+    finite = isinstance(space, FiniteSpace)
 
     def squares(pair):
         return [exact_square(h, m, *pair) for m in (g, f)]
@@ -273,18 +304,27 @@ def check_g_phi(
     def distances(x, y):
         return fm.distance(g.apply(x), g.apply(y)), fm.distance(f.apply(x), f.apply(y))
 
-    d_gs, d_fs = image_distances(space, (g, f), h, pairs)
-    finite = isinstance(space, FiniteSpace)
-    if finite or space.normalize:
+    # d_f / d_g on every row of an unnormalized continuum
+    rho = None if finite or space.normalize else abs(Fraction(f.a) / Fraction(g.a))
+    # A verdict that is one over the plan's whole reach is every distinct pair's.
+    positive, coincident = reach_verdict(phi, rho, g, h, space), not isinstance(phi, TablePhi)
+    if positive and coincident and samples >= 1:  # none is drawn; sample_pairs rejects samples < 1
+        return ContractionReport.of(space, phi, [], max(samples, 2), distances)
+    pairs = sample_pairs(space, samples, seed)
+    if positive is not None:
+        failing = [pair for pair in pairs if not (positive if pair[0] != pair[1] else coincident)]
+    elif finite or space.normalize:
+        d_gs, d_fs = image_distances(space, (g, f), h, pairs)
         failing = failing_rows(phi, pairs, d_gs, d_fs, space.normalize, None if finite else squares)
     else:
-        # d_f / d_g is |a_f| / |a_g| on every row: one bisect decides a row
-        # off its cuts, and the rows near one take the float test, then the exact rule.
-        bounds, fails = piece_table(phi, abs(Fraction(f.a) / Fraction(g.a)))
+        # One bisect decides a row off its cuts, and the rows near one take
+        # the float test, then the exact rule; only they need d_f.
+        bounds, fails = piece_table(phi, rho)
+        d_gs, = image_distances(space, (g,), h, pairs)
         marks = list(map(fails.__getitem__, map(bisect_right, repeat(bounds), d_gs)))
         near = list(compress(range(len(marks)), map(is_, marks, repeat(None))))
-        near_d = ([column[i] for i in near] for column in (d_gs, d_fs))
-        for i in failing_rows(phi, near, *near_d, False, lambda i: squares(pairs[i])):
+        near_d_fs, = image_distances(space, (f,), h, [pairs[i] for i in near])
+        for i in failing_rows(phi, near, [d_gs[i] for i in near], near_d_fs, False, lambda i: squares(pairs[i])):
             marks[i] = True
         failing = list(compress(pairs, marks))
     return ContractionReport.of(space, phi, failing, len(pairs), distances)

@@ -123,15 +123,15 @@ def check_setvalued_contraction(
             raise ValueError("an explicit pair plan is required on continuum spaces")
         eligible = [x for x in space.labels if g.apply(x) in T.images]
         pairs = [(x, y) for x in eligible for y in eligible]
-    d_gs, = image_distances(space, (g,), fm.transform, pairs)
-    key = space.point_key  # sorted after image_distances, which raises on an unknown label
-    plan = sorted(zip(pairs, d_gs), key=lambda row: (key(row[0][0]), key(row[0][1]))) if finite else zip(pairs, d_gs)
+    key = space.point_key  # a finite space's index: it raises UnknownPoint on a label of no point
+    plan = sorted(pairs, key=lambda pair: (key(pair[0]), key(pair[1]))) if finite else pairs
+    d_gs, = image_distances(space, (g,), fm.transform, plan)
     points = {p for values in T.images.values() for p in values}
     between = [(u, v) for u in points for v in points]
     identity, h = identity_for(space), fm.transform
     near = dict(zip(between, image_distances(space, (identity,), h, between)[0]))
     rows, row_d_gs, d_fs = [], [], []
-    for (x, y), d_g in plan:
+    for (x, y), d_g in zip(plan, d_gs):
         images_u, images_v = T.image(g.apply(x)), T.image(g.apply(y))
         for u in sorted(images_u, key=key) if finite else images_u:
             rows.append((x, y, u))

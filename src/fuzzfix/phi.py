@@ -343,11 +343,11 @@ class TablePhi:
     def passes(self, rho, d2) -> bool:
         """As ``LinearPhi.passes``: right of tau(d) phi stays at the value v
         of the last breakpoint at or below tau(d), and a pair passes iff
-        tau(rho d) < v, strictly."""
+        tau(rho d) < v, strictly. The breakpoints rise, so one bisect finds it."""
         from fractions import Fraction
 
-        values = [v for t, v in self.points if _versus(d2, Fraction(t)) >= 0]
-        return _versus(rho * rho * d2, Fraction(values[-1] if values else 0.0)) < 0
+        i = bisect.bisect_right(self._ts, 0, key=lambda t: -_versus(d2, Fraction(t)))
+        return _versus(rho * rho * d2, Fraction(self._values[i - 1] if i else 0.0)) < 0
 
     def cuts(self, rho) -> list:
         """As ``LinearPhi.cuts``: where tau(d) meets a breakpoint, or tau(rho d) a value."""

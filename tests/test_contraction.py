@@ -398,6 +398,86 @@ def test_one_counterexample_per_failing_pair(flagship_fm, flagship_f):
     assert len(pairs) == len(set(pairs)) == 40
 
 
+# ------------------------------------------------------ the whole reach
+
+# f = 0.1 x under the rational modulus passes every pair up to its cut at
+# 81/22, past the reach of [0, 1] and of the box of diameter 2 sqrt(3);
+# f = 0.9 x under linear(0.5), rho >= k, fails every pair of distinct points.
+REACH_SPACES = [fx.IntervalSpace(0.0, 1.0), fx.EuclideanSpace(3, 1.0)]
+TABLE = fx.TablePhi(((0.0, 0.0), (0.5, 0.0), (0.75, 0.5)))
+
+
+def _refuse(*args):
+    raise AssertionError("per-row work on a check decided over its whole reach")
+
+
+@pytest.mark.parametrize("space", REACH_SPACES, ids=["interval", "box3"])
+def test_a_check_that_passes_everywhere_draws_no_pair(monkeypatch, space):
+    for cls in (fx.IntervalSpace, fx.EuclideanSpace):
+        monkeypatch.setattr(cls, "sample", _refuse)
+    monkeypatch.setattr(fx.contraction, "image_distances", _refuse)
+    fm, g = fx.FuzzyMetric(space, fx.TNorm("product")), fx.identity_for(space)
+    for samples, checked in ((1, 2), (2, 2), (3, 3), (10000, 10000)):
+        report = fx.check_g_phi(fm, fx.AffineMap(0.1, 0.0), g, fx.RationalPhi(), samples=samples, seed=0)
+        assert report == fx.ContractionReport(True, checked, (), "threshold-reduction")
+    raises_exactly(
+        lambda: fx.check_g_phi(fm, fx.AffineMap(0.1, 0.0), g, fx.RationalPhi(), samples=0),
+        ValueError,
+        "samples must be >= 1",
+    )
+
+
+@pytest.mark.parametrize("space", REACH_SPACES, ids=["interval", "box3"])
+def test_a_check_that_fails_everywhere_measures_no_distance(monkeypatch, space):
+    fm, g = fx.FuzzyMetric(space, fx.TNorm("product")), fx.identity_for(space)
+    f, phi = fx.AffineMap(0.9, 0.0), fx.LinearPhi(0.5)
+    expected = {samples: fx.check_g_phi(fm, f, g, phi, samples=samples, seed=4) for samples in (1, 300)}
+    # The 64 kept rows are still replayed from their distances, by fm.distance.
+    monkeypatch.setattr(fx.contraction, "image_distances", _refuse)
+    monkeypatch.setattr(fx.contraction, "piece_table", _refuse)
+    for samples, report in expected.items():
+        assert not report.passed and report.checked_pairs == max(samples, 2)
+        assert len(report.counterexamples) == min(report.checked_pairs, 64)
+        assert fx.check_g_phi(fm, f, g, phi, samples=samples, seed=4) == report
+
+
+@pytest.mark.parametrize(
+    "f,phi,coincident_fail",
+    [(fx.AffineMap(1.0, 0.0), fx.LinearPhi(0.5), False), (fx.ConstantMap(1.0), TABLE, True)],
+    ids=["linear", "table"],
+)
+def test_coincident_pairs_take_the_coincident_rule(monkeypatch, f, phi, coincident_fail):
+    # Draws on an interval two floats wide coincide about half the time. A
+    # check that fails at every d > 0 fails each pair of distinct points,
+    # and a coincident one only where the coincident rule fails: for a table.
+    space = fx.IntervalSpace(1.0, math.nextafter(1.0, 2.0))
+    fm, g = fx.FuzzyMetric(space, fx.TNorm("product")), fx.identity_for(space)
+    pairs = fx.sample_pairs(space, 40, 0)
+    failing = [(x, y) for x, y in pairs if coincident_fail or x != y]
+    assert 0 < sum(x == y for x, y in pairs) < len(pairs)
+    report = fx.check_g_phi(fm, f, g, phi, samples=40, seed=0)
+    assert [(ce.x, ce.y) for ce in report.counterexamples] == sorted(failing)
+    monkeypatch.setattr(fx.contraction, "reach_verdict", lambda *args: None)
+    assert fx.check_g_phi(fm, f, g, phi, samples=40, seed=0) == report
+
+
+def test_a_split_reach_keeps_the_per_row_path(monkeypatch):
+    # [0, 1] holds pairs on both sides of the cut delta* of f = 0.2 x under
+    # linear(0.5), just below 1/6: its rows are decided one by one, and
+    # only those past delta* fail.
+    space = fx.IntervalSpace(0.0, 1.0)
+    fm, g = fx.FuzzyMetric(space, fx.TNorm("product")), fx.identity_for(space)
+    f, phi = fx.AffineMap(0.2, 0.0), fx.LinearPhi(0.5)
+    assert fx.contraction.reach_verdict(phi, abs(Fraction(f.a)), g, None, space) is None
+    tables = []
+    piece_table = fx.contraction.piece_table
+    monkeypatch.setattr(fx.contraction, "piece_table", lambda *args: tables.append(args) or piece_table(*args))
+    report = fx.check_g_phi(fm, f, g, phi, samples=500, seed=0)
+    assert len(tables) == 1 and not report.passed
+    assert min(abs(ce.x - ce.y) for ce in report.counterexamples) > 1.0 / 6.0 - 1e-9
+    assert any(abs(x - y) < 1.0 / 6.0 - 1e-9 for x, y in fx.sample_pairs(space, 500, 0))
+
+
 # ------------------------------------------------- finite-space oracle
 
 

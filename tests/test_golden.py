@@ -11,6 +11,11 @@ decide every pair exactly: f = 0.2 x with linear(0.5) passes the pair
 (0, y) iff y <= delta*, just below 1/6, and its extreme pair lies one
 float above fl(1/6). It pins that pair's failure and the counterexample
 of a violation below float resolution, whose float consequent holds. The
+``interval_linear_cut`` report was captured before a check whose exact
+verdict is one over its whole reach came to be decided without its rows:
+the same f and modulus on [0, 1] at 10,000 samples draw pairs on both
+sides of delta*, so the check decides each row, and it pins the 64
+failing pairs first in point order, all past delta*. The
 ``table_breakpoint`` report was captured before the float test came to
 bracket every modulus by its monotonicity: its extreme pair crosses at
 tau(2.25) = 0.75, on the table's step from 0 to 0.5, which the float
@@ -62,6 +67,7 @@ CASES = (
     ("check-contraction", "interval_pass", 0),
     ("check-contraction", "interval_fail", 1),
     ("check-contraction", "interval_delta_star", 1),
+    ("check-contraction", "interval_linear_cut", 1),
     ("check-contraction", "box3_reflection_fail", 1),
     ("check-contraction", "finite_permutation", 1),
     ("check-contraction", "table_breakpoint", 0),

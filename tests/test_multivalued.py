@@ -159,8 +159,12 @@ def test_finite_counterexamples_come_in_label_order():
         failing = [(c.x, c.y, c.u) for c in report.counterexamples]
         assert 1 < len(set(failing)) < len(failing) == len(expected(pairs))
         assert failing == expected(pairs)
-    # An unknown label in a plan still raises the KeyError of its table lookup.
-    raises_exactly(lambda: fx.check_setvalued_contraction(fm, T, g, phi, pairs=[("0.0", "zz")]), KeyError, "'zz'")
+    # An unknown label in a plan raises the UnknownPoint of the space's index.
+    raises_exactly(
+        lambda: fx.check_setvalued_contraction(fm, T, g, phi, pairs=[("0.0", "zz")]),
+        fx.UnknownPoint,
+        "'zz' is not a point of this finite space",
+    )
 
 
 def test_continuum_space_needs_pair_plan(unit_interval):

@@ -9,10 +9,11 @@ decides each pair exactly for the real maps and moduli in 60-digit
 decimals, without the library's exact pair rules. The checks' float filter
 must agree with those exact rules wherever it decides a pair, and so must
 the piece table of an unnormalized continuum check, at and between its
-cuts. A check that passes an affine problem on an interval must solve it
-within its horizon, near the exact coincidence point by the Banach
-a-priori bound, and a set-valued check that passes on a finite space must
-solve its inclusion within its horizon. A
+cuts, and a check decided by its exact verdict over its whole reach must
+report what deciding each row would. A check that passes an affine problem
+on an interval must solve it within its horizon, near the exact
+coincidence point by the Banach a-priori bound, and a set-valued check that
+passes on a finite space must solve its inclusion within its horizon. A
 one-dimensional box distance must be abs of the difference, to the bit.
 Every test runs on a fixed seed, so the suite stays deterministic.
 """
@@ -25,6 +26,7 @@ import struct
 import sys
 from decimal import localcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, seed, settings
@@ -332,6 +334,14 @@ def maps_into(space, f):
     return True
 
 
+def onto(space, g):
+    try:
+        g.validate_bijection(space)
+    except fx.NotBijective:
+        return False
+    return True
+
+
 @st.composite
 def box_cases(draw):
     dim = draw(st.sampled_from([1, 2, 3]))
@@ -632,6 +642,71 @@ def test_piece_table_agrees_with_the_exact_rule(case):
             exact = pair_passes(phi, Fraction(d) ** 2, (rho * Fraction(d)) ** 2, False)
             assert fails[bisect.bisect_right(bounds, d)] in (None, not exact)
             assert not 1e-50 <= d <= 1e20 or exact == exact_pass(phi, dec(d), dec(rho * Fraction(d)))
+
+
+# Golden interval_linear_cut: delta*, just below 1/6, splits the reach [0, 1].
+INTERVAL_LINEAR_CUT = (FLAGSHIP_CASE[0], fx.AffineMap(0.2, 0.0), fx.AffineBijection(1.0, 0.0), fx.LinearPhi(0.5))
+
+
+def _nudged(x, steps):
+    """The float ``steps`` floats above x (below where negative)."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def reach_cases(draw):
+    """An unnormalized interval or bounded box whose reach D, the largest
+    g-image distance its plans can hold, lies on or next to a cut of the
+    check's exact rule, an induced modulus's cap among them: all four
+    moduli, f affine or constant, g the identity or a reflection, with or
+    without a reflection transform. g's slope is +-1, so rho = |a_f|, and
+    a linear cut lies past 0 where rho < k**2."""
+    kind = draw(st.sampled_from(["linear", "rational", "induced", "table"]))
+    k, a = draw(st.floats(0.05, 0.95)), draw(st.floats(-0.95, 0.95))
+    a *= k * k if kind == "linear" and draw(st.booleans()) else 1.0
+    constant, steps = draw(st.booleans()), draw(st.integers(-2, 2))
+    rho = 0 if constant else abs(Fraction(a))
+    if kind == "induced":
+        reach = draw(st.floats(0.05, 8.0))
+        phi = fx.InducedPhi(k, _nudged(reach, steps))
+    else:
+        phi = fx.LinearPhi(k) if kind == "linear" else fx.RationalPhi() if kind == "rational" else draw(moduli(1.0))
+        cuts = [float(c) for c in phi.cuts(rho) if 1e-3 < c < 1e3]
+        reach = _nudged(draw(st.sampled_from(cuts)), steps) if cuts else draw(st.floats(0.05, 8.0))
+    if draw(st.booleans()):
+        lo = draw(_dyadic(-16, 16))
+        space = fx.IntervalSpace(lo, lo + reach)
+        reflection = fx.AffineBijection(-1.0, lo + space.hi)  # lo + hi may round: then it is no bijection
+        bijections = [fx.AffineBijection(1.0, 0.0)] + [reflection] * onto(space, reflection)
+        g, h = (draw(st.sampled_from(bijections)) for _ in range(2))
+        f = fx.AffineMap(a, lo - min(a * lo, a * space.hi) + draw(st.floats(0.0, 1.0)) * reach * (1.0 - abs(a)))
+    else:
+        dim = draw(st.integers(1, 3))
+        space = fx.EuclideanSpace(dim, reach / (2.0 * math.sqrt(dim)))
+        g, h = (draw(st.sampled_from([fx.AffineBijection(1.0, 0.0), fx.AffineBijection(-1.0, 0.0)])) for _ in range(2))
+        f = fx.AffineMap(a, draw(st.floats(-1.0, 1.0)) * (1.0 - abs(a)) * space.bound * 0.999)
+    if constant:
+        f = fx.ConstantMap(space.sample(random.Random(draw(st.integers(0, 99))), 1)[0])
+    assume(maps_into(space, f))  # b may round the image past an end
+    return _metric(space, h if draw(st.booleans()) else None), f, g, phi
+
+
+@seed(SEED)
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=reach_cases(), samples=st.integers(1, 50), sample_seed=st.integers(0, 99))
+@example(case=FLAGSHIP_CASE, samples=50, sample_seed=0)  # D = cap: passes everywhere
+@example(case=NAIVE_CASE, samples=50, sample_seed=0)  # fails on every pair of distinct points
+@example(case=INTERVAL_LINEAR_CUT, samples=50, sample_seed=0)  # pairs on both sides of its cut
+def test_a_whole_reach_verdict_is_every_row_s(case, samples, sample_seed):
+    # A check on an unnormalized bounded continuum whose exact verdict is one
+    # over its whole reach reports what deciding each row would: the same
+    # pairs, counterexamples and verdict, whether or not it draws them.
+    fm, f, g, phi = case
+    report = fx.check_g_phi(fm, f, g, phi, samples=samples, seed=sample_seed)
+    with mock.patch.object(fx.contraction, "reach_verdict", lambda *args: None):
+        assert fx.check_g_phi(fm, f, g, phi, samples=samples, seed=sample_seed) == report
 
 
 @st.composite
