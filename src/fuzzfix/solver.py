@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .errors import UnknownPoint
-from .fmspace import FuzzyMetric, Point, in_uniformity, is_cauchy_window
-from .maps import BijectionSpec, InverseComposite, MapSpec
+from .fmspace import FuzzyMetric, IntervalSpace, Point, in_uniformity, is_cauchy_window
+from .maps import AffineBijection, BijectionSpec, InverseComposite, MapSpec
 from .phi import PhiFunction, ensure_phi_class, horizon
 from .tnorm import Grade
 
@@ -45,6 +45,8 @@ class SolverConfig:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lambda must lie strictly between 0 and 1")
+        if 1.0 - self.lam == 1.0:
+            raise ValueError("lambda must lie strictly between 0 and 1, with 1 - lambda below 1 in floats")
         if not self.t0 > 1.0:
             raise ValueError("t0 must exceed 1")
         if self.max_iter < 1:
@@ -113,6 +115,10 @@ def orbit(
     grades only the windows that still hold points from before the
     cycle and the first p that lie wholly inside it, since the later
     ones repeat those. Points, stop and trace are those of stepping on.
+    On an unnormalized interval under an affine transform, at window > 1,
+    a step longer in floats than the bound B of ``_screen`` fails its
+    newest pair unmeasured; the exact test runs on the others, so points,
+    stop and trace are the same.
     The set-valued solver's step is a bare function and is stepped every
     time: its successor depends on the shrinking scale t_n as well as
     on the point.
@@ -120,26 +126,30 @@ def orbit(
     if not fm.space.contains(cfg.start):
         raise UnknownPoint(f"start point {cfg.start!r} lies outside the space")
     pure = isinstance(step, InverseComposite)
-    if pure:
-        step = step.apply_on(fm.space)
+    screen, step = (_screen(fm, cfg, step), step.apply_on(fm.space)) if pure else (None, step)
     window, max_iter, epsilon, lam = cfg.window, cfg.max_iter, cfg.epsilon, cfg.lam
     carry = fm.transform.apply if fm.transform is not None else lambda p: p
     distance, level, carried = fm.space.distance, 1.0 - lam, None
-    points = [cfg.start]
+    before = last = cfg.start
+    points = [last]
     for n in range(1, max_iter + 1):
-        x = step(points[-1])
+        x = step(last)
         points.append(x)
         if n >= n_horizon:
             if window > 1:
-                prev = carry(points[-2]) if carried is None else carried
-                carried = carry(x)
-                newest = epsilon / (epsilon + distance(prev, carried)) > level
+                if screen is not None and abs(x - last) > screen:
+                    newest, carried = False, None
+                else:
+                    prev = carry(last) if carried is None else carried
+                    carried = carry(x)
+                    newest = epsilon / (epsilon + distance(prev, carried)) > level
             if (window == 1 or newest) and is_cauchy_window(fm, points[-window:], epsilon, lam):
                 return tuple(points), True
-        if pure and (x == points[-2] or n > 1 and x == points[-3]):
+        if pure and (x == last or x == before):
             period = _period(points)
             if period:
                 break
+        before, last = last, x
     else:
         return tuple(points), False
 
@@ -158,6 +168,33 @@ def orbit(
         if is_cauchy_window(fm, known[max(0, n + 1 - window) : n + 1], epsilon, lam):
             return tuple(known[: n + 1]), True
     return tuple(filled(max_iter + 1)), False
+
+
+def _screen(fm: FuzzyMetric, cfg: SolverConfig, step: InverseComposite) -> Optional[float]:
+    """The float length B past which a step of ``step``'s orbit fails its
+    newest pair under ``fm``, on an unnormalized interval under an affine
+    transform h(p) = a p + b; else None.
+
+    Rounding is monotone, so the step sends the interval [lo, hi] between
+    its ends' images: if these lie in it, so does the orbit, and |p| <= M
+    = max(-lo, hi). The test eps / (eps + d) > 1 - lam fails at every
+    float d >= D_pass, found from eps lam / (1 - lam) in steps of ulp(eps).
+    Float h(p) lies within E = 2^-53 (2 |a| M + |b|) + 2^-1074 of h(p), so
+    carried points measure >= D_pass apart once |x - y| > B = (D_pass +
+    2E) / |a|, as a float length past the float B is. B is widened by
+    2^-48 and 2^-1060 to cover its own rounding.
+    """
+    space, h = fm.space, fm.transform
+    if type(space) is not IntervalSpace or space.normalize or type(h) is not AffineBijection:
+        return None
+    if not all(space.lo <= step.apply(end) <= space.hi for end in (space.lo, space.hi)):
+        return None
+    epsilon, level = cfg.epsilon, 1.0 - cfg.lam
+    d_pass = epsilon * cfg.lam / level
+    while epsilon / (epsilon + d_pass) > level:
+        d_pass += math.ulp(epsilon)
+    e = 2.0**-53 * (2.0 * abs(h.a) * max(-space.lo, space.hi) + abs(h.b)) + 2.0**-1074
+    return (d_pass + 2.0 * e) / abs(h.a) * (1.0 + 2.0**-48) + 2.0**-1060
 
 
 def _period(points: Sequence[Point]) -> int:

@@ -423,23 +423,37 @@ def fold_level(variant, v, depth):
     return acc
 
 
-def largest_margin(variant, lam, depth):
-    """The largest float delta whose level 1 - delta, in floats, folds
-    strictly above 1 - lam, by bisection over the bit patterns of [0, 1]."""
+def _last_float(holds, lo, hi):
+    """The largest float x in [lo, hi] with holds(x), for a holds true at lo,
+    false at hi and monotone between, by bisection over the bit patterns of
+    the nonnegative floats, which they order as the floats."""
 
-    def margin(bits):
+    def value(bits):
         return struct.unpack("<d", struct.pack("<q", bits))[0]
 
-    target = 1.0 - lam
-    assert target < 1.0, "delta = 0 must pass"
-    lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1.0))[0]
+    lo, hi = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (lo, hi))
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if fold_level(variant, 1.0 - margin(mid), depth) > target:
+        if holds(value(mid)):
             lo = mid
         else:
             hi = mid
-    return margin(lo)
+    return value(lo)
+
+
+def largest_margin(variant, lam, depth):
+    """The largest float delta whose level 1 - delta, in floats, folds
+    strictly above 1 - lam, by bisection over the bit patterns of [0, 1]."""
+    target = 1.0 - lam
+    assert target < 1.0, "delta = 0 must pass"
+    return _last_float(lambda delta: fold_level(variant, 1.0 - delta, depth) > target, 0.0, 1.0)
+
+
+def longest_passing_length(epsilon, lam):
+    """The largest float d at which epsilon / (epsilon + d) > 1 - lam holds
+    in floats, the newest-pair test of an unnormalized orbit step: it holds
+    at 0 and fails at inf."""
+    return _last_float(lambda d: epsilon / (epsilon + d) > 1.0 - lam, 0.0, math.inf)
 
 
 # The t-norm laws with a combine call for every operand, kept apart from

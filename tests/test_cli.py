@@ -304,6 +304,13 @@ MALFORMED = (
         {"start": 0.0, "epsilon": 1e-3, "lambda": 1.5},
         "solver: lambda must lie strictly between 0 and 1",
     ),
+    # 1 - lambda rounds to 1, so no grade could pass the stop test.
+    (
+        "solver",
+        "unresolved_lambda",
+        {"start": 0.0, "epsilon": 1e-3, "lambda": 1e-17},
+        "solver: lambda must lie strictly between 0 and 1, with 1 - lambda below 1 in floats",
+    ),
     ("solver", "absent", ABSENT, None),
     ("query", "not_object", "q", "query: must be an object"),
     ("query", "missing_field", {"x": 0.0}, "query: missing field 'y'"),

@@ -31,6 +31,20 @@ decide each distinct pair of table distances once: f sends p_i to p_(i//2)
 on a 20-point line, and induced(0.5, 19) meets 180 pairs at the exact tie
 d_f = d_g / 2, which only the exact rule decides. 90 of the 400 pairs fail,
 and it pins the first 64 of them in label order. The
+``interval_table_value_cut`` report was captured before the solver's orbit
+came to screen its steps: f = 0.1 x on [0, 1] with the table ((0, 0),
+(0.5, 0.25)) passes a pair iff tau(d) >= 0.5 and tau(0.1 d) < 0.25, that is
+for 1/2 <= d < 5/6, where 5/6 is the value cut (0.25^2 / 0.75) / 0.1. Its
+1,000 pairs lie on both sides of both cuts, so the check decides each row by
+the piece table, and it pins the first 64 failing pairs in point order. The
+``solve_screen_margin`` output and trace were captured before the orbit came
+to skip, unmeasured, the steps longer than the bound of ``solver._screen``:
+on [2^20 - 1/2, 2^20 + 1/2] with the reflection g, the horizon is 1, and the
+start lies below 2^20 on an odd multiple of 2^-33, so its carried image
+above 2^20 rounds. The first step is 85 * 2^-33 long, past the stopping
+distance eps * lam / (1 - lam), while its carried length, 84 * 2^-33,
+passes: it pins the stop there, which a bound without the transform's
+rounding term would skip. The
 ``threshold`` and ``induce`` outputs were regenerated when the crossing
 time came to be computed one way, in the stable closed form: they pin
 the threshold as the onset and the induced curve. The ``solve_foregone``
@@ -73,6 +87,7 @@ CASES = (
     ("check-contraction", "table_breakpoint", 0),
     ("check-contraction", "finite_every_pair", 1),
     ("check-contraction", "finite_induced_ties", 1),
+    ("check-contraction", "interval_table_value_cut", 1),
     ("threshold", "threshold", 0),
     ("solve-set", "solve_set", 0),
     ("solve-set", "solve_set_permuted", 0),
@@ -86,6 +101,7 @@ CASES = (
     ("solve", "solve_flagship", 0),
     ("solve", "solve_box", 0),
     ("solve", "solve_foregone", 1),
+    ("solve", "solve_screen_margin", 0),
 )
 
 

@@ -1,12 +1,13 @@
+import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import fuzzfix as fx
 from conftest import line_space, raises_exactly
-from oracles import linear_step, orbit_count, reference_orbit, relabeled_distance
+from oracles import linear_step, longest_passing_length, orbit_count, reference_orbit, relabeled_distance
 
 
 def test_flagship_solve(flagship_fm, flagship_f, flagship_g, flagship_phi, flagship_cfg):
@@ -328,29 +329,43 @@ def test_max_iter_returns_partial_trace(flagship_fm, flagship_f, flagship_g, fla
     assert len(res.orbit) == 4
 
 
-def test_untraced_solve_grades_only_for_the_stop_rule(monkeypatch):
-    # Nothing is measured before the horizon. From there each step measures
-    # its newest pair once, with no membership call while that pair fails;
-    # membership grades only the confirming window's pairs (one at window 2),
-    # then the residuals once per time after the loop. A membership call
-    # measures its pair too.
+def _count_work(monkeypatch, space_type):
+    """Events of a coincidence solve: "step" per step taken, "measure" per
+    distance of ``space_type`` and "grade" per membership call (which
+    measures its pair too)."""
     events = []
-    membership, distance = fx.FuzzyMetric.membership, fx.IntervalSpace.distance
+    membership, distance = fx.FuzzyMetric.membership, space_type.distance
 
     def counted_membership(self, x, y, t):
         events.append("grade")
         return membership(self, x, y, t)
 
     monkeypatch.setattr(fx.FuzzyMetric, "membership", counted_membership)
-    monkeypatch.setattr(fx.IntervalSpace, "distance", lambda self, x, y: events.append("measure") or distance(self, x, y))
+    monkeypatch.setattr(space_type, "distance", lambda self, x, y: events.append("measure") or distance(self, x, y))
     _count_steps(monkeypatch, events)
-    fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, 1.0), fx.TNorm("product"))
-    f, g, phi = fx.AffineMap(0.5, 0.0), fx.AffineBijection(-1.0, 1.0), fx.LinearPhi(0.5)
-    cfg = fx.SolverConfig(start=0.0, epsilon=1e-2, lam=1e-3)
+    return events
+
+
+def test_untraced_solve_grades_only_for_the_stop_rule(monkeypatch):
+    # Nothing is measured before the horizon. From there a step longer than
+    # the screen's bound measures nothing, and each step within it measures
+    # its newest pair once, with no membership call while that pair fails;
+    # membership grades only the confirming window's pairs (one at window 2),
+    # then the residuals once per time after the loop. Far from 0 the
+    # bound's rounding term lets a failing step within the screen through.
+    events = _count_work(monkeypatch, fx.IntervalSpace)
+    lo = 2.0**20
+    fm = fx.FuzzyMetric(fx.IntervalSpace(lo, lo + 1.0), fx.TNorm("product"))
+    f, g, phi = fx.AffineMap(0.5, 2.0**19 + 0.5), fx.AffineBijection(-1.0, 2.0 * lo + 1.0), fx.LinearPhi(0.5)
+    cfg = fx.SolverConfig(start=lo, epsilon=3e-5, lam=3e-5)
     res = fx.solve_coincidence(fm, f, g, phi, cfg)
     assert res.converged and res.iterations > res.horizon_used
+    bound = fx.solver._screen(fm.g_transform(g), cfg, fx.InverseComposite(g, f))
+    within = [abs(res.orbit[n] - res.orbit[n - 1]) <= bound for n in range(res.horizon_used, res.iterations)]
+    assert 0 < within.count(False) and 0 < within.count(True)
+    assert within == sorted(within) and cfg.epsilon * cfg.lam / (1.0 - cfg.lam) < bound
     residuals = ["grade", "measure"] * len(cfg.times())
-    failing = ["step", "measure"] * (res.iterations - res.horizon_used)
+    failing = [event for inside in within for event in ["step", "measure"][: 1 + inside]]
     confirming = ["step", "measure", "grade", "measure"]
     assert events == ["step"] * (res.horizon_used - 1) + failing + confirming + residuals
 
@@ -358,6 +373,47 @@ def test_untraced_solve_grades_only_for_the_stop_rule(monkeypatch):
     res = fx.solve_coincidence(fm, f, g, phi, replace(cfg, max_iter=res.horizon_used - 1))
     assert not res.converged
     assert events == ["step"] * res.iterations + residuals
+
+
+def _walk_down_a_line():
+    # f walks a 40-point line down to its fixed end.
+    space = line_space(tuple(range(40)))
+    labels = space.labels
+    f = fx.TableMap({label: labels[max(0, i - 1)] for i, label in enumerate(labels)})
+    g = fx.PermutationBijection({label: label for label in labels})
+    return space, f, g, fx.SolverConfig(start=labels[-1], epsilon=1e-2, lam=1e-3)
+
+
+UNSCREENED = {
+    "finite": _walk_down_a_line,
+    "normalized": lambda: (
+        fx.IntervalSpace(2.0**20, 2.0**20 + 1.0, normalize=True),
+        fx.AffineMap(0.5, 2.0**19 + 0.5),
+        fx.AffineBijection(-1.0, 2.0**21 + 1.0),
+        fx.SolverConfig(start=2.0**20, epsilon=3e-5, lam=3e-5),
+    ),
+    "box": lambda: (
+        fx.EuclideanSpace(2, 1.0),
+        fx.AffineMap(0.5, 0.0),
+        fx.AffineBijection(-1.0, 0.0),
+        fx.SolverConfig(start=(1.0, -0.5), epsilon=1e-2, lam=1e-3),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSCREENED))
+def test_untraced_solve_without_a_screen_measures_every_step_from_the_horizon(monkeypatch, case):
+    # Finite spaces, normalized spaces and boxes have no screen: each step
+    # from the horizon measures its newest pair once.
+    space, f, g, cfg = UNSCREENED[case]()
+    events = _count_work(monkeypatch, type(space))
+    fm = fx.FuzzyMetric(space, fx.TNorm("product"))
+    res = fx.solve_coincidence(fm, f, g, fx.LinearPhi(0.5), cfg)
+    assert res.converged and res.iterations > res.horizon_used
+    residuals = ["grade", "measure"] * len(cfg.times())
+    failing = ["step", "measure"] * (res.iterations - res.horizon_used)
+    confirming = ["step", "measure", "grade", "measure"]
+    assert events == ["step"] * (res.horizon_used - 1) + failing + confirming + residuals
 
 
 def test_stop_rule_calls_the_window_test_only_on_a_passing_newest_pair(monkeypatch):
@@ -480,6 +536,82 @@ def test_orbit_stops_where_the_window_test_at_every_step_does(case, window, n_ho
     step = make_step()
     expected = _outcome(_window_every_step, fm, cfg, n_horizon, step.apply if isinstance(step, fx.InverseComposite) else step)
     assert got == expected
+
+
+def _unscreened(solve, *args):
+    """``solve(*args)`` with the orbit's step-length screen off, so that every
+    step from the horizon is measured."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fx.solver, "_screen", lambda fm, cfg, step: None)
+        return solve(*args)
+
+
+@st.composite
+def screened_solves(draw):
+    """(metric, f, g, cfg) for a coincidence solve on an unnormalized
+    interval with ends from near 0 to +-2^40 and a width from 2^-10 to
+    2^10, g the identity or the reflection, the step x -> g^{-1}(f(x)) at
+    ratio q in (-1, 1) about the interval's centre, and eps = lam from 1e-12
+    to 1e-1, or near ulp(M) ** 0.5, which puts the stopping distance
+    eps * lam / (1 - lam) within 100 x of the float spacing at the ends."""
+    width = 2.0 ** draw(st.integers(-10, 10))
+    magnitude = 2.0 ** draw(st.integers(-20, 39)) * draw(st.floats(1.0, 2.0))
+    lo = draw(st.sampled_from([-1.0, 1.0])) * magnitude - width / 2.0
+    space = fx.IntervalSpace(lo, lo + width)
+    g = fx.AffineBijection(-1.0, space.lo + space.hi)
+    try:
+        g.validate_bijection(space)
+    except fx.NotBijective:
+        g = fx.AffineBijection(1.0, 0.0)
+    if draw(st.booleans()):
+        g = fx.AffineBijection(1.0, 0.0)
+    q = draw(st.sampled_from([-1.0, 1.0])) * draw(st.one_of(st.sampled_from([0.6, 0.995, 0.9999]), st.floats(0.01, 0.999)))
+    centre = lo + width / 2.0
+    f = fx.AffineMap(g.a * q, g.apply(centre) - g.a * q * centre)
+    try:
+        f.validate(space)
+    except ValueError:
+        assume(False)
+    if draw(st.booleans()):
+        ulp = math.ulp(max(abs(space.lo), abs(space.hi)))
+        epsilon = min(0.1, max(1e-12, (ulp * 10.0 ** draw(st.floats(-2.0, 2.0))) ** 0.5))
+    else:
+        epsilon = 10.0 ** -draw(st.floats(1.0, 12.0))
+    start = min(space.hi, lo + width * draw(st.floats(0.0, 1.0)))
+    window, max_iter = draw(st.sampled_from([2, 3, 1])), draw(st.one_of(st.just(3000), st.integers(1, 3000)))
+    cfg = fx.SolverConfig(start=start, epsilon=epsilon, lam=epsilon, window=window, max_iter=max_iter)
+    return fx.FuzzyMetric(space, fx.TNorm("product")), f, g, cfg
+
+
+@seed(20071)
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=screened_solves(), k=st.sampled_from([0.5, 0.9]))
+def test_screened_solve_equals_the_unscreened_one(case, k):
+    # A step the screen skips is one whose newest pair fails: every field,
+    # the orbit's floats included, is that of measuring every step.
+    fm, f, g, cfg = case
+    solve = fx.solve_coincidence
+    assert repr(solve(fm, f, g, fx.LinearPhi(k), cfg)) == repr(_unscreened(solve, fm, f, g, fx.LinearPhi(k), cfg))
+
+
+@seed(20072)
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    epsilon=st.floats(1e-12, 0.5),
+    lam=st.floats(2e-16, 0.5),
+    spread=st.floats(0.0, 20.0),
+)
+def test_screen_keeps_the_longest_passing_step(epsilon, lam, spread):
+    # The first step from 0 is the longest float length whose newest pair
+    # passes, on an interval up to 2^20 times wider: the horizon is 1, so
+    # the run stops there, as when every step is measured.
+    length = longest_passing_length(epsilon, lam)
+    fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, length * 2.0**spread), fx.TNorm("product"))
+    cfg = fx.SolverConfig(start=0.0, epsilon=epsilon, lam=lam)
+    args = (fm, fx.ConstantMap(length), fx.AffineBijection(1.0, 0.0), fx.LinearPhi(min(epsilon, lam) / 4.0), cfg)
+    res = fx.solve_coincidence(*args)
+    assert res.iterations == 1 and res.converged
+    assert repr(res) == repr(_unscreened(fx.solve_coincidence, *args))
 
 
 def test_solve_validates_g_once_and_before_f(
@@ -620,6 +752,9 @@ RAISES = (
     ("window-0", dict(window=0), "window must be >= 1"),
     ("nan-epsilon", dict(epsilon=NAN), "epsilon must be positive"),
     ("nan-residual-time", dict(residual_times=(NAN,)), "residual times must be positive"),
+    # 1 - lam rounds to 1 below 2^-53, so no grade could pass the stop test.
+    ("lam-1e-17", dict(lam=1e-17), "lambda must lie strictly between 0 and 1, with 1 - lambda below 1 in floats"),
+    ("lam-2^-54", dict(lam=2.0**-54), "lambda must lie strictly between 0 and 1, with 1 - lambda below 1 in floats"),
 )
 
 
