@@ -115,10 +115,8 @@ def orbit(
     grades only the windows that still hold points from before the
     cycle and the first p that lie wholly inside it, since the later
     ones repeat those. Points, stop and trace are those of stepping on.
-    On an unnormalized interval under an affine transform, at window > 1,
-    a step longer in floats than the bound B of ``_screen`` fails its
-    newest pair unmeasured; the exact test runs on the others, so points,
-    stop and trace are the same.
+    At window > 1, a step longer than ``_screen``'s bound fails its
+    newest pair unmeasured, with the same points, stop and trace.
     The set-valued solver's step is a bare function and is stepped every
     time: its successor depends on the shrinking scale t_n as well as
     on the point.
@@ -126,7 +124,8 @@ def orbit(
     if not fm.space.contains(cfg.start):
         raise UnknownPoint(f"start point {cfg.start!r} lies outside the space")
     pure = isinstance(step, InverseComposite)
-    screen, step = (_screen(fm, cfg, step), step.apply_on(fm.space)) if pure else (None, step)
+    screen = _screen(fm, cfg, step) if pure and cfg.window > 1 else None
+    step = step.apply_on(fm.space) if pure else step
     window, max_iter, epsilon, lam = cfg.window, cfg.max_iter, cfg.epsilon, cfg.lam
     carry = fm.transform.apply if fm.transform is not None else lambda p: p
     distance, level, carried = fm.space.distance, 1.0 - lam, None
@@ -171,28 +170,21 @@ def orbit(
 
 
 def _screen(fm: FuzzyMetric, cfg: SolverConfig, step: InverseComposite) -> Optional[float]:
-    """The float length B past which a step of ``step``'s orbit fails its
-    newest pair under ``fm``, on an unnormalized interval under an affine
-    transform h(p) = a p + b; else None.
-
-    Rounding is monotone, so the step sends the interval [lo, hi] between
-    its ends' images: if these lie in it, so does the orbit, and |p| <= M
-    = max(-lo, hi). The test eps / (eps + d) > 1 - lam fails at every
-    float d >= D_pass, found from eps lam / (1 - lam) in steps of ulp(eps).
-    Float h(p) lies within E = 2^-53 (2 |a| M + |b|) + 2^-1074 of h(p), so
-    carried points measure >= D_pass apart once |x - y| > B = (D_pass +
-    2E) / |a|, as a float length past the float B is. B is widened by
-    2^-48 and 2^-1060 to cover its own rounding.
-    """
+    """A float length B past which a step of ``step``'s orbit fails its
+    newest pair under ``fm``, an unnormalized interval with transform
+    h(p) = a p + b; else None. The float step is monotone, so if it maps
+    lo and hi into [lo, hi] the orbit stays there, |p| <= M = max(-lo, hi).
+    With u = 2^-53, eps / (eps + d) > 1 - lam fails in floats at every
+    d >= D = eps (lam + 3u) / ((1 - u) fl(1 - lam)). Float h(p) lies within
+    E = u (2 |a| M + |b|) of h(p), so the carried points measure >= D apart
+    once the float |x - y| > B = (D + 2E) / |a|. The factor 1 + 2^-48 covers
+    D's 1 - u, the u^2 terms and rounding; the tiny terms, underflow."""
     space, h = fm.space, fm.transform
     if type(space) is not IntervalSpace or space.normalize or type(h) is not AffineBijection:
         return None
     if not all(space.lo <= step.apply(end) <= space.hi for end in (space.lo, space.hi)):
         return None
-    epsilon, level = cfg.epsilon, 1.0 - cfg.lam
-    d_pass = epsilon * cfg.lam / level
-    while epsilon / (epsilon + d_pass) > level:
-        d_pass += math.ulp(epsilon)
+    d_pass = cfg.epsilon * (cfg.lam + 3.0 * 2.0**-53) / (1.0 - cfg.lam) + 2.0**-1020
     e = 2.0**-53 * (2.0 * abs(h.a) * max(-space.lo, space.hi) + abs(h.b)) + 2.0**-1074
     return (d_pass + 2.0 * e) / abs(h.a) * (1.0 + 2.0**-48) + 2.0**-1060
 

@@ -2,7 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import fuzzfix as fx
@@ -553,7 +553,8 @@ def screened_solves(draw):
     2^10, g the identity or the reflection, the step x -> g^{-1}(f(x)) at
     ratio q in (-1, 1) about the interval's centre, and eps = lam from 1e-12
     to 1e-1, or near ulp(M) ** 0.5, which puts the stopping distance
-    eps * lam / (1 - lam) within 100 x of the float spacing at the ends."""
+    eps * lam / (1 - lam) within 100 x of the float spacing at the ends, or
+    lam in (0.5, 1 - 2^-53] with eps from 1e-6 to 10."""
     width = 2.0 ** draw(st.integers(-10, 10))
     magnitude = 2.0 ** draw(st.integers(-20, 39)) * draw(st.floats(1.0, 2.0))
     lo = draw(st.sampled_from([-1.0, 1.0])) * magnitude - width / 2.0
@@ -572,14 +573,18 @@ def screened_solves(draw):
         f.validate(space)
     except ValueError:
         assume(False)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["ulp", "small", "wide"]))
+    if kind == "ulp":
         ulp = math.ulp(max(abs(space.lo), abs(space.hi)))
-        epsilon = min(0.1, max(1e-12, (ulp * 10.0 ** draw(st.floats(-2.0, 2.0))) ** 0.5))
+        epsilon = lam = min(0.1, max(1e-12, (ulp * 10.0 ** draw(st.floats(-2.0, 2.0))) ** 0.5))
+    elif kind == "small":
+        epsilon = lam = 10.0 ** -draw(st.floats(1.0, 12.0))
     else:
-        epsilon = 10.0 ** -draw(st.floats(1.0, 12.0))
+        epsilon = draw(st.one_of(st.sampled_from([0.625, 1.25]), st.floats(1e-6, 10.0)))
+        lam = draw(st.one_of(st.sampled_from([0.8, 1.0 - 2.0**-53]), st.floats(0.5, 1.0 - 2.0**-53, exclude_min=True)))
     start = min(space.hi, lo + width * draw(st.floats(0.0, 1.0)))
     window, max_iter = draw(st.sampled_from([2, 3, 1])), draw(st.one_of(st.just(3000), st.integers(1, 3000)))
-    cfg = fx.SolverConfig(start=start, epsilon=epsilon, lam=epsilon, window=window, max_iter=max_iter)
+    cfg = fx.SolverConfig(start=start, epsilon=epsilon, lam=lam, window=window, max_iter=max_iter)
     return fx.FuzzyMetric(space, fx.TNorm("product")), f, g, cfg
 
 
@@ -597,14 +602,18 @@ def test_screened_solve_equals_the_unscreened_one(case, k):
 @seed(20072)
 @settings(max_examples=100, deadline=None, database=None)
 @given(
-    epsilon=st.floats(1e-12, 0.5),
-    lam=st.floats(2e-16, 0.5),
+    epsilon=st.floats(1e-12, 10.0),
+    lam=st.one_of(st.sampled_from([0.8, 1.0 - 2.0**-53]), st.floats(2e-16, 1.0 - 2.0**-53)),
     spread=st.floats(0.0, 20.0),
 )
+@example(epsilon=0.625, lam=0.8, spread=2.0)
+@example(epsilon=1.25, lam=0.8, spread=2.0)
 def test_screen_keeps_the_longest_passing_step(epsilon, lam, spread):
     # The first step from 0 is the longest float length whose newest pair
     # passes, on an interval up to 2^20 times wider: the horizon is 1, so
-    # the run stops there, as when every step is measured.
+    # the run stops there, as when every step is measured. At lambda = 0.8
+    # these epsilons round eps lam / (1 - lam) to a float that still passes,
+    # and ulp(eps) is below that float's spacing.
     length = longest_passing_length(epsilon, lam)
     fm = fx.FuzzyMetric(fx.IntervalSpace(0.0, length * 2.0**spread), fx.TNorm("product"))
     cfg = fx.SolverConfig(start=0.0, epsilon=epsilon, lam=lam)
