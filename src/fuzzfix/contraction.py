@@ -15,13 +15,13 @@ pair. ``check_g_phi`` and the set-valued check decide their rows in the one
 kernel ``failing_rows``: a float test where a certified margin covers the
 rounding, else the exact rule ``phi.pair_passes`` in rationals, as adaptive
 predicates do (Shewchuk, 1997), once per distinct pair of a finite space's
-exact table floats. On an unnormalized interval or bounded box, where d_f /
-d_g is one rational, ``check_g_phi`` first reads the exact verdict over the
-plan's whole reach (``reach_verdict``): passing there, it draws no pair;
-failing at every d > 0, it fails each pair of distinct points unmeasured;
-else one bisect of d_g in its ``piece_table`` decides a row, and only rows
-near a cut go to that kernel. Only the counterexamples a report keeps map
-points, in ``replay``.
+exact table floats. On an unnormalized interval or box, where d_f / d_g is
+one rational, ``check_g_phi`` reads the exact rule once, in its
+``piece_table``, which also carries the verdict over the plan's whole
+reach: passing there, it draws no pair; failing at every d > 0, it fails
+each pair of distinct points unmeasured; else one bisect of d_g in the
+table decides a row, and only rows near a cut go to that kernel. Only the
+counterexamples a report keeps map points, in ``replay``.
 
 No other hypothesis is checked here. A map that passes with phi(t) < t is
 already uniformly continuous from the g-transformed uniformity, and a
@@ -42,7 +42,7 @@ from operator import is_, mul, sub
 from typing import List, Optional, Sequence, Tuple
 
 # threshold stays importable here: perfbench/tests checks that its tracer rebinds and restores it in this module.
-from .fmspace import FiniteSpace, FuzzyMetric, IntervalSpace, Point, Space, onset, threshold  # noqa: F401
+from .fmspace import FiniteSpace, FuzzyMetric, IntervalSpace, Point, Space, _d1, onset, threshold  # noqa: F401
 from .maps import BijectionSpec, MapSpec
 from .phi import CROSSING_ERROR, InducedPhi, PhiFunction, TablePhi, _U, crossing_time, ensure_phi_class, pair_passes
 
@@ -183,37 +183,39 @@ def _float_test(phi: PhiFunction):
     return induced
 
 
-def cut_pieces(phi: PhiFunction, rho) -> list:
-    """The sorted cuts of phi's exact rule at ratio rho, and 0, each with one
-    rational point of the piece between it and the next cut."""
+def piece_table(phi: PhiFunction, rho, reach2) -> Tuple[list, list, Optional[bool]]:
+    """(bounds, fails, whole) for rows whose d_f / d_g is the rational rho:
+    a row at float g-distance d_g fails iff fails[bisect_right(bounds,
+    d_g)], and is undecided where that is None. Its exact verdict,
+    phi.passes(rho, d**2) at d > 0, steps only at 0 and at phi.cuts(rho), so
+    each piece between cuts takes the verdict of one rational point in it. A
+    d_g within a cut's enclosure (DISTANCE_ERROR, the cut's rounding to at
+    most the largest float, and _TINY), at inf or NaN, or above an induced
+    modulus's cap, where its rule compares roots, is undecided. ``whole`` is
+    the failing verdict where it is one for every d in (0, D], D**2 =
+    ``reach2``, read at each cut in (0, D] and on each piece that meets (0,
+    D); else None, and so past an induced cap or where ``reach2`` is None."""
     from fractions import Fraction
 
     cuts = sorted(map(Fraction, {0, *phi.cuts(rho)}))
-    return list(zip(cuts, [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [cuts[-1] + 1]))
-
-
-def piece_table(phi: PhiFunction, rho) -> Tuple[list, list]:
-    """(bounds, fails) for rows whose d_f / d_g is the rational rho: a row at
-    float g-distance d_g fails iff fails[bisect_right(bounds, d_g)], and is
-    undecided where that is None. Its exact verdict, phi.passes(rho, d**2) at
-    d > 0, steps only at 0 and at phi.cuts(rho), so each piece between cuts
-    takes the verdict of its point in ``cut_pieces``. A d_g within a cut's
-    enclosure (DISTANCE_ERROR, the cut's rounding to at most the largest
-    float, and _TINY), at inf or NaN, or above an induced modulus's cap,
-    where its rule compares roots, is undecided."""
-    pieces = cut_pieces(phi, rho)
-    top = pieces[-1][0] if isinstance(phi, InducedPhi) else None
+    mids = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [cuts[-1] + 1]
+    top = cuts[-1] if isinstance(phi, InducedPhi) else None
+    verdicts = [None if cut == top else not phi.passes(rho, mid * mid) for cut, mid in zip(cuts, mids)]
     below, above = 1.0 - 2.0 * (DISTANCE_ERROR + _U), 1.0 + 2.0 * (DISTANCE_ERROR + _U)
     bounds, fails = [], [None]
-    for cut, mid in pieces:
+    for cut, verdict in zip(cuts, verdicts):
         c = float(min(cut, sys.float_info.max))
-        lo, hi, verdict = c * below - _TINY, c * above + _TINY, None if cut == top else not phi.passes(rho, mid * mid)
+        lo, hi = c * below - _TINY, c * above + _TINY
         if bounds and lo <= bounds[-1]:  # enclosures that meet make one: the piece between is undecided
             bounds[-1], fails[-1] = hi, verdict
         else:
             bounds += [lo, hi]
             fails += [None, verdict]
-    return bounds + [math.inf], fails + [None]
+    if reach2 is None:
+        return bounds + [math.inf], fails + [None], None
+    reached = {v for cut, v in zip(cuts, verdicts) if cut * cut < reach2}
+    reached |= {not phi.passes(rho, cut * cut) for cut in cuts if 0 < cut * cut <= reach2}
+    return bounds + [math.inf], fails + [None], reached.pop() if len(reached) == 1 else None
 
 
 def exact_square(h, m, x: Point, y: Point):
@@ -227,27 +229,6 @@ def exact_square(h, m, x: Point, y: Point):
     return s * s * sum((Fraction(p) - Fraction(q)) ** 2 for p, q in zip(x, y))
 
 
-def reach_verdict(phi: PhiFunction, rho, g: BijectionSpec, h, space: Space) -> Optional[bool]:
-    """phi.passes(rho, d**2) where it is one verdict for every d in (0, D],
-    read at each cut in (0, D] and at the point of each piece that meets (0,
-    D); else None. D is the ``exact_square`` root of the farthest g-images in
-    a plan of an unnormalized interval or bounded box: a drawn lo + w r
-    rounds to at most fl(lo + w), and a box coordinate stays in [-bound,
-    bound]. None on other spaces, and past an induced cap, its top cut, past
-    which its rule lists none."""
-    ends = () if isinstance(space, FiniteSpace) or space.normalize else space.extreme_points()
-    if not ends:
-        return None
-    lo, hi = ends
-    reach2 = exact_square(h, g, lo, max(hi, lo + (hi - lo)) if isinstance(space, IntervalSpace) else hi)
-    pieces = cut_pieces(phi, rho)
-    if isinstance(phi, InducedPhi) and reach2 > pieces[-1][0] ** 2:
-        return None
-    probes = [cut for cut, _ in pieces if 0 < cut * cut <= reach2] + [mid for cut, mid in pieces if cut * cut < reach2]
-    verdicts = {phi.passes(rho, d * d) for d in probes}
-    return verdicts.pop() if len(verdicts) == 1 else None
-
-
 def failing_rows(phi: PhiFunction, rows: Sequence[tuple], d_gs, d_fs, normalize: bool, squares=None) -> list:
     """The rows (a pair, or a pair and an image point u) that fail, in row
     order, by the float test on their ``image_distances``, else by
@@ -258,20 +239,20 @@ def failing_rows(phi: PhiFunction, rows: Sequence[tuple], d_gs, d_fs, normalize:
     which are exact, and each distinct (d_g, d_f), (0, 0) for coincident
     rows, is decided once, by the squares of those floats if the test
     cannot."""
-    test, failing, expm1 = _float_test(phi), [], math.expm1
+    test, failing = _float_test(phi), []
     if squares is None:
         from fractions import Fraction
 
         @cache  # one hash a row: a key's first row decides it
         def fails(d_g, d_f):
-            verdict = test(-expm1(-d_g), -expm1(-d_f)) if normalize else test(d_g, d_f)
+            verdict = test(_d1(d_g), _d1(d_f)) if normalize else test(d_g, d_f)
             if verdict is None:
                 verdict = pair_passes(phi, Fraction(d_g) ** 2, Fraction(d_f) ** 2, normalize)
             return not verdict
 
         return list(compress(rows, map(fails, d_gs, d_fs)))
     if normalize:
-        d_gs, d_fs = ([-expm1(-d) for d in column] for column in (d_gs, d_fs))
+        d_gs, d_fs = (list(map(_d1, column)) for column in (d_gs, d_fs))
     for row, verdict in zip(rows, map(test, d_gs, d_fs)):
         if verdict is None:
             verdict = pair_passes(phi, *squares(row), normalize)
@@ -304,22 +285,28 @@ def check_g_phi(
     def distances(x, y):
         return fm.distance(g.apply(x), g.apply(y)), fm.distance(f.apply(x), f.apply(y))
 
-    # d_f / d_g on every row of an unnormalized continuum
-    rho = None if finite or space.normalize else abs(Fraction(f.a) / Fraction(g.a))
-    # A verdict that is one over the plan's whole reach is every distinct pair's.
-    positive, coincident = reach_verdict(phi, rho, g, h, space), not isinstance(phi, TablePhi)
-    if positive and coincident and samples >= 1:  # none is drawn; sample_pairs rejects samples < 1
-        return ContractionReport.of(space, phi, [], max(samples, 2), distances)
-    pairs = sample_pairs(space, samples, seed)
-    if positive is not None:
-        failing = [pair for pair in pairs if not (positive if pair[0] != pair[1] else coincident)]
-    elif finite or space.normalize:
+    if finite or space.normalize:
+        pairs = sample_pairs(space, samples, seed)
         d_gs, d_fs = image_distances(space, (g, f), h, pairs)
         failing = failing_rows(phi, pairs, d_gs, d_fs, space.normalize, None if finite else squares)
+        return ContractionReport.of(space, phi, failing, len(pairs), distances)
+    # D**2 of the farthest g-images a plan can hold: a drawn lo + w r rounds
+    # to at most fl(lo + w), and a box coordinate stays in [-bound, bound].
+    ends, reach2 = space.extreme_points(), None
+    if ends:
+        lo, hi = ends
+        reach2 = exact_square(h, g, lo, max(hi, lo + (hi - lo)) if isinstance(space, IntervalSpace) else hi)
+    # d_f / d_g is rho on every row; a verdict that is one over the whole reach is every distinct pair's.
+    bounds, fails, whole = piece_table(phi, abs(Fraction(f.a) / Fraction(g.a)), reach2)
+    coincident = not isinstance(phi, TablePhi)
+    if whole is False and coincident and samples >= 1:  # none is drawn; sample_pairs rejects samples < 1
+        return ContractionReport.of(space, phi, [], max(samples, 2), distances)
+    pairs = sample_pairs(space, samples, seed)
+    if whole is not None:
+        failing = [pair for pair in pairs if (whole if pair[0] != pair[1] else not coincident)]
     else:
         # One bisect decides a row off its cuts, and the rows near one take
         # the float test, then the exact rule; only they need d_f.
-        bounds, fails = piece_table(phi, rho)
         d_gs, = image_distances(space, (g,), h, pairs)
         marks = list(map(fails.__getitem__, map(bisect_right, repeat(bounds), d_gs)))
         near = list(compress(range(len(marks)), map(is_, marks, repeat(None))))

@@ -12,6 +12,12 @@ def raises_exactly(call, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
+def per_row_piece_table(phi, rho, reach2, piece_table=fx.contraction.piece_table):
+    """contraction.piece_table without a reach: patched in, it sends every
+    continuum check to the per-row path."""
+    return piece_table(phi, rho, None)
+
+
 def line_space(coords, normalize=False):
     """Finite space whose points sit on a line; labels are the coordinates."""
     labels = tuple(str(c) for c in coords)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import fuzzfix as fx
-from conftest import line_space, raises_exactly
+from conftest import line_space, per_row_piece_table, raises_exactly
 from corpus import CORPUS
 from fuzzfix.contraction import _float_test, exact_square, failing_rows, image_distances
 from fuzzfix.phi import pair_passes
@@ -434,7 +434,6 @@ def test_a_check_that_fails_everywhere_measures_no_distance(monkeypatch, space):
     expected = {samples: fx.check_g_phi(fm, f, g, phi, samples=samples, seed=4) for samples in (1, 300)}
     # The 64 kept rows are still replayed from their distances, by fm.distance.
     monkeypatch.setattr(fx.contraction, "image_distances", _refuse)
-    monkeypatch.setattr(fx.contraction, "piece_table", _refuse)
     for samples, report in expected.items():
         assert not report.passed and report.checked_pairs == max(samples, 2)
         assert len(report.counterexamples) == min(report.checked_pairs, 64)
@@ -457,8 +456,21 @@ def test_coincident_pairs_take_the_coincident_rule(monkeypatch, f, phi, coincide
     assert 0 < sum(x == y for x, y in pairs) < len(pairs)
     report = fx.check_g_phi(fm, f, g, phi, samples=40, seed=0)
     assert [(ce.x, ce.y) for ce in report.counterexamples] == sorted(failing)
-    monkeypatch.setattr(fx.contraction, "reach_verdict", lambda *args: None)
+    monkeypatch.setattr(fx.contraction, "piece_table", per_row_piece_table)
     assert fx.check_g_phi(fm, f, g, phi, samples=40, seed=0) == report
+
+
+def test_a_reach_that_ends_on_an_induced_cap_draws_no_pair(
+    monkeypatch, flagship_fm, flagship_f, flagship_g, flagship_phi
+):
+    # The flagship's reach [0, 1] ends exactly on the cap of induced(0.5, 1),
+    # whose float enclosure is undecided: only the exact reach D**2 = 1
+    # decides it over the whole reach, with no pair drawn or measured.
+    monkeypatch.setattr(fx.IntervalSpace, "sample", _refuse)
+    monkeypatch.setattr(fx.contraction, "image_distances", _refuse)
+    for samples in (1, 2, 2000):
+        report = fx.check_g_phi(flagship_fm, flagship_f, flagship_g, flagship_phi, samples=samples, seed=3)
+        assert report == fx.ContractionReport(True, max(samples, 2), (), "threshold-reduction")
 
 
 def test_a_split_reach_keeps_the_per_row_path(monkeypatch):
@@ -468,7 +480,7 @@ def test_a_split_reach_keeps_the_per_row_path(monkeypatch):
     space = fx.IntervalSpace(0.0, 1.0)
     fm, g = fx.FuzzyMetric(space, fx.TNorm("product")), fx.identity_for(space)
     f, phi = fx.AffineMap(0.2, 0.0), fx.LinearPhi(0.5)
-    assert fx.contraction.reach_verdict(phi, abs(Fraction(f.a)), g, None, space) is None
+    assert fx.contraction.piece_table(phi, abs(Fraction(f.a)), Fraction(1))[2] is None
     tables = []
     piece_table = fx.contraction.piece_table
     monkeypatch.setattr(fx.contraction, "piece_table", lambda *args: tables.append(args) or piece_table(*args))

@@ -33,6 +33,7 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import fuzzfix as fx
+from conftest import per_row_piece_table
 from fuzzfix.contraction import _float_test, piece_table
 from fuzzfix.phi import pair_passes
 from oracles import (
@@ -628,8 +629,11 @@ def test_piece_table_agrees_with_the_exact_rule(case):
     # exact rule agrees with the decimal oracle where 1e-50 <= d <= 1e20:
     # outside, one float step moves tau(d) by less than the oracle's
     # absolute tie width of 1e-45, so it calls the margins near a cut ties.
+    # A whole-reach verdict, for a reach on a cut or next to one, is the
+    # exact rule's failing verdict at every probed d in (0, D].
     phi, rho = case
-    bounds, fails = piece_table(phi, rho)
+    bounds, fails, whole = piece_table(phi, rho, None)
+    assert whole is None
     assert bounds == sorted(bounds) and len(fails) == len(bounds) + 1
     cuts = sorted({Fraction(0), *phi.cuts(rho)})
     nearest = [_float_of(c) for c in cuts]
@@ -642,6 +646,11 @@ def test_piece_table_agrees_with_the_exact_rule(case):
             exact = pair_passes(phi, Fraction(d) ** 2, (rho * Fraction(d)) ** 2, False)
             assert fails[bisect.bisect_right(bounds, d)] in (None, not exact)
             assert not 1e-50 <= d <= 1e20 or exact == exact_pass(phi, dec(d), dec(rho * Fraction(d)))
+    probes = [Fraction(d) for x in nearest for d in _floats_around(x)] + [*map(Fraction, cuts + inside)]
+    fails_at = {d: not pair_passes(phi, d * d, (rho * d) ** 2, False) for d in probes if d > 0}
+    for reach in [*map(Fraction, cuts[1:])] + [Fraction(d) for x in nearest for d in _floats_around(x, 1) if d > 0]:
+        _, _, whole = piece_table(phi, rho, reach * reach)
+        assert whole is None or all(whole == fail for d, fail in fails_at.items() if d <= reach)
 
 
 # Golden interval_linear_cut: delta*, just below 1/6, splits the reach [0, 1].
@@ -705,7 +714,7 @@ def test_a_whole_reach_verdict_is_every_row_s(case, samples, sample_seed):
     # pairs, counterexamples and verdict, whether or not it draws them.
     fm, f, g, phi = case
     report = fx.check_g_phi(fm, f, g, phi, samples=samples, seed=sample_seed)
-    with mock.patch.object(fx.contraction, "reach_verdict", lambda *args: None):
+    with mock.patch.object(fx.contraction, "piece_table", per_row_piece_table):
         assert fx.check_g_phi(fm, f, g, phi, samples=samples, seed=sample_seed) == report
 
 
