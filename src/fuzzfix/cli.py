@@ -51,7 +51,7 @@ from .maps import (
     TableMap,
     identity_for,
 )
-from .multivalued import SetValuedMap, solve_inclusion
+from .multivalued import SetValuedMap, check_setvalued_contraction, solve_inclusion
 from .phi import InducedPhi, LinearPhi, PhiFunction, RationalPhi, TablePhi, verify_phi_class
 from .report import Report
 from .solver import SolverConfig, solve_coincidence, trace_records
@@ -358,7 +358,12 @@ def _check_phi(cfg, fm, trace_path):
 
 
 def _check_contraction(cfg, fm, trace_path):
-    report = check_g_phi(fm, cfg.f, cfg.g, cfg.phi, samples=cfg.samples, seed=cfg.seed)
+    if (cfg.f is None) == (cfg.setvalued is None):
+        raise ValidationError("check-contraction takes exactly one of f and T")
+    if cfg.f is None:
+        report = check_setvalued_contraction(fm, cfg.setvalued, cfg.g, cfg.phi)
+    else:
+        report = check_g_phi(fm, cfg.f, cfg.g, cfg.phi, samples=cfg.samples, seed=cfg.seed)
     verdicts = {"contraction": {k: v for k, v in vars(report).items() if k != "counterexamples"}}
     return verdicts, _counterexample_dicts(report), None, report.passed
 
@@ -411,7 +416,7 @@ def _induce_phi(cfg, fm, trace_path):
 _HANDLERS = {
     "check-axioms": ((), _check_axioms),
     "check-phi": (("phi",), _check_phi),
-    "check-contraction": (("phi", "f"), _check_contraction),
+    "check-contraction": (("phi",), _check_contraction),  # and exactly one of f and T
     "solve": (("phi", "f", "solver"), _solve),
     "solve-set": (("phi", "T", "solver"), _solve_set),
     "threshold": (("query",), _threshold),

@@ -290,12 +290,9 @@ def check_g_phi(
         d_gs, d_fs = image_distances(space, (g, f), h, pairs)
         failing = failing_rows(phi, pairs, d_gs, d_fs, space.normalize, None if finite else squares)
         return ContractionReport.of(space, phi, failing, len(pairs), distances)
-    # D**2 of the farthest g-images a plan can hold: a drawn lo + w r rounds
-    # to at most fl(lo + w), and a box coordinate stays in [-bound, bound].
-    ends, reach2 = space.extreme_points(), None
-    if ends:
-        lo, hi = ends
-        reach2 = exact_square(h, g, lo, max(hi, lo + (hi - lo)) if isinstance(space, IntervalSpace) else hi)
+    # D**2 of the farthest g-images a plan can hold: every draw lies in the space (``sample``).
+    ends = space.extreme_points()
+    reach2 = exact_square(h, g, *ends) if ends else None
     # d_f / d_g is rho on every row; a verdict that is one over the whole reach is every distinct pair's.
     bounds, fails, whole = piece_table(phi, abs(Fraction(f.a) / Fraction(g.a)), reach2)
     coincident = not isinstance(phi, TablePhi)

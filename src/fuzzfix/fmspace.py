@@ -162,7 +162,10 @@ class IntervalSpace:
 
     def sample(self, rng: random.Random, n: int) -> List[Point]:
         """n points drawn from rng as lo + (hi - lo) * random(), the
-        expression ``random.uniform`` evaluates."""
+        expression ``random.uniform`` evaluates, each in [lo, hi]: as random()
+        <= 1 - 2**-53, fl(w random()) <= pred(w) < hi - lo for a normal w =
+        fl(hi - lo), whichever way it rounded, so lo plus it rounds to at
+        most hi; a subnormal w is exact."""
         lo, w, rnd = self.lo, self.hi - self.lo, rng.random
         return [lo + w * rnd() for _ in range(n)]
 
@@ -219,8 +222,9 @@ class EuclideanSpace:
 
     def sample(self, rng: random.Random, n: int) -> List[Point]:
         """n points drawn from rng, ``dim`` coordinates each in turn: -bound
-        + (2 * bound) * random(), as ``random.uniform`` draws them, or
-        ``gauss(0, 1)`` when the box is unbounded."""
+        + (2 * bound) * random(), as ``random.uniform`` draws them, in
+        [-bound, bound] as ``IntervalSpace.sample``'s draws lie in [lo, hi]
+        (2 * bound is exact), or ``gauss(0, 1)`` when the box is unbounded."""
         if self.bound is None:
             coords = [rng.gauss(0.0, 1.0) for _ in range(n * self.dim)]
         else:

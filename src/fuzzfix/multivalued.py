@@ -3,9 +3,11 @@
 The set-valued condition quantifies an existential inside the
 implication: past the pair's crossing time, every image point u of the
 first argument needs some image point v of the second with
-membership(u, v, phi(t)) > 1 - phi(t). The orbit solver follows the
-constructive chain that this guarantees, choosing the best admissible
-successor at each shrinking scale.
+membership(u, v, phi(t)) > 1 - phi(t). It reads T only on its finite
+domain, so its check, which ``check-contraction`` runs on a config with a
+T section, takes the pairs whose g-images lie there, on every space. The
+orbit solver follows the constructive chain that this guarantees,
+choosing the best admissible successor at each shrinking scale.
 """
 
 from __future__ import annotations
@@ -102,41 +104,31 @@ def check_setvalued_contraction(
     T: SetValuedMap,
     g: BijectionSpec,
     phi: PhiFunction,
-    pairs: Optional[Sequence[Tuple[Point, Point]]] = None,
 ) -> ContractionReport:
     """Check the set-valued contraction condition, one comparison per image point.
 
-    With ``pairs`` omitted, every ordered pair of points whose g-image
-    lies in the map's domain is checked (finite spaces); continuum
-    spaces need an explicit pair plan. Each image point u of gx is judged
-    as in ``check_g_phi``, with its nearest image point v of gy, which
-    grades best at every scale. A counterexample records the u with no
-    admissible v, with the consequent being that best grade. A finite
-    space's rows are built in label order, ties in scan order.
+    The condition reads T only on its domain, so the exact plan on every
+    space is each ordered pair of the points whose g-images lie in it, in
+    point order. Each image point u of gx, in point order, is judged as in
+    ``check_g_phi``, with its nearest image point v of gy, which grades
+    best at every scale. A counterexample records the u with no admissible
+    v, with the consequent being that best grade. On a continuum g must be
+    the identity: another affine g need not map the float g^-1(p) onto p.
     """
     ensure_phi_class(phi)
     space, finite = fm.space, isinstance(fm.space, FiniteSpace)
     g.validate_bijection(space)
     validate_setvalued(space, T)
-    if pairs is None:
-        if not finite:
-            raise ValueError("an explicit pair plan is required on continuum spaces")
-        eligible = [x for x in space.labels if g.apply(x) in T.images]
-        pairs = [(x, y) for x in eligible for y in eligible]
-    key = space.point_key  # a finite space's index: it raises UnknownPoint on a label of no point
-    plan = sorted(pairs, key=lambda pair: (key(pair[0]), key(pair[1]))) if finite else pairs
-    d_gs, = image_distances(space, (g,), fm.transform, plan)
+    identity, h, key = identity_for(space), fm.transform, space.point_key
+    if not finite and g != identity:
+        raise ValueError("a set-valued check on a continuum space takes the identity g")
+    domain = sorted(map(g.invert_apply, T.images), key=key)
     points = {p for values in T.images.values() for p in values}
     between = [(u, v) for u in points for v in points]
-    identity, h = identity_for(space), fm.transform
     near = dict(zip(between, image_distances(space, (identity,), h, between)[0]))
-    rows, row_d_gs, d_fs = [], [], []
-    for (x, y), d_g in zip(plan, d_gs):
-        images_u, images_v = T.image(g.apply(x)), T.image(g.apply(y))
-        for u in sorted(images_u, key=key) if finite else images_u:
-            rows.append((x, y, u))
-            row_d_gs.append(d_g)
-            d_fs.append(min(near[u, v] for v in images_v))
+    rows = [(x, y, u) for x in domain for y in domain for u in sorted(T.image(g.apply(x)), key=key)]
+    d_gs, = image_distances(space, (g,), h, [row[:2] for row in rows])
+    d_fs = [min(near[u, v] for v in T.image(g.apply(y))) for _, y, u in rows]
 
     def distances(x, y, u):
         gy = g.apply(y)
@@ -146,8 +138,8 @@ def check_setvalued_contraction(
         x, y, u = row
         return exact_square(h, g, x, y), min(exact_square(h, identity, u, v) for v in T.image(g.apply(y)))
 
-    failing = failing_rows(phi, rows, row_d_gs, d_fs, space.normalize, None if finite else squares)
-    return ContractionReport.of(space, phi, failing, len(pairs), distances)
+    failing = failing_rows(phi, rows, d_gs, d_fs, space.normalize, None if finite else squares)
+    return ContractionReport.of(space, phi, failing, len(domain) ** 2, distances)
 
 
 @dataclass(frozen=True)

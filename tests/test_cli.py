@@ -618,6 +618,13 @@ USAGE_ERRORS = (
     ("top-level-array", "check-axioms", "[]", "top level: must be an object"),
     ("solve-given-T", "solve", json.dumps(WITH_F_AND_T), "solve takes f, not T; use solve-set"),
     ("solve-set-given-f", "solve-set", json.dumps(WITH_F_AND_T), "solve-set takes T, not f; use solve"),
+    ("check-given-f-and-T", "check-contraction", json.dumps(WITH_F_AND_T), "check-contraction takes exactly one of f and T"),
+    (
+        "check-given-neither",
+        "check-contraction",
+        json.dumps({k: v for k, v in MULTI.items() if k != "T"}),
+        "check-contraction takes exactly one of f and T",
+    ),
     ("induce-phi-on-linear", "induce-phi", json.dumps(BAD_CONTRACTION), 'induce-phi requires phi of kind "induced"'),
 )
 

@@ -57,7 +57,16 @@ bound: T sends both of two labels 3.3125 apart to p0, and the start p1 lies
 in no image, so the chain's x_1 = p0 is free, while the old first step
 demanded a grade at phi(t0) that no point of T(p1) has and exited 1 with
 NoAdmissibleSuccessor; it pins the converged orbit at p0 (its 1,001-point
-trace is not pinned). The ``axioms_interval`` output was captured
+trace is not pinned). The ``setvalued_check_pass`` and
+``setvalued_check_fail`` outputs were captured when ``check-contraction``
+came to run the set-valued check on a config with a T section, over every
+ordered pair of points whose g-images lie in dom T. They copy the configs
+of ``solve_set_first_step`` and ``solve_set_permuted``, and each one's
+``passed``, ``checked_pairs`` and counterexamples were checked against
+``check_setvalued_contraction`` called on the same config before the CLI
+could run it. The first passes over its 4 pairs. The second fails over 9
+at x = 1, y = 0, u = 0.1, though ``solve-set`` converges on it: the
+hypothesis is sufficient, not necessary. The ``axioms_interval`` output was captured
 before the t-norm laws came to be read from one grade table: it pins
 each law's check count at grid 21 and the fuzzy-metric laws on 3,000
 interval samples. The ``axioms_finite`` output was captured before the
@@ -88,6 +97,8 @@ CASES = (
     ("check-contraction", "finite_every_pair", 1),
     ("check-contraction", "finite_induced_ties", 1),
     ("check-contraction", "interval_table_value_cut", 1),
+    ("check-contraction", "setvalued_check_pass", 0),
+    ("check-contraction", "setvalued_check_fail", 1),
     ("threshold", "threshold", 0),
     ("solve-set", "solve_set", 0),
     ("solve-set", "solve_set_permuted", 0),

@@ -132,10 +132,9 @@ def test_coincident_finite_rows_share_one_exact_verdict(monkeypatch, multivalued
 
 
 def test_finite_counterexamples_come_in_label_order():
-    # Image lists out of label order that repeat a point, and an explicit
-    # plan out of order that repeats a pair: counterexamples come in label
-    # order of (x, y, u), a repeated row as often as it was scanned, as
-    # ranking the failing rows by label index keeps them.
+    # Image lists out of label order that repeat a point: counterexamples
+    # come in label order of (x, y, u), a repeated row as often as it was
+    # scanned, as ranking the failing rows by label index keeps them.
     space = line_space((0.0, 1.0, 2.0, 3.0))
     fm, g, phi = fx.FuzzyMetric(space, fx.TNorm("product")), fx.identity_for(space), fx.LinearPhi(0.5)
     T = fx.SetValuedMap(
@@ -148,40 +147,31 @@ def test_finite_counterexamples_come_in_label_order():
     def fails(x, y, u):
         return not pair_passes(phi, square(x, y), min(square(u, v) for v in T.image(y)), False)
 
-    def expected(pairs):
-        failing = [(x, y, u) for x, y in pairs for u in T.image(x) if fails(x, y, u)]
-        return sorted(failing, key=lambda row: tuple(map(space.index, row)))
-
-    every = [(x, y) for x in space.labels for y in space.labels]
-    plan = [("2.0", "0.0"), ("0.0", "3.0"), ("2.0", "0.0"), ("1.0", "3.0"), ("0.0", "1.0"), ("3.0", "2.0")]
-    for pairs, given in ((every, None), (plan, plan)):
-        report = fx.check_setvalued_contraction(fm, T, g, phi, pairs=given)
-        failing = [(c.x, c.y, c.u) for c in report.counterexamples]
-        assert 1 < len(set(failing)) < len(failing) == len(expected(pairs))
-        assert failing == expected(pairs)
-    # An unknown label in a plan raises the UnknownPoint of the space's index.
-    raises_exactly(
-        lambda: fx.check_setvalued_contraction(fm, T, g, phi, pairs=[("0.0", "zz")]),
-        fx.UnknownPoint,
-        "'zz' is not a point of this finite space",
+    pairs = [(x, y) for x in space.labels for y in space.labels]
+    expected = sorted(
+        [(x, y, u) for x, y in pairs for u in T.image(x) if fails(x, y, u)],
+        key=lambda row: tuple(map(space.index, row)),
     )
+    report = fx.check_setvalued_contraction(fm, T, g, phi)
+    failing = [(c.x, c.y, c.u) for c in report.counterexamples]
+    assert 1 < len(set(failing)) < len(failing) == len(expected)
+    assert failing == expected
 
 
-def test_continuum_space_needs_pair_plan(unit_interval):
+def test_continuum_check_takes_dom_T_squared(unit_interval):
+    # A continuum check takes every ordered pair of dom T, as a finite one
+    # does, with no plan given; a g other than the identity is refused, as
+    # g^-1(p) need not be a float that g maps onto p.
     fm = fx.FuzzyMetric(unit_interval, fx.TNorm("product"))
     T = fx.SetValuedMap({0.0: (0.0,), 1.0: (0.0,)})
-    with pytest.raises(ValueError):
-        fx.check_setvalued_contraction(
-            fm, T, fx.identity_for(unit_interval), fx.LinearPhi(0.5)
+    for phi in (fx.LinearPhi(0.5), fx.InducedPhi(0.5, 1.0)):
+        report = fx.check_setvalued_contraction(fm, T, fx.identity_for(unit_interval), phi)
+        assert (report.passed, report.checked_pairs) == (True, 4)
+        raises_exactly(
+            lambda: fx.check_setvalued_contraction(fm, T, fx.AffineBijection(-1.0, 1.0), phi),
+            ValueError,
+            "a set-valued check on a continuum space takes the identity g",
         )
-    report = fx.check_setvalued_contraction(
-        fm,
-        T,
-        fx.identity_for(unit_interval),
-        fx.InducedPhi(0.5, 1.0),
-        pairs=[(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0)],
-    )
-    assert report.passed
 
 
 # -------------------------------------------------------- select_successor

@@ -720,10 +720,20 @@ def test_a_whole_reach_verdict_is_every_row_s(case, samples, sample_seed):
 
 @st.composite
 def setvalued_cases(draw):
-    space = draw(finite_spaces())
-    labels = space.labels
-    images = {l: tuple(draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3))) for l in labels}
-    g, h = _permutation(draw, labels), _permutation(draw, labels)
+    """A finite space under a permutation g, or an interval of dyadic
+    points under the identity g, and a T whose domain is a proper subset
+    of those points where there are two, so that some g-images miss it."""
+    if draw(st.booleans()):
+        space = draw(finite_spaces())
+        points = space.labels
+        g, h = _permutation(draw, points), _permutation(draw, points)
+    else:
+        lo = draw(_dyadic(-16, 16))
+        space = fx.IntervalSpace(lo, lo + draw(_dyadic(1, 32)), normalize=draw(st.booleans()))
+        points = [lo + i / 8.0 for i in range(round((space.hi - lo) * 8.0) + 1)]
+        g, h = fx.identity_for(space), fx.AffineBijection(-1.0, lo + space.hi)
+    domain = draw(st.lists(st.sampled_from(points), min_size=1, max_size=max(1, min(6, len(points) - 1)), unique=True))
+    images = {p: tuple(draw(st.lists(st.sampled_from(points), min_size=1, max_size=3))) for p in domain}
     transform = h if draw(st.booleans()) else None
     return _metric(space, transform), fx.SetValuedMap(images), g, draw(moduli(space.diameter() or 1.0))
 
@@ -732,12 +742,40 @@ def setvalued_cases(draw):
 @contraction_settings
 @given(case=setvalued_cases())
 def test_setvalued_check_matches_reference(case):
+    # The check takes every ordered pair of points whose g-images lie in
+    # dom T: on an interval, with the identity g, that is dom T x dom T.
     fm, T, g, phi = case
     report = fx.check_setvalued_contraction(fm, T, g, phi)
-    pairs = [(x, y) for x in fm.space.labels for y in fm.space.labels]
-    passed, expected = reference_check_setvalued(fm, T, g, phi, pairs)
+    points = fm.space.labels if isinstance(fm.space, fx.FiniteSpace) else list(T.images)
+    eligible = [x for x in points if g.apply(x) in T.images]
+    passed, expected = reference_check_setvalued(fm, T, g, phi, [(x, y) for x in eligible for y in eligible])
     got = [(ce.x, ce.y, ce.t, ce.antecedent, ce.consequent, ce.u) for ce in report.counterexamples]
-    assert (report.passed, got) == (passed, expected)
+    assert (report.passed, report.checked_pairs, got) == (passed, len(eligible) ** 2, expected)
+
+
+TOP = 1.0 - 2.0 ** -53  # the largest value random() returns
+
+
+@seed(SEED)
+@deterministic
+@given(
+    ends=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+    bound=st.floats(0.0, 1e300, exclude_min=True),
+    dim=st.integers(1, 3),
+    r=st.sampled_from([0.0, TOP]),
+)
+@example(ends=[-3.462543023550395, 3.3897349477489307], bound=1.0, dim=1, r=TOP)  # fl(lo + fl(hi - lo)) > hi
+@example(ends=[-5e-324, 1e-323], bound=5e-324, dim=2, r=TOP)  # subnormal widths
+def test_every_draw_lies_in_the_space(ends, bound, dim, r):
+    # random() lies in [0, 1 - 2**-53], so a draw at either end of that
+    # range lies in the space: an interval's lo + w r never rounds past hi,
+    # and a box coordinate -b + 2b r never past b.
+    lo, hi = sorted(ends)
+    assume(lo < hi and math.isfinite(hi - lo))
+    rng = mock.Mock(random=lambda: r)
+    space, box = fx.IntervalSpace(lo, hi), fx.EuclideanSpace(dim, bound)
+    assert all(map(space.contains, space.sample(rng, 2)))
+    assert all(map(box.contains, box.sample(rng, 2)))
 
 
 @st.composite
