@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -421,6 +422,41 @@ def test_axiom_work_per_sample(monkeypatch):
     times.clear()
     fx.verify_fm_axioms(Delegate(fm), samples=SAMPLES, seed=SEED)
     assert [times.count(t) for t in (0.0, 1e-3, 0.1, 0.5, 1.0, 2.0)] == [SAMPLES] * 6
+    # The standard metric takes d(x, y), d(x, z) and d(y, z) a sample, and
+    # with a transform d(x, x) and d(y, x) too, for FM3 and FM4.
+    pairs = []
+    distance = fx.IntervalSpace.distance
+    monkeypatch.setattr(fx.IntervalSpace, "distance", lambda sp, x, y: pairs.append((x, y)) or distance(sp, x, y))
+    fx.verify_fm_axioms(fm, samples=SAMPLES, seed=SEED)
+    assert len(pairs) == 3 * SAMPLES
+    pairs.clear()
+    fx.verify_fm_axioms(fm.g_transform(fx.AffineBijection(-1.0, 1.0)), samples=SAMPLES, seed=SEED)
+    assert len(pairs) == 5 * SAMPLES
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(t=st.floats(1e-3, 2.0), d=st.one_of(st.floats(0.0, 1e300), st.just(math.inf)))
+def test_fm6_loop_breaks_by_its_seventh_step(t, d):
+    # verify_fm_axioms runs no FM6 loop on the standard metric, as this
+    # loop breaks where delta has shrunk to 1e-9, six steps before its
+    # 1e-12 floor. Exactly, |u/(u + d) - t/(t + d)| = d (u - t) / ((u +
+    # d)(t + d)) <= (u - t) / (4t) <= 2.51e-7, and each float grade rounds
+    # twice, so it lies within a relative 2**-51 (and 2**-1074) of its
+    # exact value: far too close for the float difference to pass 1e-6.
+    delta = 1e-3
+    for _ in range(6):
+        delta *= 0.1
+    assert 1e-12 < 0.999 * 1e-9 < delta < 1.001 * 1e-9
+    u = t + delta
+    grade_u, grade_t = u / (u + d), t / (t + d)
+    assert not abs(grade_u - grade_t) > 1e-6
+    if math.isinf(d):
+        return
+    U, T, D = Fraction(u), Fraction(t), Fraction(d)
+    exact_u, exact_t = U / (U + D), T / (T + D)
+    assert abs(exact_u - exact_t) == D * (U - T) / ((U + D) * (T + D)) <= (U - T) / (4 * T) <= Fraction(251, 10 ** 9)
+    for grade, exact in ((grade_u, exact_u), (grade_t, exact_t)):
+        assert abs(Fraction(grade) - exact) <= 2 * exact * Fraction(1, 2 ** 52) + Fraction(1, 2 ** 1074)
 
 
 def test_axiom_report_is_deterministic(flagship_fm):

@@ -73,6 +73,11 @@ interval samples. The ``axioms_finite`` output was captured before the
 fuzzy-metric laws came to grade the standard metric by membership's own
 expression on distances taken once per pair: it pins them on 2,000
 samples of a normalized six-point table under the minimum t-norm. The
+``axioms_grid61`` output was captured before the t-norm laws that a
+proof shows cannot fail came to be decided without their scans: it pins
+the Lukasiewicz laws' check counts at grid 61, where associativity counts
+226,981 checks and monotonicity 3,575,881, and the fuzzy-metric laws on
+500 samples of a four-point table. The
 other outputs and the other ``.trace`` files were captured before the
 config parser and the command dispatch became table-driven, so they pin
 every report section and the trace format of both solvers.
@@ -106,6 +111,7 @@ CASES = (
     ("check-axioms", "axioms_box", 0),
     ("check-axioms", "axioms_interval", 0),
     ("check-axioms", "axioms_finite", 0),
+    ("check-axioms", "axioms_grid61", 0),
     ("check-phi", "phi_rational", 0),
     ("check-phi", "phi_table_fail", 1),
     ("induce-phi", "induce", 0),

@@ -1,10 +1,14 @@
 import math
+from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fuzzfix as fx
 from conftest import raises_exactly
-from oracles import WITNESS_CAP, largest_margin, reference_tnorm_laws
+from oracles import ASSOC_TOL, WITNESS_CAP, largest_margin, reference_tnorm_laws
 
 NORMS = [fx.TNorm(v) for v in ("product", "minimum", "lukasiewicz")]
 LEVELS = [i / 10 for i in range(11)]
@@ -210,6 +214,120 @@ def test_axiom_report_reads_one_grade_table():
 
     fx.verify_tnorm_axioms(Counted(), grid=11)
     assert len(calls) == 11 ** 2 + 2 * 11 ** 3 + 11 + 40 == 2834
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda n: n.variant)
+@pytest.mark.parametrize("grid", [2, 11, 61])
+def test_builtin_axiom_report_calls_no_associativity_side(monkeypatch, norm, grid):
+    # A built-in norm's associativity is decided by its rounding bound:
+    # grid**2 table entries, grid unit checks and 40 diagonal probes.
+    calls = []
+    combine = fx.TNorm.combine
+    monkeypatch.setattr(fx.TNorm, "combine", lambda self, a, b: calls.append((a, b)) or combine(self, a, b))
+    report = fx.verify_tnorm_axioms(norm, grid)
+    assert len(calls) == grid ** 2 + grid + 40
+    assert report.passed and report.law("associativity").checks == grid ** 3
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(grid=st.integers(2, 40))
+@pytest.mark.parametrize("norm", NORMS, ids=lambda n: n.variant)
+def test_builtin_axiom_report_matches_the_scans(norm, grid):
+    assert fx.verify_tnorm_axioms(norm, grid) == reference_tnorm_laws(norm.combine, grid)
+
+
+# The rounding bound on |combine(combine(a, b), c) - combine(a, combine(b,
+# c))| that lets a built-in norm's associativity pass unscanned, and each
+# call's bound on its distance from the exact norm.
+ULP = Fraction(1, 2 ** 53)
+ASSOC_BOUND = {"product": 4 * ULP, "minimum": 0, "lukasiewicz": 8 * ULP}
+EXACT = {
+    "product": lambda a, b: a * b,
+    "minimum": min,
+    "lukasiewicz": lambda a, b: max(Fraction(0), a + b - 1),
+}
+# 0, 1, grades just below 1, just around the Sterbenz edge 1/2, and
+# subnormals.
+EDGE_GRADES = (
+    [0.0, 1.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 2.0 ** -1022, 5e-324, 3 * 5e-324]
+    + [1.0 - k * 2.0 ** -53 for k in (1, 2, 3, 4, 7)]
+    + [2.0 ** -540, 1e-200]
+)
+
+
+def assert_within_rounding(norm, a, b, c):
+    combine, exact = norm.combine, EXACT[norm.variant]
+    left, right = combine(combine(a, b), c), combine(a, combine(b, c))
+    assert abs(Fraction(left) - Fraction(right)) <= ASSOC_BOUND[norm.variant] < ASSOC_TOL
+    # Each call: product within a relative 2**-53 (or 2**-1075 below the
+    # normal range), minimum exact, Lukasiewicz within 2**-52.
+    x, y = Fraction(a), Fraction(b)
+    err = abs(Fraction(combine(a, b)) - exact(x, y))
+    if norm.variant == "product":
+        assert err <= max(x * y * ULP, Fraction(1, 2 ** 1075))
+    else:
+        assert err <= {"minimum": 0, "lukasiewicz": 2 * ULP}[norm.variant]
+
+
+@pytest.mark.parametrize("norm", NORMS, ids=lambda n: n.variant)
+def test_builtin_associativity_within_its_rounding_bound_on_edge_grades(norm):
+    for a, b, c in product(EDGE_GRADES, repeat=3):
+        assert_within_rounding(norm, a, b, c)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(grades=st.tuples(*[st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_GRADES))] * 3))
+@pytest.mark.parametrize("norm", NORMS, ids=lambda n: n.variant)
+def test_builtin_associativity_within_its_rounding_bound(norm, grades):
+    assert_within_rounding(norm, *grades)
+
+
+class SquaredTNorm(fx.TNorm):
+    """A subclass of the built-in type whose combine is not associative."""
+
+    def combine(self, a, b):
+        return SquaredProduct.combine(self, a, b)
+
+
+class RowsOnly:
+    """a' b = b (1 - a): every row of the table rises, every column falls."""
+
+    def combine(self, a, b):
+        return b * (1.0 - a)
+
+
+class ColumnsOnly:
+    """a' b = a (1 - b): every column of the table rises, every row falls."""
+
+    def combine(self, a, b):
+        return a * (1.0 - b)
+
+
+class HiddenDrop:
+    """ab, and ab/4 past b = 0.3, with NaN at b = 0.3: no two neighbours
+    of a row compare as a drop, yet a row falls across the NaN."""
+
+    def combine(self, a, b):
+        return math.nan if b == 0.3 else a * b if b < 0.3 else 0.25 * a * b
+
+
+@pytest.mark.parametrize(
+    "norm, law",
+    [
+        (SquaredTNorm("product"), "associativity"),
+        (RowsOnly(), "monotonicity"),
+        (ColumnsOnly(), "monotonicity"),
+        (HiddenDrop(), "monotonicity"),
+    ],
+    ids=lambda v: type(v).__name__ if not isinstance(v, str) else v,
+)
+@pytest.mark.parametrize("grid", [11, 21])
+def test_unproved_laws_are_scanned(norm, law, grid):
+    # Only a TNorm itself skips the associativity scan, and only a table
+    # whose rows and columns all rise skips the monotonicity scan.
+    report = fx.verify_tnorm_axioms(norm, grid)
+    assert report == reference_tnorm_laws(norm.combine, grid)
+    assert law in report.failures()
 
 
 # ---------------------------------------------------------- raise paths
